@@ -20,20 +20,13 @@
 //           isolation costs a fork, a warm-up, heartbeats, and pipe framing
 //           per pass; that tax must stay <= 10% and the deterministic report
 //           byte-identical.
-//   part 7: superblock tier-2 execution — uncached interpretation vs the
-//           block-cached interpreter vs superblock threaded code, on the
-//           tight loop and on a concrete diag-heavy RTL8029 workload
-//           (scripted device, no symbolic data: the all-concrete shape tier 2
-//           is built for). Gated at >= 3x tier-2 over uncached on rtl8029,
-//           with bug parity across all three tiers re-checked under the full
-//           default checker set.
 //   part 8: fuzz concrete-executor throughput — solver-derived seeds replayed
 //           down the pure concrete fast path (src/fuzz/executor.h: guided
-//           mode, no solver) with tier 2 on vs the uncached interpreter,
-//           against the per-pass rate of the symbolic exploration that derived
-//           them. The concolic loop only pays off if a concrete exec is far
-//           cheaper than a symbolic pass; gated at >= 10x execs/sec over
-//           symbolic passes/sec.
+//           mode, no solver) with the default block-cached executor vs the
+//           uncached interpreter, against the per-pass rate of the symbolic
+//           exploration that derived them. The concolic loop only pays off
+//           if a concrete exec is far cheaper than a symbolic pass; gated at
+//           >= 10x execs/sec over symbolic passes/sec.
 //   part 9: path-explosion control — the fault_farm and solver_farm campaigns
 //           with every pathctl control off vs on (diamond state merging +
 //           coverage-starved back-edge kills, src/engine/pathctl.h). The
@@ -52,7 +45,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,8 +53,6 @@
 #include "src/fleet/fleet.h"
 #include "src/fuzz/executor.h"
 #include "src/fuzz/input.h"
-#include "src/hw/device.h"
-#include "src/kernel/api.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace_events.h"
@@ -428,8 +418,7 @@ CacheCampaignRun RunCacheCampaign(const DriverImage& image, const PciDescriptor&
 }
 
 // One campaign with the path-explosion controls off or on, everything else
-// identical (threads=1 isolates the control effect from scheduler effects;
-// superblocks stay off so the tier-1 merge point is the one exercised).
+// identical (threads=1 isolates the control effect from scheduler effects).
 struct PathCtlRun {
   double wall_ms = 0;
   uint64_t states_created = 0;
@@ -472,92 +461,6 @@ PathCtlRun RunPathCtlCampaign(const DriverImage& image, const PciDescriptor& pci
   // Merging reorders within-pass discovery; the gate is set identity.
   std::sort(out.bug_rows.begin(), out.bug_rows.end());
   return out;
-}
-
-// Diag-heavy concrete workload for the tier comparison: ep_diag walks a
-// binary dispatch tree into filler branch diamonds — pure static ALU/branch
-// work (~34 instructions per step) with no MMIO inside the hot region, so
-// tier 2 gets to retire the bulk of it from threaded code while each step
-// still crosses a real entry/exit boundary (side exit at `ret`).
-std::vector<WorkloadStep> DiagWorkload(int reps) {
-  std::vector<WorkloadStep> steps;
-  WorkloadStep init;
-  init.slot = kEpInitialize;
-  steps.push_back(init);
-  for (int i = 0; i < reps; ++i) {
-    WorkloadStep step;
-    step.slot = kEpDiag;
-    step.plan = WorkloadStep::ArgPlan::kDiagCode;
-    step.param = static_cast<uint32_t>(i % 18);
-    step.only_if_init_ok = true;
-    steps.push_back(step);
-  }
-  WorkloadStep halt;
-  halt.slot = kEpHalt;
-  halt.only_if_init_ok = true;
-  steps.push_back(halt);
-  return steps;
-}
-
-struct TierRun {
-  double ips = 0;
-  uint64_t instructions = 0;
-  uint64_t sb_compiled = 0;
-  uint64_t sb_entries = 0;
-  uint64_t sb_chains = 0;
-  uint64_t sb_side_exits = 0;
-  uint64_t sb_retired = 0;
-  std::vector<std::string> bug_rows;
-};
-
-// One fully concrete run at execution tier 0 (uncached interpreter), 1
-// (block-cached interpreter), or 2 (superblock threaded code): scripted
-// device, fixed seed, no symbolic interrupts — every tier executes the exact
-// same instruction stream, so ips ratios are pure execution-engine cost.
-TierRun RunTier(const DriverImage& image, const PciDescriptor& pci, int tier,
-                const std::vector<WorkloadStep>* workload, bool checkers, int reps) {
-  TierRun best;
-  for (int rep = 0; rep < reps; ++rep) {
-    DdtConfig config;
-    config.engine.max_instructions = 8'000'000;
-    config.engine.max_wall_ms = 3'600'000;
-    config.engine.enable_block_cache = tier >= 1;
-    config.engine.superblocks = tier >= 2;
-    config.engine.enable_symbolic_interrupts = false;
-    config.engine.seed = 7;
-    config.use_standard_annotations = false;
-    config.use_default_checkers = checkers;
-    if (workload != nullptr) {
-      config.workload = *workload;
-    }
-    Ddt ddt(config);
-    ddt.SetDevice(std::make_unique<ScriptedDevice>(std::vector<uint32_t>{}, 42));
-    Result<DdtResult> r = ddt.TestDriver(image, pci);
-    if (!r.ok()) {
-      std::fprintf(stderr, "tier %d run failed: %s\n", tier, r.status().message().c_str());
-      std::exit(1);
-    }
-    const DdtResult& result = r.value();
-    double ips = result.stats.wall_ms > 0
-                     ? static_cast<double>(result.stats.instructions) /
-                           (result.stats.wall_ms / 1000.0)
-                     : 0;
-    if (ips > best.ips) {
-      best.ips = ips;
-      best.instructions = result.stats.instructions;
-      best.sb_compiled = result.stats.superblocks_compiled;
-      best.sb_entries = result.stats.superblock_entries;
-      best.sb_chains = result.stats.superblock_chains;
-      best.sb_side_exits = result.stats.superblock_side_exits;
-      best.sb_retired = result.stats.superblock_instructions;
-    }
-    if (rep == 0) {
-      for (const Bug& bug : result.bugs) {
-        best.bug_rows.push_back(bug.Row());
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace
@@ -748,49 +651,6 @@ int main(int argc, char** argv) {
               fleet_inproc.wall_ms, fleet_one.wall_ms, fleet_overhead,
               fleet_report_identical ? "yes" : "NO");
 
-  // --- part 7: superblock tier-2 execution -----------------------------------
-  // Three execution tiers over the identical concrete instruction stream:
-  // uncached interpretation, block-cached interpretation, superblock threaded
-  // code. Timed with checkers off (pure engine cost, like the part 1 tight
-  // loop); bug parity re-checked separately under the full default checker
-  // set, where all three tiers must report the identical bug rows.
-  std::printf("\n=== superblock tier-2 execution (uncached vs cached vs superblocks) ===\n");
-  TierRun sb_loop_t0 = RunTier(loop_image, LoopPci(), 0, nullptr, /*checkers=*/false, 3);
-  TierRun sb_loop_t1 = RunTier(loop_image, LoopPci(), 1, nullptr, /*checkers=*/false, 3);
-  TierRun sb_loop_t2 = RunTier(loop_image, LoopPci(), 2, nullptr, /*checkers=*/false, 3);
-  double sb_loop_speedup = sb_loop_t0.ips > 0 ? sb_loop_t2.ips / sb_loop_t0.ips : 0;
-  std::printf("tight_loop: %.0f / %.0f / %.0f insns/sec (tier2 %.2fx over uncached, "
-              "%llu of %llu insns retired by tier 2)\n",
-              sb_loop_t0.ips, sb_loop_t1.ips, sb_loop_t2.ips, sb_loop_speedup,
-              static_cast<unsigned long long>(sb_loop_t2.sb_retired),
-              static_cast<unsigned long long>(sb_loop_t2.instructions));
-
-  std::vector<WorkloadStep> diag_workload = DiagWorkload(16000);
-  TierRun sb_rtl_t0 = RunTier(rtl.image, rtl.pci, 0, &diag_workload, /*checkers=*/false, 3);
-  TierRun sb_rtl_t1 = RunTier(rtl.image, rtl.pci, 1, &diag_workload, /*checkers=*/false, 3);
-  TierRun sb_rtl_t2 = RunTier(rtl.image, rtl.pci, 2, &diag_workload, /*checkers=*/false, 3);
-  double sb_rtl_speedup = sb_rtl_t0.ips > 0 ? sb_rtl_t2.ips / sb_rtl_t0.ips : 0;
-  std::printf("rtl8029 diag: %.0f / %.0f / %.0f insns/sec (tier2 %.2fx over uncached)\n",
-              sb_rtl_t0.ips, sb_rtl_t1.ips, sb_rtl_t2.ips, sb_rtl_speedup);
-  std::printf("rtl8029 tier 2: %llu compiled, %llu entries, %llu chains, %llu side exits, "
-              "%llu of %llu insns retired\n",
-              static_cast<unsigned long long>(sb_rtl_t2.sb_compiled),
-              static_cast<unsigned long long>(sb_rtl_t2.sb_entries),
-              static_cast<unsigned long long>(sb_rtl_t2.sb_chains),
-              static_cast<unsigned long long>(sb_rtl_t2.sb_side_exits),
-              static_cast<unsigned long long>(sb_rtl_t2.sb_retired),
-              static_cast<unsigned long long>(sb_rtl_t2.instructions));
-
-  std::vector<WorkloadStep> parity_workload = DiagWorkload(500);
-  TierRun parity_t0 = RunTier(rtl.image, rtl.pci, 0, &parity_workload, /*checkers=*/true, 1);
-  TierRun parity_t1 = RunTier(rtl.image, rtl.pci, 1, &parity_workload, /*checkers=*/true, 1);
-  TierRun parity_t2 = RunTier(rtl.image, rtl.pci, 2, &parity_workload, /*checkers=*/true, 1);
-  bool superblock_bugs_identical = parity_t1.bug_rows == parity_t0.bug_rows &&
-                                   parity_t2.bug_rows == parity_t0.bug_rows &&
-                                   parity_t2.instructions == parity_t0.instructions;
-  std::printf("checker parity: %zu bug rows per tier, identical: %s\n",
-              parity_t0.bug_rows.size(), superblock_bugs_identical ? "yes" : "NO");
-
   // --- part 8: fuzz concrete-executor throughput -----------------------------
   // One symbolic pass over rtl8029 derives solver-backed path seeds; those
   // seeds then replay through the fuzz concrete executor (guided mode, solver
@@ -848,17 +708,15 @@ int main(int argc, char** argv) {
   };
   FaultCampaignConfig fuzz_interp_cfg = fuzz_campaign;
   fuzz_interp_cfg.base.engine.enable_block_cache = false;
-  FaultCampaignConfig fuzz_tier2_cfg = fuzz_campaign;
-  fuzz_tier2_cfg.base.engine.superblocks = true;
   double fuzz_interp_eps = time_fuzz_execs(fuzz_interp_cfg, 3);
-  double fuzz_tier2_eps = time_fuzz_execs(fuzz_tier2_cfg, 3);
+  double fuzz_cached_eps = time_fuzz_execs(fuzz_campaign, 3);
   double fuzz_sym_rate = fuzz_sym_pass_ms > 0 ? 1000.0 / fuzz_sym_pass_ms : 0;
-  double fuzz_speedup = fuzz_sym_rate > 0 ? fuzz_tier2_eps / fuzz_sym_rate : 0;
+  double fuzz_speedup = fuzz_sym_rate > 0 ? fuzz_cached_eps / fuzz_sym_rate : 0;
   std::printf("symbolic seed pass: %.1f ms (%.2f passes/sec, %zu seeds derived)\n",
               fuzz_sym_pass_ms, fuzz_sym_rate, fuzz_seeds.size());
-  std::printf("concrete replay: %.0f execs/sec interpreter, %.0f execs/sec tier 2 "
+  std::printf("concrete replay: %.0f execs/sec uncached, %.0f execs/sec block-cached "
               "(%.1fx over per-pass symbolic rate)\n",
-              fuzz_interp_eps, fuzz_tier2_eps, fuzz_speedup);
+              fuzz_interp_eps, fuzz_cached_eps, fuzz_speedup);
 
   // --- part 9: path-explosion control ----------------------------------------
   // Controls off vs on over both campaign shapes. solver_farm's six branch
@@ -984,34 +842,13 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"deterministic_report_identical\": %s\n",
                fleet_report_identical ? "true" : "false");
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"superblock\": {\n");
-  std::fprintf(f,
-               "    \"tight_loop\": {\"uncached_ips\": %.0f, \"tier1_ips\": %.0f, "
-               "\"tier2_ips\": %.0f, \"tier2_speedup\": %.3f},\n",
-               sb_loop_t0.ips, sb_loop_t1.ips, sb_loop_t2.ips, sb_loop_speedup);
-  std::fprintf(f,
-               "    \"rtl8029_diag\": {\"uncached_ips\": %.0f, \"tier1_ips\": %.0f, "
-               "\"tier2_ips\": %.0f, \"tier2_speedup\": %.3f},\n",
-               sb_rtl_t0.ips, sb_rtl_t1.ips, sb_rtl_t2.ips, sb_rtl_speedup);
-  std::fprintf(f,
-               "    \"rtl8029_tier2\": {\"compiled\": %llu, \"entries\": %llu, "
-               "\"chains\": %llu, \"side_exits\": %llu, \"retired\": %llu, "
-               "\"instructions\": %llu},\n",
-               static_cast<unsigned long long>(sb_rtl_t2.sb_compiled),
-               static_cast<unsigned long long>(sb_rtl_t2.sb_entries),
-               static_cast<unsigned long long>(sb_rtl_t2.sb_chains),
-               static_cast<unsigned long long>(sb_rtl_t2.sb_side_exits),
-               static_cast<unsigned long long>(sb_rtl_t2.sb_retired),
-               static_cast<unsigned long long>(sb_rtl_t2.instructions));
-  std::fprintf(f, "    \"bugs_identical\": %s\n", superblock_bugs_identical ? "true" : "false");
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fuzz\": {\n");
   std::fprintf(f, "    \"driver\": \"rtl8029\",\n");
   std::fprintf(f, "    \"seeds\": %zu,\n", fuzz_seeds.size());
   std::fprintf(f, "    \"symbolic_pass_ms\": %.1f,\n", fuzz_sym_pass_ms);
   std::fprintf(f, "    \"symbolic_passes_per_sec\": %.3f,\n", fuzz_sym_rate);
   std::fprintf(f, "    \"interp_execs_per_sec\": %.1f,\n", fuzz_interp_eps);
-  std::fprintf(f, "    \"tier2_execs_per_sec\": %.1f,\n", fuzz_tier2_eps);
+  std::fprintf(f, "    \"cached_execs_per_sec\": %.1f,\n", fuzz_cached_eps);
   std::fprintf(f, "    \"speedup_vs_symbolic\": %.3f\n", fuzz_speedup);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"pathctl\": {\n");
@@ -1075,19 +912,10 @@ int main(int argc, char** argv) {
   // one worker process must stay within 10% of in-process and change nothing
   // in the deterministic report.
   bool fleet_ok = fleet_report_identical && fleet_overhead <= 1.10;
-  // Tier 2 must be a real execution-engine win on the realistic shape, not
-  // just the synthetic loop: >= 3x over uncached interpretation on the
-  // concrete rtl8029 diag workload, with the tier actually engaged (regions
-  // compiled, entered, and chained) and zero effect on what any tier reports
-  // under the full checker set.
-  bool superblock_ok = sb_rtl_speedup >= 3.0 && superblock_bugs_identical &&
-                       sb_rtl_t2.sb_compiled > 0 && sb_rtl_t2.sb_entries > 0 &&
-                       sb_rtl_t2.sb_chains > 0 && sb_rtl_t2.sb_retired > 0 &&
-                       sb_loop_t2.sb_retired > 0;
   // A concrete replay skips forking, constraint collection, and every solver
   // query; it must run at >= 10x the rate of the symbolic passes that seed it,
   // or the mutation loop would be better spent on more symbolic passes.
-  bool fuzz_ok = fuzz_tier2_eps >= 10.0 * fuzz_sym_rate && fuzz_tier2_eps > 0;
+  bool fuzz_ok = fuzz_cached_eps >= 10.0 * fuzz_sym_rate && fuzz_cached_eps > 0;
   // Suppressing redundant paths only counts if it changes no verdicts: the
   // controls must preserve each bench's exact bug set while cutting aggregate
   // state creation by >= 30% and SAT calls strictly, with merging demonstrably
@@ -1097,7 +925,7 @@ int main(int argc, char** argv) {
                     pc_farm_on.instructions <= pc_farm_off.instructions;
   bool pass = loop_speedup >= 2.0 && interp_bugs_identical && campaign_bugs_identical &&
               runs[0].plans >= 8 && campaign_ok && supervisor_ok && obs_ok && shared_cache_ok &&
-              fleet_ok && superblock_ok && fuzz_ok && pathctl_ok;
+              fleet_ok && fuzz_ok && pathctl_ok;
   std::printf("BENCH_exec: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -12,9 +12,6 @@
 //   --trace-out=PATH    export the run's trace events as Chrome trace-event
 //                       JSON (chrome://tracing / ui.perfetto.dev)
 //   --metrics-out=PATH  write the run's metrics snapshot as JSON
-//   --superblocks=0|1   tier-2 execution: compile hot blocks into chained
-//                       superblocks of threaded ops (identical bug reports,
-//                       faster concrete execution; DESIGN.md §7f)
 //
 // The test/replay pair demonstrates the §3.5 workflow end to end across
 // process boundaries: find bugs on one machine, ship <report>, reproduce on
@@ -44,8 +41,7 @@ int Usage() {
                "  ddt_cli corpus <dir>\n"
                "  ddt_cli assemble <in.s> <out.ddf>\n"
                "  ddt_cli disasm <in.ddf>\n"
-               "  ddt_cli test [--trace-out=PATH] [--metrics-out=PATH] [--superblocks=0|1]\n"
-               "               <in.ddf> [report-out]\n"
+               "  ddt_cli test [--trace-out=PATH] [--metrics-out=PATH] <in.ddf> [report-out]\n"
                "  ddt_cli replay <in.ddf> <report>\n");
   return 2;
 }
@@ -135,8 +131,7 @@ int CmdDisasm(const std::string& path) {
 }
 
 int CmdTest(const std::string& path, const std::string& report_path,
-            const std::string& trace_out, const std::string& metrics_out,
-            bool superblocks) {
+            const std::string& trace_out, const std::string& metrics_out) {
   ddt::Result<ddt::DriverImage> image = ddt::DriverImage::LoadFile(path);
   if (!image.ok()) {
     std::fprintf(stderr, "%s\n", image.error().c_str());
@@ -145,7 +140,6 @@ int CmdTest(const std::string& path, const std::string& report_path,
   ddt::DdtConfig config;
   config.engine.max_instructions = 2'000'000;
   config.engine.max_states = 512;
-  config.engine.superblocks = superblocks;
   ddt::obs::MetricsRegistry metrics;
   if (!metrics_out.empty()) {
     config.engine.metrics = &metrics;
@@ -224,11 +218,9 @@ int main(int argc, char** argv) {
     return Usage();
   }
   std::string command = argv[1];
-  // Split observability/engine flags from positional arguments.
+  // Split observability flags from positional arguments.
   std::string trace_out;
   std::string metrics_out;
-  bool superblocks = false;
-  bool saw_engine_flag = false;
   std::vector<std::string> args;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
@@ -236,15 +228,12 @@ int main(int argc, char** argv) {
       trace_out = arg.substr(std::strlen("--trace-out="));
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = arg.substr(std::strlen("--metrics-out="));
-    } else if (arg.rfind("--superblocks=", 0) == 0) {
-      superblocks = arg.substr(std::strlen("--superblocks=")) != "0";
-      saw_engine_flag = true;
     } else {
       args.push_back(std::move(arg));
     }
   }
-  if ((!trace_out.empty() || !metrics_out.empty() || saw_engine_flag) && command != "test") {
-    std::fprintf(stderr, "--trace-out/--metrics-out/--superblocks only apply to `test`\n");
+  if ((!trace_out.empty() || !metrics_out.empty()) && command != "test") {
+    std::fprintf(stderr, "--trace-out/--metrics-out only apply to `test`\n");
     return Usage();
   }
   if (command == "corpus" && args.size() == 1) {
@@ -257,8 +246,7 @@ int main(int argc, char** argv) {
     return CmdDisasm(args[0]);
   }
   if (command == "test" && (args.size() == 1 || args.size() == 2)) {
-    return CmdTest(args[0], args.size() == 2 ? args[1] : "", trace_out, metrics_out,
-                   superblocks);
+    return CmdTest(args[0], args.size() == 2 ? args[1] : "", trace_out, metrics_out);
   }
   if (command == "replay" && args.size() == 2) {
     return CmdReplay(args[0], args[1]);

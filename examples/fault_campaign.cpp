@@ -22,11 +22,6 @@
 //                      the first run is cold, reruns warm-start from disk and
 //                      skip already-solved SAT work (the deterministic report
 //                      is byte-identical either way — CI diffs it)
-//   --superblocks=0|1  tier-2 execution: compile hot decoded blocks into
-//                      chained superblocks of threaded ops (src/vm/
-//                      superblock.h). Off by default; the deterministic
-//                      report is byte-identical on or off — CI diffs it
-//   --superblock-hot-threshold=N  block-entry count before a region compiles
 //
 // Path-explosion control flags (src/engine/pathctl.h; see DESIGN.md §7i):
 //   --pathctl=0|1      enable the path-explosion controls: diamond state
@@ -154,10 +149,6 @@ int RunAsFleetWorker(int argc, char** argv) {
       options.shard_dir = arg.substr(std::strlen("--fleet-shard-dir="));
     } else if (arg.rfind("--shared-cache=", 0) == 0) {
       config.shared_cache_path = arg.substr(std::strlen("--shared-cache="));
-    } else if (ParseUintFlag(arg, "--superblocks=", &v)) {
-      config.base.engine.superblocks = v != 0;
-    } else if (ParseUintFlag(arg, "--superblock-hot-threshold=", &v)) {
-      config.base.engine.superblock_hot_threshold = static_cast<uint32_t>(v);
     } else if (ParseUintFlag(arg, "--hw-faults=", &v)) {
       config.hw_faults = v != 0;
     } else if (ParseUintFlag(arg, "--dma-checker=", &v)) {
@@ -202,8 +193,6 @@ int main(int argc, char** argv) {
   bool resume = false;
   bool hw_faults = false;
   bool dma_checker = false;
-  bool superblocks = false;
-  uint32_t superblock_hot_threshold = 0;  // 0 = keep the engine default
   uint32_t threads = 0;
   uint32_t workers = 0;
   int64_t kill_lease = -1;
@@ -228,10 +217,6 @@ int main(int argc, char** argv) {
       metrics_out = arg.substr(std::strlen("--metrics-out="));
     } else if (arg.rfind("--shared-cache=", 0) == 0) {
       shared_cache_path = arg.substr(std::strlen("--shared-cache="));
-    } else if (ParseUintFlag(arg, "--superblocks=", &v)) {
-      superblocks = v != 0;
-    } else if (ParseUintFlag(arg, "--superblock-hot-threshold=", &v)) {
-      superblock_hot_threshold = static_cast<uint32_t>(v);
     } else if (ParseUintFlag(arg, "--hw-faults=", &v)) {
       hw_faults = v != 0;
     } else if (ParseUintFlag(arg, "--dma-checker=", &v)) {
@@ -278,10 +263,6 @@ int main(int argc, char** argv) {
   config.journal_path = journal_path;
   config.resume = resume;
   config.shared_cache_path = shared_cache_path;
-  config.base.engine.superblocks = superblocks;
-  if (superblock_hot_threshold != 0) {
-    config.base.engine.superblock_hot_threshold = superblock_hot_threshold;
-  }
   config.hw_faults = hw_faults;
   config.base.dma_checker = dma_checker;
   config.base.engine.pathctl.enabled = pathctl;
@@ -321,16 +302,9 @@ int main(int argc, char** argv) {
       fleet.worker_args.push_back("--shared-cache=" + shared_cache_path);
     }
     // Exec-mode workers rebuild the campaign config from MakeCampaignConfig(),
-    // so tier-2 knobs must cross the process boundary explicitly.
-    if (superblocks) {
-      fleet.worker_args.push_back("--superblocks=1");
-    }
-    if (superblock_hot_threshold != 0) {
-      fleet.worker_args.push_back("--superblock-hot-threshold=" +
-                                  std::to_string(superblock_hot_threshold));
-    }
-    // Both enter the campaign fingerprint; a worker missing them would be
-    // rejected at HELLO.
+    // so these knobs must cross the process boundary explicitly. Both enter
+    // the campaign fingerprint; a worker missing them would be rejected at
+    // HELLO.
     if (hw_faults) {
       fleet.worker_args.push_back("--hw-faults=1");
     }

@@ -343,17 +343,11 @@ std::string EncodeRecord(const CampaignPassRecord& rec) {
   w.U64("e_peak_state_bytes", e.peak_state_bytes);
   w.U64("e_blocks_decoded", e.blocks_decoded);
   w.U64("e_block_cache_hits", e.block_cache_hits);
-  // Tier counters (absent in older journals; GetU64 defaults them to 0).
-  // Volatile-report only, but a fleet worker's RESULT is the coordinator's
-  // sole window into its pass, so they ride along.
+  // Absent in older journals (GetU64 defaults it to 0). Volatile-report
+  // only, but a fleet worker's RESULT is the coordinator's sole window into
+  // its pass, so it rides along. Keys of retired counters in older records
+  // are ignored on decode.
   w.U64("e_bc_fallback_fetches", e.block_cache_fallback_fetches);
-  w.U64("e_bc_hot_blocks", e.block_cache_hot_blocks);
-  w.U64("e_sb_compiled", e.superblocks_compiled);
-  w.U64("e_sb_ops_lowered", e.superblock_ops_lowered);
-  w.U64("e_sb_entries", e.superblock_entries);
-  w.U64("e_sb_chains", e.superblock_chains);
-  w.U64("e_sb_side_exits", e.superblock_side_exits);
-  w.U64("e_sb_instructions", e.superblock_instructions);
   // Path-explosion control counters + fork-profiler table (absent in older
   // journals; GetU64/GetStr default to 0/empty).
   w.U64("e_states_merged", e.states_merged);
@@ -469,13 +463,6 @@ bool DecodeRecord(const std::map<std::string, std::string>& m, CampaignPassRecor
   e.blocks_decoded = GetU64(m, "e_blocks_decoded");
   e.block_cache_hits = GetU64(m, "e_block_cache_hits");
   e.block_cache_fallback_fetches = GetU64(m, "e_bc_fallback_fetches");
-  e.block_cache_hot_blocks = GetU64(m, "e_bc_hot_blocks");
-  e.superblocks_compiled = GetU64(m, "e_sb_compiled");
-  e.superblock_ops_lowered = GetU64(m, "e_sb_ops_lowered");
-  e.superblock_entries = GetU64(m, "e_sb_entries");
-  e.superblock_chains = GetU64(m, "e_sb_chains");
-  e.superblock_side_exits = GetU64(m, "e_sb_side_exits");
-  e.superblock_instructions = GetU64(m, "e_sb_instructions");
   e.states_merged = GetU64(m, "e_states_merged");
   e.loop_kills = GetU64(m, "e_loop_kills");
   e.edge_kills = GetU64(m, "e_edge_kills");

@@ -150,22 +150,10 @@ std::string DdtResult::FormatReport(const std::string& driver_name) const {
   if (stats.blocks_decoded != 0) {
     out += StrFormat(
         "block cache: %llu blocks decoded, %llu instruction fetch hits, "
-        "%llu fallback fetches, %llu hot blocks\n",
+        "%llu fallback fetches\n",
         static_cast<unsigned long long>(stats.blocks_decoded),
         static_cast<unsigned long long>(stats.block_cache_hits),
-        static_cast<unsigned long long>(stats.block_cache_fallback_fetches),
-        static_cast<unsigned long long>(stats.block_cache_hot_blocks));
-  }
-  if (stats.superblocks_compiled != 0 || stats.superblock_entries != 0) {
-    out += StrFormat(
-        "superblocks: %llu compiled (%llu ops lowered), %llu entries, %llu chains, "
-        "%llu side exits, %llu tier-2 instructions\n",
-        static_cast<unsigned long long>(stats.superblocks_compiled),
-        static_cast<unsigned long long>(stats.superblock_ops_lowered),
-        static_cast<unsigned long long>(stats.superblock_entries),
-        static_cast<unsigned long long>(stats.superblock_chains),
-        static_cast<unsigned long long>(stats.superblock_side_exits),
-        static_cast<unsigned long long>(stats.superblock_instructions));
+        static_cast<unsigned long long>(stats.block_cache_fallback_fetches));
   }
   out += StrFormat("peak state working set: ~%llu KiB across live states\n",
                    static_cast<unsigned long long>(stats.peak_state_bytes / 1024));
@@ -533,29 +521,15 @@ std::string FaultCampaignResult::FormatReport(const std::string& driver_name,
                        static_cast<unsigned long long>(shared_cache_load_errors));
     }
   }
-  // Execution-tier counters are volatile by design: which instructions tier 2
-  // retires (vs side-exiting to the interpreter) may shift as superblocks
-  // compile at different points across resumed or re-batched runs, even
-  // though the architectural results above are byte-identical.
+  // Translation-cache counters describe how instructions were fetched, not
+  // what they did, so they stay out of the deterministic report.
   if (include_volatile && total_stats.blocks_decoded != 0) {
     out += StrFormat(
         "block cache: %llu blocks decoded, %llu instruction fetch hits, "
-        "%llu fallback fetches, %llu hot blocks\n",
+        "%llu fallback fetches\n",
         static_cast<unsigned long long>(total_stats.blocks_decoded),
         static_cast<unsigned long long>(total_stats.block_cache_hits),
-        static_cast<unsigned long long>(total_stats.block_cache_fallback_fetches),
-        static_cast<unsigned long long>(total_stats.block_cache_hot_blocks));
-  }
-  if (include_volatile && total_stats.superblocks_compiled != 0) {
-    out += StrFormat(
-        "superblocks: %llu compiled (%llu ops lowered), %llu entries, %llu chains, "
-        "%llu side exits, %llu tier-2 instructions\n",
-        static_cast<unsigned long long>(total_stats.superblocks_compiled),
-        static_cast<unsigned long long>(total_stats.superblock_ops_lowered),
-        static_cast<unsigned long long>(total_stats.superblock_entries),
-        static_cast<unsigned long long>(total_stats.superblock_chains),
-        static_cast<unsigned long long>(total_stats.superblock_side_exits),
-        static_cast<unsigned long long>(total_stats.superblock_instructions));
+        static_cast<unsigned long long>(total_stats.block_cache_fallback_fetches));
   }
   out += StrFormat("supervisor: %llu pass%s retried, %llu quarantined\n",
                    static_cast<unsigned long long>(passes_retried),

@@ -11,7 +11,6 @@
 #include "src/support/strings.h"
 #include "src/vm/block_cache.h"
 #include "src/vm/layout.h"
-#include "src/vm/superblock.h"
 
 namespace ddt {
 
@@ -42,13 +41,6 @@ void EngineStats::Accumulate(const EngineStats& other) {
   blocks_decoded += other.blocks_decoded;
   block_cache_hits += other.block_cache_hits;
   block_cache_fallback_fetches += other.block_cache_fallback_fetches;
-  block_cache_hot_blocks += other.block_cache_hot_blocks;
-  superblocks_compiled += other.superblocks_compiled;
-  superblock_ops_lowered += other.superblock_ops_lowered;
-  superblock_entries += other.superblock_entries;
-  superblock_chains += other.superblock_chains;
-  superblock_side_exits += other.superblock_side_exits;
-  superblock_instructions += other.superblock_instructions;
   states_merged += other.states_merged;
   loop_kills += other.loop_kills;
   edge_kills += other.edge_kills;
@@ -262,15 +254,6 @@ Status Engine::LoadDriver(const DriverImage& image, const PciDescriptor& descrip
       block_leader_slots_[offset / kInstructionSize] = 1;
     }
   }
-  // Tier-2 superblock table (src/vm/superblock.h): compiled lazily once block
-  // entry counters cross the hotness threshold. Shares the block cache's
-  // immutability argument, so nothing is ever invalidated.
-  superblocks_.reset();
-  if (config_.superblocks && block_cache_ != nullptr) {
-    superblocks_ = std::make_unique<SuperblockCache>(block_cache_.get(), loaded_.code_begin,
-                                                     &block_leader_slots_);
-    superblocks_->SetProfile(config_.profile);
-  }
 
   initial->kernel.driver = loaded_;
   initial->kernel.pci = pci_;
@@ -409,11 +392,6 @@ void Engine::Run() {
     stats_.blocks_decoded = block_cache_->stats().blocks_decoded;
     stats_.block_cache_hits = block_cache_->stats().hits;
     stats_.block_cache_fallback_fetches = block_cache_->stats().fallback_fetches;
-    stats_.block_cache_hot_blocks = block_cache_->stats().hot_blocks;
-  }
-  if (superblocks_ != nullptr) {
-    stats_.superblocks_compiled = superblocks_->stats().compiled;
-    stats_.superblock_ops_lowered = superblocks_->stats().ops_lowered;
   }
 #ifndef DDT_OBS_DISABLED
   if (config_.profile != nullptr) {
@@ -457,15 +435,6 @@ void Engine::PublishObsMetrics() {
   m.counter("vm.block_cache.blocks_decoded")->Add(stats_.blocks_decoded);
   m.counter("vm.block_cache.hits")->Add(stats_.block_cache_hits);
   m.counter("vm.block_cache.fallback_fetches")->Add(stats_.block_cache_fallback_fetches);
-  m.counter("vm.block_cache.hot_blocks")->Add(stats_.block_cache_hot_blocks);
-  if (superblocks_ != nullptr) {
-    m.counter("vm.superblock.compiled")->Add(stats_.superblocks_compiled);
-    m.counter("vm.superblock.ops_lowered")->Add(stats_.superblock_ops_lowered);
-    m.counter("vm.superblock.entries")->Add(stats_.superblock_entries);
-    m.counter("vm.superblock.chains")->Add(stats_.superblock_chains);
-    m.counter("vm.superblock.side_exits")->Add(stats_.superblock_side_exits);
-    m.counter("vm.superblock.instructions")->Add(stats_.superblock_instructions);
-  }
   // Path-explosion control family: merge/kill outcomes plus the fork
   // profiler's site count (the table itself rides in EngineStats).
   m.counter("search.states_merged")->Add(stats_.states_merged);
@@ -1008,508 +977,11 @@ void Engine::ExecuteBlock(ExecutionState& st) {
     if (st.pc == kIdlePc || st.frames.empty()) {
       return;  // back to the scheduler
     }
-    if (superblocks_ != nullptr) {
-      const Superblock* sb = ProbeSuperblock(st.pc);
-      if (sb != nullptr) {
-        int executed = RunSuperblock(st, sb, i);
-        if (executed > i) {
-          i = executed - 1;  // the loop increment accounts for the next slot
-          continue;
-        }
-        // Zero instructions retired: the region side-exited before its first
-        // op (symbolic operand, MMIO, ...). Tier 1 executes it below, which
-        // also guarantees forward progress.
-      }
-    }
     if (!ExecuteInstruction(st)) {
       return;
     }
   }
 }
-
-const Superblock* Engine::ProbeSuperblock(uint32_t pc) {
-  const uint32_t offset = pc - loaded_.code_begin;
-  if (pc < loaded_.code_begin || offset % kInstructionSize != 0) {
-    return nullptr;
-  }
-  const size_t slot = offset / kInstructionSize;
-  // Probe only at CFG block leaders: one counter bump per block entry, and
-  // the per-instruction cost of tier-2 dispatch stays a bitmap load.
-  if (slot >= block_leader_slots_.size() || block_leader_slots_[slot] == 0) {
-    return nullptr;
-  }
-  const uint32_t threshold = std::max<uint32_t>(config_.superblock_hot_threshold, 1);
-  const uint32_t count = block_cache_->NoteBlockEntry(pc, threshold);
-  const Superblock* sb = superblocks_->AtSlot(slot);
-  if (sb == nullptr && count == threshold) {
-    sb = superblocks_->Compile(pc, SuperblockCache::Limits());
-  }
-  if (sb != nullptr) {
-    ++stats_.superblock_entries;
-  }
-  return sb;
-}
-
-// ---------------------------------------------------------------------------
-// Tier-2 threaded-code executor.
-//
-// Each SbOp body follows one contract: perform every check that could hand
-// the instruction back to tier 1 *before* SB_BEGIN_INSN (so a side exit is an
-// exact instruction boundary: nothing counted, traced, or mutated), then
-// count/trace/check exactly as ExecuteInstruction does, then apply the
-// pre-lowered effect. st.pc is therefore always the next instruction to
-// execute whenever this function returns, and the tier-1 interpreter resumes
-// with identical semantics.
-//
-// On GCC/Clang the dispatch loop is threaded code over a computed-goto label
-// table generated from DDT_SB_KIND_LIST (same list that defines SbKind, so
-// order can't drift); elsewhere it degrades to a switch.
-// ---------------------------------------------------------------------------
-
-#if defined(__GNUC__) || defined(__clang__)
-#define DDT_SB_THREADED 1
-#else
-#define DDT_SB_THREADED 0
-#endif
-
-#if DDT_SB_THREADED
-#define SB_CASE(name) lbl_##name
-#define SB_DISPATCH()                                 \
-  do {                                                \
-    op = &ops[ip];                                    \
-    goto* kSbLabels[static_cast<size_t>(op->kind)];   \
-  } while (0)
-#else
-#define SB_CASE(name) case SbKind::name
-#define SB_DISPATCH() goto sb_dispatch
-#endif
-
-// Pre-instruction hand-off to tier 1 (the instruction has not happened yet).
-#define SB_SIDE_EXIT()                \
-  do {                                \
-    ++stats_.superblock_side_exits;   \
-    st.pc = op->pc;                   \
-    return i;                         \
-  } while (0)
-
-// The per-instruction prologue, identical in order and cadence to the tier-1
-// quantum loop + ExecuteInstruction: quantum/budget/liveness boundary checks,
-// then count, cover, trace, and checker dispatch.
-#define SB_BEGIN_INSN()                                                      \
-  do {                                                                       \
-    if (!st.alive() || stop_requested_ || i >= kQuantumInstructions ||       \
-        ((i & 7) == 7 && BudgetExceeded())) {                                \
-      st.pc = op->pc;                                                        \
-      return i;                                                              \
-    }                                                                        \
-    ++i;                                                                     \
-    ++stats_.instructions;                                                   \
-    ++stats_.superblock_instructions;                                        \
-    ++st.steps;                                                              \
-    ++st.steps_in_frame;                                                     \
-    st.pc = op->pc;                                                          \
-    if ((op->flags & kSbLeader) != 0) {                                      \
-      NoteCoverage(st, op->pc);                                              \
-      if (!st.alive()) { /* edge/loop killer fired */                        \
-        return i;                                                            \
-      }                                                                      \
-    }                                                                        \
-    st.trace.AppendExec(op->pc);                                             \
-    if (!checkers_.empty()) {                                                \
-      for (const auto& checker : checkers_) {                                \
-        checker->OnInstruction(st, op->pc, *this);                           \
-        if (!st.alive()) {                                                   \
-          return i;                                                          \
-        }                                                                    \
-      }                                                                      \
-    }                                                                        \
-  } while (0)
-
-// Register write honoring the zero-register convention (SetReg inlined).
-#define SB_SET_RD(value)                 \
-  do {                                   \
-    if (op->rd != kRegZero) {            \
-      regs[op->rd] = (value);            \
-    }                                    \
-  } while (0)
-
-// External transfer: chain straight into the target superblock when one is
-// compiled, otherwise return to the dispatcher. Targets are compile-time
-// validated slots (or pc + 8), so the slot arithmetic cannot underflow.
-#define SB_EXTERNAL(target_expr)                                             \
-  do {                                                                       \
-    const uint32_t sb_target = (target_expr);                                \
-    const Superblock* sb_next =                                              \
-        superblocks_->AtSlot((sb_target - code_begin) / kInstructionSize);   \
-    if (sb_next != nullptr) {                                                \
-      ++stats_.superblock_chains;                                            \
-      sb = sb_next;                                                          \
-      ops = sb->ops.data();                                                  \
-      ip = 0;                                                                \
-      SB_DISPATCH();                                                         \
-    }                                                                        \
-    st.pc = sb_target;                                                       \
-    return i;                                                                \
-  } while (0)
-
-#define SB_ALU_RR(name, expr)                        \
-  SB_CASE(name) : {                                  \
-    const Value& av = regs[op->ra];                  \
-    const Value& bv = regs[op->rb];                  \
-    if (av.IsSymbolic() || bv.IsSymbolic()) {        \
-      SB_SIDE_EXIT();                                \
-    }                                                \
-    const uint32_t x = av.concrete();                \
-    const uint32_t y = bv.concrete();                \
-    SB_BEGIN_INSN();                                 \
-    SB_SET_RD(Value::Concrete(expr));                \
-    ++ip;                                            \
-    SB_DISPATCH();                                   \
-  }
-
-#define SB_ALU_RI(name, expr)                        \
-  SB_CASE(name) : {                                  \
-    const Value& av = regs[op->ra];                  \
-    if (av.IsSymbolic()) {                           \
-      SB_SIDE_EXIT();                                \
-    }                                                \
-    const uint32_t x = av.concrete();                \
-    const uint32_t y = op->imm;                      \
-    SB_BEGIN_INSN();                                 \
-    SB_SET_RD(Value::Concrete(expr));                \
-    ++ip;                                            \
-    SB_DISPATCH();                                   \
-  }
-
-#define SB_CMP_RR(name, expr) SB_ALU_RR(name, (expr) ? 1u : 0u)
-#define SB_CMP_RI(name, expr) SB_ALU_RI(name, (expr) ? 1u : 0u)
-
-// Division side-exits on a zero divisor before anything is counted: the
-// tier-1 guard owns the (solver-backed) division-by-zero bug report.
-#define SB_DIV_RR(name, expr)                        \
-  SB_CASE(name) : {                                  \
-    const Value& av = regs[op->ra];                  \
-    const Value& bv = regs[op->rb];                  \
-    if (av.IsSymbolic() || bv.IsSymbolic()) {        \
-      SB_SIDE_EXIT();                                \
-    }                                                \
-    const uint32_t x = av.concrete();                \
-    const uint32_t y = bv.concrete();                \
-    if (y == 0) {                                    \
-      SB_SIDE_EXIT();                                \
-    }                                                \
-    SB_BEGIN_INSN();                                 \
-    SB_SET_RD(Value::Concrete(expr));                \
-    ++ip;                                            \
-    SB_DISPATCH();                                   \
-  }
-
-int Engine::RunSuperblock(ExecutionState& st, const Superblock* sb, int i) {
-  const SbOp* ops = sb->ops.data();
-  const SbOp* op = ops;
-  size_t ip = 0;
-  Value* const regs = st.regs.data();
-  const uint32_t code_begin = loaded_.code_begin;
-  const uint32_t code_end = loaded_.code_end;
-
-#if DDT_SB_THREADED
-#define SB_LABEL_ADDR(name) &&lbl_##name,
-  static const void* const kSbLabels[] = {DDT_SB_KIND_LIST(SB_LABEL_ADDR)};
-#undef SB_LABEL_ADDR
-  SB_DISPATCH();
-#else
-sb_dispatch:
-  op = &ops[ip];
-  switch (op->kind) {
-#endif
-
-  // --- synthetic ops (zero guest instructions) ---
-  SB_CASE(kJump) : {  // fall-into-region glue; target always internal
-    ip = static_cast<size_t>(op->taken);
-    SB_DISPATCH();
-  }
-  SB_CASE(kExit) : {  // region budget boundary; not a semantic side exit
-    SB_EXTERNAL(op->imm);
-  }
-  SB_CASE(kSideExit) : { SB_SIDE_EXIT(); }
-
-  // --- moves ---
-  SB_CASE(kNop) : {
-    SB_BEGIN_INSN();
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_CASE(kMovR) : {  // copies symbolic values exactly; no side exit needed
-    SB_BEGIN_INSN();
-    SB_SET_RD(regs[op->ra]);
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_CASE(kMovI) : {
-    SB_BEGIN_INSN();
-    SB_SET_RD(Value::Concrete(op->imm));
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_CASE(kNotR) : {
-    const Value& av = regs[op->ra];
-    if (av.IsSymbolic()) {
-      SB_SIDE_EXIT();
-    }
-    const uint32_t x = av.concrete();
-    SB_BEGIN_INSN();
-    SB_SET_RD(Value::Concrete(~x));
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_CASE(kNegR) : {
-    const Value& av = regs[op->ra];
-    if (av.IsSymbolic()) {
-      SB_SIDE_EXIT();
-    }
-    const uint32_t x = av.concrete();
-    SB_BEGIN_INSN();
-    SB_SET_RD(Value::Concrete(0 - x));
-    ++ip;
-    SB_DISPATCH();
-  }
-
-  // --- ALU (concrete semantics identical to ExecuteInstruction's lambdas) ---
-  SB_ALU_RR(kAddRR, x + y)
-  SB_ALU_RI(kAddRI, x + y)
-  SB_ALU_RR(kSubRR, x - y)
-  SB_ALU_RI(kSubRI, x - y)
-  SB_ALU_RR(kMulRR, x * y)
-  SB_ALU_RI(kMulRI, x * y)
-  SB_ALU_RR(kAndRR, x & y)
-  SB_ALU_RI(kAndRI, x & y)
-  SB_ALU_RR(kOrRR, x | y)
-  SB_ALU_RI(kOrRI, x | y)
-  SB_ALU_RR(kXorRR, x ^ y)
-  SB_ALU_RI(kXorRI, x ^ y)
-  SB_ALU_RR(kShlRR, y >= 32 ? 0 : x << y)
-  SB_ALU_RI(kShlRI, y >= 32 ? 0 : x << y)
-  SB_ALU_RR(kLShrRR, y >= 32 ? 0 : x >> y)
-  SB_ALU_RI(kLShrRI, y >= 32 ? 0 : x >> y)
-  SB_ALU_RR(kAShrRR,
-            static_cast<uint32_t>(static_cast<int32_t>(x) >> (y >= 32 ? 31 : y)))
-  SB_ALU_RI(kAShrRI,
-            static_cast<uint32_t>(static_cast<int32_t>(x) >> (y >= 32 ? 31 : y)))
-
-  SB_CMP_RR(kSeqRR, x == y)
-  SB_CMP_RI(kSeqRI, x == y)
-  SB_CMP_RR(kSneRR, x != y)
-  SB_CMP_RI(kSneRI, x != y)
-  SB_CMP_RR(kSltURR, x < y)
-  SB_CMP_RI(kSltURI, x < y)
-  SB_CMP_RR(kSltSRR, static_cast<int32_t>(x) < static_cast<int32_t>(y))
-  SB_CMP_RI(kSltSRI, static_cast<int32_t>(x) < static_cast<int32_t>(y))
-  SB_CMP_RR(kSleURR, x <= y)
-  SB_CMP_RI(kSleURI, x <= y)
-  SB_CMP_RR(kSleSRR, static_cast<int32_t>(x) <= static_cast<int32_t>(y))
-  SB_CMP_RI(kSleSRI, static_cast<int32_t>(x) <= static_cast<int32_t>(y))
-
-  SB_DIV_RR(kUDivRR, x / y)
-  SB_CASE(kUDivRI) : {
-    const Value& av = regs[op->ra];
-    if (av.IsSymbolic()) {
-      SB_SIDE_EXIT();
-    }
-    const uint32_t x = av.concrete();
-    const uint32_t y = op->imm;
-    if (y == 0) {
-      SB_SIDE_EXIT();
-    }
-    SB_BEGIN_INSN();
-    SB_SET_RD(Value::Concrete(x / y));
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_DIV_RR(kSDivRR,
-            (static_cast<int32_t>(x) == INT32_MIN && static_cast<int32_t>(y) == -1)
-                ? x
-                : static_cast<uint32_t>(static_cast<int32_t>(x) /
-                                        static_cast<int32_t>(y)))
-  SB_DIV_RR(kURemRR, x % y)
-
-  // --- memory ---
-  SB_CASE(kLoad) : {
-    const Value& av = regs[op->ra];
-    if (av.IsSymbolic()) {
-      SB_SIDE_EXIT();  // symbolic address: tier 1 resolves/forks
-    }
-    const uint32_t addr = av.concrete() + op->imm;
-    if (IsMmioAddr(addr)) {
-      SB_SIDE_EXIT();  // device read: symbolic hardware + trace semantics
-    }
-    SB_BEGIN_INSN();
-    bool ok;
-    Value loaded = ReadMem(st, addr, op->mem_size, op->pc, /*addr_was_sym=*/false,
-                           nullptr, &ok);
-    if (!ok) {
-      return i;
-    }
-    if (op->mem_size < 4) {
-      const bool sign = (op->flags & kSbLoadSigned) != 0;
-      if (loaded.IsConcrete()) {
-        uint32_t v = loaded.concrete();
-        if (sign) {
-          v = static_cast<uint32_t>(
-              SignExtend(v, static_cast<uint8_t>(op->mem_size * 8)));
-        }
-        loaded = Value::Concrete(v);
-      } else {
-        ExprRef e = loaded.symbolic();
-        loaded = Value::Symbolic(sign ? ctx_.SExt(e, 32) : ctx_.ZExt(e, 32));
-      }
-    }
-    SB_SET_RD(loaded);
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_CASE(kStore) : {
-    const Value& av = regs[op->ra];
-    if (av.IsSymbolic()) {
-      SB_SIDE_EXIT();
-    }
-    const uint32_t addr = av.concrete() + op->imm;
-    if (IsMmioAddr(addr)) {
-      SB_SIDE_EXIT();
-    }
-    // Write-barrier trip (same predicate as WriteMemValueRaw): tier 1 owns
-    // the immutable-code bug report and the store suppression.
-    if (static_cast<uint64_t>(addr) + op->mem_size > code_begin && addr < code_end) {
-      SB_SIDE_EXIT();
-    }
-    SB_BEGIN_INSN();
-    if (!WriteMem(st, addr, op->mem_size, regs[op->rb], op->pc,
-                  /*addr_was_sym=*/false, nullptr)) {
-      return i;
-    }
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_CASE(kPush) : {
-    const Value& spv = regs[kRegSp];
-    if (spv.IsSymbolic()) {
-      SB_SIDE_EXIT();
-    }
-    const uint32_t new_sp = spv.concrete() - 4;
-    if (IsMmioAddr(new_sp)) {
-      SB_SIDE_EXIT();
-    }
-    if (static_cast<uint64_t>(new_sp) + 4 > code_begin && new_sp < code_end) {
-      SB_SIDE_EXIT();
-    }
-    SB_BEGIN_INSN();
-    const Value pushed = regs[op->rb];  // read rb before sp moves (rb may be sp)
-    regs[kRegSp] = Value::Concrete(new_sp);
-    if (!WriteMem(st, new_sp, 4, pushed, op->pc, /*addr_was_sym=*/false, nullptr)) {
-      return i;
-    }
-    ++ip;
-    SB_DISPATCH();
-  }
-  SB_CASE(kPop) : {
-    const Value& spv = regs[kRegSp];
-    if (spv.IsSymbolic()) {
-      SB_SIDE_EXIT();
-    }
-    const uint32_t sp = spv.concrete();
-    if (IsMmioAddr(sp)) {
-      SB_SIDE_EXIT();
-    }
-    SB_BEGIN_INSN();
-    bool ok;
-    Value v = ReadMem(st, sp, 4, op->pc, /*addr_was_sym=*/false, nullptr, &ok);
-    if (!ok) {
-      return i;
-    }
-    SB_SET_RD(v);  // rd-then-sp order matches the interpreter (rd may be sp)
-    regs[kRegSp] = Value::Concrete(sp + 4);
-    ++ip;
-    SB_DISPATCH();
-  }
-
-  // --- control (targets statically validated by the compiler) ---
-  SB_CASE(kBrOp) : {
-    SB_BEGIN_INSN();
-    if (op->taken >= 0) {
-      ip = static_cast<size_t>(op->taken);
-      SB_DISPATCH();
-    }
-    SB_EXTERNAL(op->imm);
-  }
-  SB_CASE(kBzOp) : {
-    const Value& av = regs[op->ra];
-    if (av.IsSymbolic()) {
-      SB_SIDE_EXIT();  // fork site: tier 1 runs HandleBranch
-    }
-    const bool take = av.concrete() == 0;
-    SB_BEGIN_INSN();
-    if (take) {
-      if (op->taken >= 0) {
-        ip = static_cast<size_t>(op->taken);
-        SB_DISPATCH();
-      }
-      SB_EXTERNAL(op->imm);
-    }
-    if (op->fall >= 0) {
-      ip = static_cast<size_t>(op->fall);
-      SB_DISPATCH();
-    }
-    SB_EXTERNAL(op->pc + kInstructionSize);
-  }
-  SB_CASE(kBnzOp) : {
-    const Value& av = regs[op->ra];
-    if (av.IsSymbolic()) {
-      SB_SIDE_EXIT();
-    }
-    const bool take = av.concrete() != 0;
-    SB_BEGIN_INSN();
-    if (take) {
-      if (op->taken >= 0) {
-        ip = static_cast<size_t>(op->taken);
-        SB_DISPATCH();
-      }
-      SB_EXTERNAL(op->imm);
-    }
-    if (op->fall >= 0) {
-      ip = static_cast<size_t>(op->fall);
-      SB_DISPATCH();
-    }
-    SB_EXTERNAL(op->pc + kInstructionSize);
-  }
-  SB_CASE(kCallOp) : {
-    SB_BEGIN_INSN();
-    regs[kRegLr] = Value::Concrete(op->pc + kInstructionSize);
-    if (op->taken >= 0) {
-      ip = static_cast<size_t>(op->taken);
-      SB_DISPATCH();
-    }
-    SB_EXTERNAL(op->imm);
-  }
-
-#if !DDT_SB_THREADED
-  }
-  // Unreachable: every case transfers or returns.
-  st.pc = op->pc;
-  return i;
-#endif
-}
-
-#undef SB_CASE
-#undef SB_DISPATCH
-#undef SB_SIDE_EXIT
-#undef SB_BEGIN_INSN
-#undef SB_SET_RD
-#undef SB_EXTERNAL
-#undef SB_ALU_RR
-#undef SB_ALU_RI
-#undef SB_CMP_RR
-#undef SB_CMP_RI
-#undef SB_DIV_RR
-#undef DDT_SB_THREADED
 
 Value Engine::ReadMemValueRaw(ExecutionState& st, uint32_t addr, unsigned size) {
   // Compose a value from bytes, least significant first. All-concrete is the

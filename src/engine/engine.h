@@ -45,8 +45,6 @@
 namespace ddt {
 
 class BlockCache;
-class SuperblockCache;
-struct Superblock;
 
 struct EngineConfig {
   // Budgets.
@@ -96,17 +94,6 @@ struct EngineConfig {
   // write barrier that reports (and suppresses) any store landing in the code
   // segment. Off = the original byte-wise interpreter (ablation/benchmarks).
   bool enable_block_cache = true;
-  // Tier-2 execution (src/vm/superblock.h): when a decoded block's entry
-  // counter crosses superblock_hot_threshold, compile it and its hot static
-  // successors into a superblock of pre-lowered threaded ops with direct
-  // block-to-block chaining on the concrete path. Symbolic operands, MMIO
-  // accesses, fault-eligible kernel calls, forks, and write-barrier trips all
-  // side-exit to the tier-1 interpreter at exact instruction boundaries, so
-  // coverage, traces, bugs, and deterministic reports are byte-identical with
-  // the tier on or off. Requires enable_block_cache.
-  bool superblocks = false;
-  // Block-entry count at which a region is compiled (minimum 1).
-  uint32_t superblock_hot_threshold = 16;
   // Stop the whole run at the first bug (Driver Verifier semantics; DDT's
   // default keeps going and finds multiple bugs in one run, §5.1).
   bool stop_after_first_bug = false;
@@ -202,17 +189,8 @@ struct EngineStats {
   uint64_t blocks_decoded = 0;
   uint64_t block_cache_hits = 0;
   // Probes the cache could not serve (misaligned pc or undecodable slot) that
-  // fell back to byte-wise fetch, and blocks whose entry counter crossed the
-  // tier-2 hotness threshold.
+  // fell back to byte-wise fetch.
   uint64_t block_cache_fallback_fetches = 0;
-  uint64_t block_cache_hot_blocks = 0;
-  // Tier-2 superblock accounting (volatile: never in deterministic reports).
-  uint64_t superblocks_compiled = 0;
-  uint64_t superblock_ops_lowered = 0;
-  uint64_t superblock_entries = 0;       // dispatcher entries into compiled regions
-  uint64_t superblock_chains = 0;        // direct superblock-to-superblock transfers
-  uint64_t superblock_side_exits = 0;    // pre-instruction exits to tier 1
-  uint64_t superblock_instructions = 0;  // guest instructions retired by tier 2
   // Path-explosion control (volatile: never in deterministic reports).
   uint64_t states_merged = 0;  // diamond merges performed (one per pair)
   uint64_t loop_kills = 0;     // back-edge-starvation kills
@@ -329,14 +307,6 @@ class Engine : public CheckerHost, private BlockCountOracle {
   // Executes one instruction; returns false if the quantum must end
   // (boundary, fault, fork preference, frame switch).
   bool ExecuteInstruction(ExecutionState& st);
-  // Tier-2 dispatch. ProbeSuperblock bumps the block-entry counter at CFG
-  // leaders and returns the compiled superblock to enter (compiling it when
-  // the counter crosses the hotness threshold), or null to stay in tier 1.
-  // RunSuperblock is the threaded-code executor: runs from `sb` with `i`
-  // instructions of the current quantum already used, returns the updated
-  // count with st.pc always left at the next instruction to execute.
-  const Superblock* ProbeSuperblock(uint32_t pc);
-  int RunSuperblock(ExecutionState& st, const Superblock* sb, int i);
   void HandleKCall(ExecutionState& st, const Instruction& insn);
   void HandleMagicReturn(ExecutionState& st);
   void HandleBranch(ExecutionState& st, ExprRef cond, uint32_t taken_pc, uint32_t fall_pc);
@@ -449,9 +419,6 @@ class Engine : public CheckerHost, private BlockCountOracle {
   // per-instruction std::map lookup on the coverage path.
   std::unique_ptr<BlockCache> block_cache_;
   std::vector<uint8_t> block_leader_slots_;
-  // Tier-2 superblock table; null unless config_.superblocks (and the block
-  // cache) are enabled.
-  std::unique_ptr<SuperblockCache> superblocks_;
   std::vector<KernelApiFn> import_table_;  // resolved import handlers
   std::map<std::string, uint32_t> registry_;
   std::vector<WorkloadStep> workload_;

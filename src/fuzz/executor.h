@@ -2,12 +2,12 @@
 //
 // Each execution is a fresh Ddt instance in guided mode — every symbolic
 // value resolves immediately from the input's field map, no forking, no
-// solver — with the block cache and (when the campaign enables them) tier-2
-// superblocks carrying the concrete path, so throughput is execs/sec, not
-// paths/hour. All dynamic checkers stay live, including the Checkbochs-style
-// DMA checker (always on here: a fuzz run exists to find real bugs, and its
-// reports cannot perturb a baseline the way they would in a campaign pass),
-// so a crashing mutant produces a full evidence file that replays.
+// solver — with the block cache serving instruction fetches, so throughput
+// is execs/sec, not paths/hour. All dynamic checkers stay live, including
+// the Checkbochs-style DMA checker (always on here: a fuzz run exists to find
+// real bugs, and its reports cannot perturb a baseline the way they would in
+// a campaign pass), so a crashing mutant produces a full evidence file that
+// replays.
 //
 // Executions are crash-isolated the way campaign passes are: a CHECK failure
 // or thrown exception quarantines the one exec, never the loop.

@@ -317,7 +317,6 @@ std::string FuzzCampaignResult::FormatReport(const std::string& driver_name,
 Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
                                            const DriverImage& image,
                                            const PciDescriptor& descriptor) {
-  auto fuzz_start = std::chrono::steady_clock::now();
   FuzzCampaignResult result;
   result.fuzz_config = config.fuzz;
 
@@ -382,6 +381,9 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
   FuzzExecutor executor(config.campaign, image, descriptor);
   SplitMix64 root(config.fuzz.seed);
 
+  // The loop's rate covers the batch loop alone: the symbolic campaign and
+  // seed pass above report their own wall time.
+  auto loop_start = std::chrono::steady_clock::now();
   for (uint32_t b = corpus.batches_done(); b < config.fuzz.batches; ++b) {
     std::vector<FuzzInput> inputs;
     if (b == 0) {
@@ -450,6 +452,11 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
       }
     }
   }
+  result.fuzz_wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - loop_start)
+          .count();
+  result.execs_per_sec =
+      result.fuzz_wall_ms > 0 ? result.execs / (result.fuzz_wall_ms / 1000.0) : 0;
 
   result.corpus_entries = corpus.size();
   result.corpus_blocks = corpus.cumulative().Popcount();
@@ -516,12 +523,6 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
     }
     result.promotion_novel_blocks = promotion_baseline.NewlyCovered(result.promotion_coverage);
   }
-
-  result.fuzz_wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - fuzz_start)
-          .count();
-  result.execs_per_sec =
-      result.fuzz_wall_ms > 0 ? result.execs / (result.fuzz_wall_ms / 1000.0) : 0;
 
   if (config.campaign.collect_metrics) {
     auto& counters = result.campaign.metrics.counters;

@@ -9,9 +9,9 @@
 //      packages it as a replayable FuzzInput (registry values, OID payloads,
 //      packet bytes, entry arguments, interrupt timing, fault schedules).
 //   2. Concrete execution — mutants replay down the pure fast path (guided
-//      mode, block cache, tier-2 superblocks; the solver is never invoked),
-//      with every checker live, so a crashing mutant yields a full evidence
-//      file that replays like any campaign bug.
+//      mode, block cache; the solver is never invoked), with every checker
+//      live, so a crashing mutant yields a full evidence file that replays
+//      like any campaign bug.
 //   3. Coverage-novelty corpus — an executed input is kept iff it covers a
 //      basic block the corpus has not (CoverageBitmap novelty against the
 //      block-leader map), persisted CRC-sealed in the journal style.
@@ -112,7 +112,8 @@ struct FuzzCampaignResult {
   // exhaustive campaign's own coverage).
   CoverageBitmap promotion_coverage;
 
-  // Volatile (never in the deterministic report).
+  // Volatile (never in the deterministic report). fuzz_wall_ms times the
+  // batch loop (step 3) alone, so execs_per_sec is the loop's own rate.
   double fuzz_wall_ms = 0;
   double execs_per_sec = 0;
   uint64_t fuzz_workers_spawned = 0;

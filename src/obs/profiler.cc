@@ -19,8 +19,6 @@ const char* PhaseName(Phase phase) {
       return "journal";
     case Phase::kMerge:
       return "merge";
-    case Phase::kSuperblock:
-      return "superblock";
     case Phase::kNumPhases:
       break;
   }

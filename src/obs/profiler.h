@@ -33,7 +33,6 @@ enum class Phase : size_t {
   kChecker,       // checker dispatch at kernel events and state end
   kJournal,       // campaign-journal serialize + append + flush
   kMerge,         // campaign result merging
-  kSuperblock,    // tier-2 superblock compilation (hot-region lowering)
   kNumPhases,
 };
 

@@ -7,7 +7,6 @@ BlockCache::BlockCache(const uint8_t* code, size_t size, uint32_t base)
   size_t slots = size / kInstructionSize;
   insns_.resize(slots);
   slot_state_.assign(slots, kUnknown);
-  exec_counts_.assign(slots, 0);
 }
 
 bool BlockCache::SlotFor(uint32_t pc, size_t* slot) const {
@@ -25,58 +24,23 @@ bool BlockCache::SlotFor(uint32_t pc, size_t* slot) const {
 
 void BlockCache::DecodeBlockFrom(size_t slot) {
   obs::ScopedPhase obs_phase(profile_, obs::Phase::kDecode);
-  DecodedBlock block;
-  block.begin = base_ + static_cast<uint32_t>(slot * kInstructionSize);
-
-  size_t cursor = slot;
-  while (cursor < slot_state_.size() && slot_state_[cursor] == kUnknown) {
+  // Stops at the first terminator, at an undecodable slot, or on running
+  // into an already-decoded region or the end of the code segment.
+  for (size_t cursor = slot; cursor < slot_state_.size() && slot_state_[cursor] == kUnknown;
+       ++cursor) {
     std::optional<Instruction> decoded =
         DecodeInstruction(code_.data() + cursor * kInstructionSize);
     if (!decoded.has_value()) {
       slot_state_[cursor] = kInvalid;
-      block.ends_invalid = true;
       break;
     }
     insns_[cursor] = *decoded;
     slot_state_[cursor] = kDecoded;
     ++stats_.instructions_decoded;
     if (IsTerminator(decoded->opcode)) {
-      ++cursor;
-      uint32_t fall = base_ + static_cast<uint32_t>(cursor * kInstructionSize);
-      switch (decoded->opcode) {
-        case Opcode::kBr:
-          block.successors = {decoded->imm};
-          break;
-        case Opcode::kBz:
-        case Opcode::kBnz:
-          block.successors = {decoded->imm, fall};
-          break;
-        case Opcode::kCall:
-          // The callee eventually returns to `fall`; both are static targets.
-          block.successors = {decoded->imm, fall};
-          break;
-        case Opcode::kJr:
-        case Opcode::kCallR:
-        case Opcode::kRet:
-          block.has_indirect_successor = true;
-          break;
-        default:  // kHalt: no successors
-          break;
-      }
-      block.end = fall;
-      blocks_.emplace(block.begin, std::move(block));
-      ++stats_.blocks_decoded;
-      return;
+      break;
     }
-    ++cursor;
   }
-  // Ran into an already-decoded region, an invalid slot, or the end of the
-  // code segment: the block falls through (unless it ended invalid).
-  block.end = base_ + static_cast<uint32_t>(cursor * kInstructionSize);
-  if (!block.ends_invalid && cursor < slot_state_.size()) {
-    block.successors = {block.end};
-  }
-  blocks_.emplace(block.begin, std::move(block));
   ++stats_.blocks_decoded;
 }
 
@@ -96,39 +60,6 @@ const Instruction* BlockCache::Lookup(uint32_t pc) {
     return nullptr;
   }
   return &insns_[slot];
-}
-
-uint32_t BlockCache::NoteBlockEntry(uint32_t pc, uint32_t hot_threshold) {
-  size_t slot;
-  if (!SlotFor(pc, &slot)) {
-    return 0;
-  }
-  uint32_t count = exec_counts_[slot];
-  if (count == UINT32_MAX) {
-    return count;  // saturated
-  }
-  exec_counts_[slot] = ++count;
-  if (count == hot_threshold) {
-    ++stats_.hot_blocks;
-  }
-  return count;
-}
-
-uint32_t BlockCache::ExecCount(uint32_t pc) const {
-  size_t slot;
-  return SlotFor(pc, &slot) ? exec_counts_[slot] : 0;
-}
-
-const BlockCache::DecodedBlock* BlockCache::BlockAt(uint32_t pc) {
-  size_t slot;
-  if (!SlotFor(pc, &slot)) {
-    return nullptr;
-  }
-  if (slot_state_[slot] == kUnknown) {
-    DecodeBlockFrom(slot);
-  }
-  auto it = blocks_.find(pc);
-  return it == blocks_.end() ? nullptr : &it->second;
 }
 
 }  // namespace ddt

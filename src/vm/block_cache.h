@@ -5,9 +5,8 @@
 // QEMU — the substrate the paper builds on — instead decodes each basic block
 // once into a translation cache and re-executes the decoded form. This is the
 // analogous structure for DVM32: on first entry to a pc, the whole
-// straight-line block is decoded into a dense array of Instructions with
-// precomputed successor info; every later fetch of any pc in that block is a
-// single array index.
+// straight-line block is decoded into a dense array of Instructions; every
+// later fetch of any pc in that block is a single array index.
 //
 // The cache is valid because driver images are immutable after load: the
 // engine enforces a write barrier (no store may land in the code segment), so
@@ -22,7 +21,6 @@
 #define SRC_VM_BLOCK_CACHE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/obs/profiler.h"
@@ -32,36 +30,16 @@ namespace ddt {
 
 class BlockCache {
  public:
-  // One decoded straight-line run: [begin, end) covers consecutively decoded
-  // instructions starting at the block's entry pc and ending at the first
-  // terminator, undecodable slot, or previously decoded region.
-  struct DecodedBlock {
-    uint32_t begin = 0;
-    uint32_t end = 0;  // exclusive
-    // Static successors of the final instruction (branch targets and/or the
-    // fall-through pc). Empty for halt/invalid endings.
-    std::vector<uint32_t> successors;
-    // The final slot is an indirect transfer (jr/callr/ret): the dynamic
-    // target is unknowable statically.
-    bool has_indirect_successor = false;
-    // The block ends because the slot at `end` does not decode.
-    bool ends_invalid = false;
-
-    size_t NumInstructions() const { return (end - begin) / kInstructionSize; }
-  };
-
   struct Stats {
+    // Straight-line runs decoded: each starts at its first-entry pc and ends
+    // at the first terminator, undecodable slot, or previously decoded region.
     uint64_t blocks_decoded = 0;
     uint64_t instructions_decoded = 0;
     uint64_t hits = 0;  // fetches served from already-decoded slots
     // Lookup probes that had to fall back to the byte-wise decoder: the pc was
-    // out of range, misaligned, or the slot does not decode. These are exactly
-    // the fetches no execution tier can ever serve from decoded form, so a
-    // nonzero count makes tier-coverage gaps observable instead of silent.
+    // out of range, misaligned, or the slot does not decode. A nonzero count
+    // makes cache-coverage gaps observable instead of silent.
     uint64_t fallback_fetches = 0;
-    // Blocks whose execution counter crossed the superblock hotness threshold
-    // (each block counts once, at the crossing).
-    uint64_t hot_blocks = 0;
   };
 
   // Snapshots the (immutable) code bytes. `base` is the guest address of
@@ -73,19 +51,6 @@ class BlockCache {
   // the cacheable range, misaligned, or the bytes do not decode (the caller
   // distinguishes those cases by re-running the byte-wise path).
   const Instruction* Lookup(uint32_t pc);
-
-  // Decodes (if needed) and returns the block entered at `pc`; nullptr under
-  // the same conditions as Lookup. Blocks are keyed by their first-entry pc.
-  const DecodedBlock* BlockAt(uint32_t pc);
-
-  // Bumps the per-block execution counter for an entry at `pc` (the engine
-  // calls this once per dispatcher entry at a block leader) and returns the
-  // new count; 0 if `pc` has no slot. Crossing `hot_threshold` exactly once
-  // increments Stats::hot_blocks — the superblock compiler's trigger signal.
-  // The counter saturates so long campaigns cannot wrap it.
-  uint32_t NoteBlockEntry(uint32_t pc, uint32_t hot_threshold);
-  // The execution counter for the block entered at `pc` (0 if unsloted).
-  uint32_t ExecCount(uint32_t pc) const;
 
   const Stats& stats() const { return stats_; }
   uint32_t base() const { return base_; }
@@ -101,15 +66,13 @@ class BlockCache {
 
   // True if `pc` maps to an indexable slot (in range and aligned).
   bool SlotFor(uint32_t pc, size_t* slot) const;
-  // Decodes the straight-line run starting at `slot` and records its block.
+  // Decodes the straight-line run starting at `slot`.
   void DecodeBlockFrom(size_t slot);
 
   std::vector<uint8_t> code_;  // private snapshot; immutability enforced upstream
   uint32_t base_ = 0;
-  std::vector<Instruction> insns_;      // dense, one per slot
-  std::vector<uint8_t> slot_state_;     // SlotState per slot
-  std::vector<uint32_t> exec_counts_;   // per-slot block-entry counters
-  std::unordered_map<uint32_t, DecodedBlock> blocks_;  // keyed by entry pc
+  std::vector<Instruction> insns_;   // dense, one per slot
+  std::vector<uint8_t> slot_state_;  // SlotState per slot
   Stats stats_;
   obs::PassProfile* profile_ = nullptr;
 };

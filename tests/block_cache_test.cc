@@ -78,26 +78,64 @@ TEST(BlockCacheTest, BlockBoundariesFollowTerminators) {
 )");
   ASSERT_TRUE(assembled.ok()) << assembled.error();
   const std::vector<uint8_t>& code = assembled.value().image.code;
-  const uint32_t base = 0;
+  const uint32_t base = assembled.value().load_base;
   BlockCache cache(code.data(), code.size(), base);
 
-  // Entry block: movi, movi, bz — three instructions, two successors
-  // (branch target and fall-through).
-  const BlockCache::DecodedBlock* entry = cache.BlockAt(base);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->NumInstructions(), 3u);
-  ASSERT_EQ(entry->successors.size(), 2u);
-  uint32_t fall = entry->end;
-  EXPECT_EQ(entry->successors[1], fall);
-  EXPECT_FALSE(entry->has_indirect_successor);
+  // Entry block: movi, movi, bz — decoding the first entry stops at the
+  // branch terminator.
+  ASSERT_NE(cache.Lookup(base), nullptr);
+  EXPECT_EQ(cache.stats().blocks_decoded, 1u);
+  EXPECT_EQ(cache.stats().instructions_decoded, 3u);
+  const Instruction* branch = cache.Lookup(base + 2 * kInstructionSize);
+  ASSERT_NE(branch, nullptr);
+  EXPECT_EQ(branch->opcode, Opcode::kBz);
+  EXPECT_EQ(cache.stats().blocks_decoded, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
-  // Fall-through block: movi r3 then falls into `skip` — but straight-line
-  // decode runs through to the ret (a terminator), since `skip:` is only a
-  // label, not a barrier. The ret makes it indirect.
-  const BlockCache::DecodedBlock* next = cache.BlockAt(fall);
-  ASSERT_NE(next, nullptr);
-  EXPECT_TRUE(next->has_indirect_successor);
-  EXPECT_TRUE(next->successors.empty());
+  // Fall-through block: movi r3 then straight-line decode runs on to the ret
+  // (a terminator), since `skip:` is only a label, not a barrier. The branch
+  // target inside it is then a hit, not a third block.
+  const uint32_t fall = base + 3 * kInstructionSize;
+  ASSERT_NE(cache.Lookup(fall), nullptr);
+  EXPECT_EQ(cache.stats().blocks_decoded, 2u);
+  EXPECT_EQ(cache.stats().instructions_decoded, 5u);
+  ASSERT_EQ(branch->imm, assembled.value().symbols.at("skip"));
+  const Instruction* ret = cache.Lookup(branch->imm);
+  ASSERT_NE(ret, nullptr);
+  EXPECT_EQ(ret->opcode, Opcode::kRet);
+  EXPECT_EQ(cache.stats().blocks_decoded, 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  // A block entered above an already-decoded region stops where that region
+  // begins: entering mid-block first leaves only the leading slot to decode.
+  BlockCache mid(code.data(), code.size(), base);
+  ASSERT_NE(mid.Lookup(base + kInstructionSize), nullptr);
+  EXPECT_EQ(mid.stats().instructions_decoded, 2u);
+  ASSERT_NE(mid.Lookup(base), nullptr);
+  EXPECT_EQ(mid.stats().blocks_decoded, 2u);
+  EXPECT_EQ(mid.stats().instructions_decoded, 3u);
+  EXPECT_EQ(mid.stats().hits, 0u);
+}
+
+TEST(BlockCacheTest, FallbackFetchesCountUnservableProbes) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  const std::vector<uint8_t>& code = driver.image.code;
+  BlockCache cache(code.data(), code.size(), 0x1000);
+
+  ASSERT_NE(cache.Lookup(0x1000), nullptr);
+  EXPECT_EQ(cache.stats().fallback_fetches, 0u);
+
+  EXPECT_EQ(cache.Lookup(0x1004), nullptr);  // misaligned
+  EXPECT_EQ(cache.stats().fallback_fetches, 1u);
+  EXPECT_EQ(cache.Lookup(0x0FF8), nullptr);  // below base
+  EXPECT_EQ(cache.stats().fallback_fetches, 2u);
+
+  // An undecodable slot is also a fallback, every time it is probed.
+  std::vector<uint8_t> junk(2 * kInstructionSize, 0xFF);
+  BlockCache bad(junk.data(), junk.size(), 0);
+  EXPECT_EQ(bad.Lookup(0), nullptr);
+  EXPECT_EQ(bad.Lookup(0), nullptr);
+  EXPECT_EQ(bad.stats().fallback_fetches, 2u);
 }
 
 TEST(BlockCacheTest, HitCountingAndIdempotentLookups) {

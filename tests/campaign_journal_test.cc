@@ -116,6 +116,32 @@ TEST(CampaignJournalTest, RoundTripsRecordsExactly) {
   EXPECT_TRUE(records[2].bugs.empty());
 }
 
+// Journals and fleet shard journals written before the tier-2 execution
+// counters were retired still carry their keys, right after
+// e_bc_fallback_fetches. Decoding ignores them, so those journals resume.
+TEST(CampaignJournalTest, RetiredCounterKeysDecodeToTheSameRecord) {
+  CampaignPassRecord record = SampleRecord(1);
+  record.stats.blocks_decoded = 40;
+  record.stats.block_cache_fallback_fetches = 2;
+  const std::string payload = EncodeCampaignPassRecord(record);
+  const std::string anchor = "\"e_bc_fallback_fetches\":2";
+  size_t at = payload.find(anchor);
+  ASSERT_NE(at, std::string::npos) << payload;
+  at += anchor.size();
+  const std::string legacy = payload.substr(0, at) +
+                             ",\"e_bc_hot_blocks\":3,\"e_sb_compiled\":4,"
+                             "\"e_sb_ops_lowered\":50,\"e_sb_entries\":60,"
+                             "\"e_sb_chains\":7,\"e_sb_side_exits\":8,"
+                             "\"e_sb_instructions\":900" +
+                             payload.substr(at);
+
+  CampaignPassRecord current;
+  CampaignPassRecord old;
+  ASSERT_TRUE(DecodeCampaignPassRecord(payload, &current));
+  ASSERT_TRUE(DecodeCampaignPassRecord(legacy, &old)) << legacy;
+  EXPECT_EQ(EncodeCampaignPassRecord(old), EncodeCampaignPassRecord(current));
+}
+
 TEST(CampaignJournalTest, DiscardsTornTailAndStaysAppendable) {
   std::string path = TempPath("journal_torn.jsonl");
   {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -250,6 +251,24 @@ TEST(FuzzCampaignTest, ReportByteIdenticalAcrossThreadAndWorkerCounts) {
   EXPECT_EQ(report1, r4.value().FormatReport(rtl.name, /*include_volatile=*/false));
   EXPECT_EQ(report1, rw.value().FormatReport(rtl.name, /*include_volatile=*/false));
   EXPECT_GT(rw.value().fuzz_workers_spawned, 0u);
+}
+
+// The loop's rate times the batch loop alone: its wall time and the symbolic
+// campaign's are disjoint slices of the one RunFuzzCampaign call.
+TEST(FuzzCampaignTest, LoopWallTimeExcludesSymbolicCampaign) {
+  const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
+  auto start = std::chrono::steady_clock::now();
+  Result<FuzzCampaignResult> run = RunFuzzCampaign(SmallConfig(), rtl.image, rtl.pci);
+  double call_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  const FuzzCampaignResult& result = run.value();
+  EXPECT_GT(result.execs, 0u);
+  EXPECT_GT(result.fuzz_wall_ms, 0.0);
+  EXPECT_GT(result.campaign.campaign_wall_ms, 0.0);
+  EXPECT_LE(result.fuzz_wall_ms + result.campaign.campaign_wall_ms, call_ms);
+  EXPECT_DOUBLE_EQ(result.execs_per_sec,
+                   static_cast<double>(result.execs) / (result.fuzz_wall_ms / 1000.0));
 }
 
 // Acceptance: the campaign (DMA checker off, its shipping default here) never

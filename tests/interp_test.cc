@@ -5,6 +5,8 @@
 // status (the kernel event stream is the observation channel).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/core/ddt.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
@@ -27,9 +29,17 @@ class StatusCapture : public Checker {
   std::vector<uint32_t>* sink_;
 };
 
-uint32_t RunAluProgram(const std::string& mnemonic, uint32_t a, uint32_t b) {
-  std::string source = StrFormat(R"(
-    .driver "alu"
+struct ProgramRun {
+  DdtResult result;
+  std::vector<uint32_t> statuses;  // Initialize exit status, one per path
+  std::map<std::string, uint32_t> symbols;
+};
+
+// Runs a one-entry-point driver whose ep_init is `ep_init_body`, with no
+// annotations and no symbolic interrupts.
+ProgramRun RunProgram(const std::string& ep_init_body) {
+  std::string source = R"(
+    .driver "interp"
     .entry driver_entry
     .code
     .func driver_entry
@@ -37,10 +47,7 @@ uint32_t RunAluProgram(const std::string& mnemonic, uint32_t a, uint32_t b) {
       kcall MosRegisterDriver
       ret
     .func ep_init
-      movi r1, 0x%x
-      movi r2, 0x%x
-      %s r0, r1, r2
-      ret
+)" + ep_init_body + R"(
     .data
     entry_table:
       .word ep_init
@@ -51,8 +58,14 @@ uint32_t RunAluProgram(const std::string& mnemonic, uint32_t a, uint32_t b) {
       .word 0
       .word 0
       .word 0
-  )",
-                                 a, b, mnemonic.c_str());
+  )";
+  ProgramRun run;
+  Result<AssembledDriver> assembled = Assemble(source);
+  EXPECT_TRUE(assembled.ok()) << assembled.error();
+  if (!assembled.ok()) {
+    return run;
+  }
+  run.symbols = assembled.value().symbols;
   PciDescriptor pci;
   pci.vendor_id = 1;
   pci.device_id = 1;
@@ -61,13 +74,26 @@ uint32_t RunAluProgram(const std::string& mnemonic, uint32_t a, uint32_t b) {
   config.use_standard_annotations = false;
   config.engine.enable_symbolic_interrupts = false;
   config.engine.max_instructions = 10000;
-  std::vector<uint32_t> statuses;
   Ddt ddt(config);
-  ddt.AddChecker(std::make_unique<StatusCapture>(&statuses));
-  Result<DdtResult> result = ddt.TestDriver(Assemble(source).value().image, pci);
+  ddt.AddChecker(std::make_unique<StatusCapture>(&run.statuses));
+  Result<DdtResult> result = ddt.TestDriver(assembled.value().image, pci);
   EXPECT_TRUE(result.ok());
-  EXPECT_EQ(statuses.size(), 1u) << mnemonic;
-  return statuses.empty() ? 0xDEADDEAD : statuses[0];
+  if (result.ok()) {
+    run.result = result.take();
+  }
+  return run;
+}
+
+uint32_t RunAluProgram(const std::string& mnemonic, uint32_t a, uint32_t b) {
+  ProgramRun run = RunProgram(StrFormat(R"(
+      movi r1, 0x%x
+      movi r2, 0x%x
+      %s r0, r1, r2
+      ret
+)",
+                                        a, b, mnemonic.c_str()));
+  EXPECT_EQ(run.statuses.size(), 1u) << mnemonic;
+  return run.statuses.empty() ? 0xDEADDEAD : run.statuses[0];
 }
 
 struct AluCase {
@@ -155,15 +181,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(InterpConsistencyTest, SymbolicPinnedEqualsConcrete) {
   // The device register is symbolic; the driver constrains it by branching,
   // and returns reg+5 on the reg==37 path.
-  const char* source = R"(
-    .driver "pin"
-    .entry driver_entry
-    .code
-    .func driver_entry
-      la r0, entry_table
-      kcall MosRegisterDriver
-      ret
-    .func ep_init
+  ProgramRun run = RunProgram(R"(
       movi r0, 0
       kcall MosMapIoSpace
       ld32 r1, [r0+0]
@@ -174,40 +192,90 @@ TEST(InterpConsistencyTest, SymbolicPinnedEqualsConcrete) {
     other:
       movi r0, 0
       ret
-    .data
-    entry_table:
-      .word ep_init
-      .word 0
-      .word 0
-      .word 0
-      .word 0
-      .word 0
-      .word 0
-      .word 0
-  )";
-  PciDescriptor pci;
-  pci.vendor_id = 1;
-  pci.device_id = 1;
-  pci.bars.push_back(PciBar{0x100});
-  DdtConfig config;
-  config.use_standard_annotations = false;
-  config.engine.enable_symbolic_interrupts = false;
-  config.engine.max_instructions = 10000;
-  std::vector<uint32_t> statuses;
-  Ddt ddt(config);
-  ddt.AddChecker(std::make_unique<StatusCapture>(&statuses));
-  Result<DdtResult> result = ddt.TestDriver(Assemble(source).value().image, pci);
-  ASSERT_TRUE(result.ok());
+)");
   // Two paths: reg == 37 (status 42) and reg != 37 (status 0).
-  ASSERT_EQ(statuses.size(), 2u);
+  ASSERT_EQ(run.statuses.size(), 2u);
   bool saw_42 = false;
   bool saw_0 = false;
-  for (uint32_t status : statuses) {
+  for (uint32_t status : run.statuses) {
     saw_42 |= status == 42;
     saw_0 |= status == 0;
   }
   EXPECT_TRUE(saw_42);
   EXPECT_TRUE(saw_0);
+}
+
+// --- division by zero --------------------------------------------------------
+
+// Expects exactly one bug: the kernel crash at the divide labelled
+// `div_site`.
+void ExpectOneDivideCrash(const ProgramRun& run, const std::string& details) {
+  ASSERT_EQ(run.result.bugs.size(), 1u);
+  const uint32_t div_pc = run.symbols.at("div_site");
+  const Bug& bug = run.result.bugs[0];
+  EXPECT_EQ(bug.type, BugType::kKernelCrash);
+  EXPECT_EQ(bug.title, StrFormat("integer division by zero at 0x%08x", div_pc));
+  EXPECT_EQ(bug.pc, div_pc);
+  EXPECT_EQ(bug.details, details);
+}
+
+TEST(InterpDivideByZeroTest, ConcreteZeroDivisorCrashesAtTheDivide) {
+  for (const char* divide : {"udiv r0, r1, r2", "udivi r0, r1, 0", "sdiv r0, r1, r2",
+                             "urem r0, r1, r2"}) {
+    SCOPED_TRACE(divide);
+    ProgramRun run = RunProgram(StrFormat(R"(
+      movi r1, 100
+      movi r2, 0
+    div_site:
+      %s
+      ret
+)",
+                                         divide));
+    ExpectOneDivideCrash(run, "divide fault in kernel mode crashes the machine");
+    EXPECT_TRUE(run.statuses.empty());  // the crash ends the only path
+  }
+}
+
+TEST(InterpDivideByZeroTest, SymbolicDivisorForksOneCrashingChild) {
+  ProgramRun run = RunProgram(R"(
+      movi r0, 0
+      kcall MosMapIoSpace
+      ld32 r2, [r0+0]         ; symbolic device register
+      movi r1, 100
+    div_site:
+      udiv r3, r1, r2
+      bz r2, zero_after       ; infeasible once the divisor is nonzero
+      movi r0, 7
+      ret
+    zero_after:
+      movi r0, 0xBAD
+      ret
+)");
+  ExpectOneDivideCrash(run,
+                       "a feasible input makes the divisor zero; divide fault in kernel mode");
+  EXPECT_EQ(run.result.stats.forks, 1u);
+  // The parent continued past the divide with the divisor constrained
+  // nonzero, so the zero test after it never forks.
+  EXPECT_EQ(run.statuses, std::vector<uint32_t>{7});
+}
+
+TEST(InterpDivideByZeroTest, DivisorPinnedToZeroByABranchAlwaysCrashes) {
+  ProgramRun run = RunProgram(R"(
+      movi r0, 0
+      kcall MosMapIoSpace
+      ld32 r2, [r0+0]         ; symbolic device register
+      bnz r2, nonzero
+      movi r1, 100
+    div_site:
+      udiv r3, r1, r2         ; r2 == 0 on every input reaching here
+      movi r0, 0
+      ret
+    nonzero:
+      movi r0, 7
+      ret
+)");
+  ExpectOneDivideCrash(run, "divisor is always zero on this path");
+  EXPECT_EQ(run.statuses, std::vector<uint32_t>{7});
 }
 
 }  // namespace

@@ -79,8 +79,8 @@ TEST(ReportDeterminismTest, DeterministicReportHasNoTimingOrHostDependentFields)
   // profiler sections, and "SAT calls"/"model-reuse"/"cache" every counter
   // that depends on cache temperature (per-solver, model-reuse, or the
   // shared cross-pass cache) rather than on exploration alone.
-  // "superblock" guards the tier-2 counters: which instructions tier 2
-  // retires is an implementation detail, never a deterministic result.
+  // The last entry keeps execution-tier counters out: which tier retires an
+  // instruction is an implementation detail, never a deterministic result.
   for (const char* forbidden :
        {" ms", "wall", "thread", "inline", "slowest", "resumed", "profil",
         "SAT calls", "model-reuse", "cache", "superblock"}) {
