@@ -50,7 +50,21 @@ std::map<std::string, uint32_t> Ddt::DefaultRegistry() {
 }
 
 Result<DdtResult> Ddt::TestDriver(const DriverImage& image, const PciDescriptor& descriptor) {
+  Status budgets = config_.engine.ValidateBudgets();
+  if (!budgets.ok()) {
+    return budgets;
+  }
+  Result<std::shared_ptr<const PreparedDriver>> driver = PrepareDriver(image);
+  if (!driver.ok()) {
+    return driver.status();
+  }
+  return TestDriver(driver.take(), descriptor);
+}
+
+Result<DdtResult> Ddt::TestDriver(std::shared_ptr<const PreparedDriver> driver,
+                                  const PciDescriptor& descriptor) {
   DDT_CHECK_MSG(!ran_, "one Ddt instance tests one driver");
+  DDT_CHECK_MSG(driver != nullptr, "TestDriver needs a prepared driver");
   ran_ = true;
 
   engine_ = std::make_unique<Engine>(config_.engine);
@@ -85,14 +99,14 @@ Result<DdtResult> Ddt::TestDriver(const DriverImage& image, const PciDescriptor&
 
   std::vector<WorkloadStep> workload =
       config_.workload.has_value() ? *config_.workload
-                                   : BuildWorkload(DriverClassFor(image.name));
+                                   : BuildWorkload(DriverClassFor(driver->loaded.name));
   engine_->SetWorkload(std::move(workload));
 
   if (device_override_ != nullptr) {
     engine_->SetDevice(std::move(device_override_));
   }
 
-  Status status = engine_->LoadDriver(image, descriptor);
+  Status status = engine_->LoadDriver(std::move(driver), descriptor);
   if (!status.ok()) {
     return status;
   }

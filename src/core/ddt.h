@@ -85,7 +85,12 @@ class Ddt {
   void SetDevice(std::unique_ptr<DeviceModel> device);
 
   // Loads and exercises the driver; returns the bug report. One Ddt instance
-  // tests one driver (make a new instance per driver).
+  // tests one driver (make a new instance per driver). A driver prepared once
+  // (PrepareDriver) can be tested by many instances, concurrently too.
+  Result<DdtResult> TestDriver(std::shared_ptr<const PreparedDriver> driver,
+                               const PciDescriptor& descriptor);
+  // PrepareDriver + the overload above; a zero engine budget is reported
+  // ahead of an image that does not load.
   Result<DdtResult> TestDriver(const DriverImage& image, const PciDescriptor& descriptor);
 
   // The underlying engine (valid after TestDriver; exposes coverage, cfg...).

@@ -199,63 +199,88 @@ void Engine::AddChecker(std::unique_ptr<Checker> checker) {
   checkers_.push_back(std::move(checker));
 }
 
-Status Engine::LoadDriver(const DriverImage& image, const PciDescriptor& descriptor) {
-  // A zero budget would silently run forever (or not at all, depending on
-  // the check's direction) — reject it up front rather than guess intent.
-  if (config_.max_states == 0) {
+Status EngineConfig::ValidateBudgets() const {
+  if (max_states == 0) {
     return Status::Error("EngineConfig.max_states must be nonzero");
   }
-  if (config_.max_instructions == 0) {
+  if (max_instructions == 0) {
     return Status::Error("EngineConfig.max_instructions must be nonzero");
   }
-  if (config_.max_wall_ms == 0) {
+  if (max_wall_ms == 0) {
     return Status::Error("EngineConfig.max_wall_ms must be nonzero");
   }
+  return Status::Ok();
+}
 
-  image_ = image;
-  pci_ = descriptor;
+Result<std::shared_ptr<const PreparedDriver>> PrepareDriver(const DriverImage& image) {
+  auto driver = std::make_shared<PreparedDriver>();
 
   // Resolve imports up front: an unresolvable import is a load failure, like
   // an unlinkable SYS file.
-  import_table_.clear();
   for (const std::string& name : image.imports) {
     KernelApiFn fn = FindKernelApi(name);
     if (fn == nullptr) {
       return Status::Error("unresolved driver import: " + name);
     }
-    import_table_.push_back(fn);
+    driver->import_table.push_back(fn);
   }
+
+  driver->loaded = InstallImage(&driver->memory, image, kDriverImageBase);
+  if (driver->loaded.code_end > kDriverImageLimit) {
+    return Status::Error("driver image too large for the image window");
+  }
+  driver->code = image.code;
+  driver->cfg = BuildCfg(image.code.data(), image.code.size(), driver->loaded.code_begin);
+  driver->block_leader_slots.assign(image.code.size() / kInstructionSize, 0);
+  for (const auto& [leader, block] : driver->cfg.blocks) {
+    uint32_t offset = leader - driver->loaded.code_begin;
+    if (offset % kInstructionSize == 0 &&
+        offset / kInstructionSize < driver->block_leader_slots.size()) {
+      driver->block_leader_slots[offset / kInstructionSize] = 1;
+    }
+  }
+  return std::shared_ptr<const PreparedDriver>(std::move(driver));
+}
+
+Status Engine::LoadDriver(const DriverImage& image, const PciDescriptor& descriptor) {
+  Status budgets = config_.ValidateBudgets();
+  if (!budgets.ok()) {
+    return budgets;
+  }
+  Result<std::shared_ptr<const PreparedDriver>> driver = PrepareDriver(image);
+  if (!driver.ok()) {
+    return driver.status();
+  }
+  return LoadDriver(driver.take(), descriptor);
+}
+
+Status Engine::LoadDriver(std::shared_ptr<const PreparedDriver> driver,
+                          const PciDescriptor& descriptor) {
+  DDT_CHECK_MSG(driver != nullptr, "LoadDriver needs a prepared driver");
+  Status budgets = config_.ValidateBudgets();
+  if (!budgets.ok()) {
+    return budgets;
+  }
+  driver_ = std::move(driver);
+  pci_ = descriptor;
+  const LoadedDriver& loaded = driver_->loaded;
 
   auto initial = std::make_unique<ExecutionState>();
   initial->id = next_state_id_++;
+  initial->mem = driver_->memory.ShareImage();
   initial->mem.set_stats(&mem_stats_);
   initial->mem.set_eager_fork(config_.eager_cow);
-  loaded_ = InstallImage(&initial->mem, image, kDriverImageBase);
-  if (loaded_.code_end > kDriverImageLimit) {
-    return Status::Error("driver image too large for the image window");
-  }
-  cfg_ = BuildCfg(image.code.data(), image.code.size(), loaded_.code_begin);
 
   // Translation cache over the code segment (immutable from here on — the
-  // write barrier in WriteMemValueRaw enforces it), plus a dense block-leader
-  // bitmap so per-instruction coverage checks are an array index rather than
-  // a std::map lookup.
+  // write barrier in WriteMemValueRaw enforces it).
   block_cache_.reset();
   if (config_.enable_block_cache) {
-    block_cache_ =
-        std::make_unique<BlockCache>(image.code.data(), image.code.size(), loaded_.code_begin);
+    block_cache_ = std::make_unique<BlockCache>(driver_->code.data(), driver_->code.size(),
+                                                loaded.code_begin);
     block_cache_->SetProfile(config_.profile);
   }
-  block_leader_slots_.assign(image.code.size() / kInstructionSize, 0);
-  for (const auto& [leader, block] : cfg_.blocks) {
-    uint32_t offset = leader - loaded_.code_begin;
-    if (offset % kInstructionSize == 0 &&
-        offset / kInstructionSize < block_leader_slots_.size()) {
-      block_leader_slots_[offset / kInstructionSize] = 1;
-    }
-  }
 
-  initial->kernel.driver = loaded_;
+  initial->kernel.driver = loaded;
   initial->kernel.pci = pci_;
   initial->kernel.registry = registry_;
   initial->kernel.workload = workload_;
@@ -265,7 +290,7 @@ Status Engine::LoadDriver(const DriverImage& image, const PciDescriptor& descrip
   initial->rng = Rng(config_.seed ^ 0xABCDEF);
   initial->trace.set_max_tail_events(config_.max_trace_tail_events);
   initial->device = device_proto_ != nullptr ? device_proto_->Clone()
-                                             : std::make_unique<SymbolicDevice>(image.name);
+                                             : std::make_unique<SymbolicDevice>(loaded.name);
   for (const auto& checker : checkers_) {
     initial->checker_state.emplace(checker->name(), checker->MakeState());
   }
@@ -637,7 +662,7 @@ void Engine::ScheduleNext(ExecutionState& st) {
   // PnP load: invoke the driver's load entry point (DriverEntry) first.
   if (!ks.driver_entry_invoked) {
     ks.driver_entry_invoked = true;
-    InvokeGuestFunction(st, loaded_.entry_point, {}, ExecContextKind::kEntryPoint, -1);
+    InvokeGuestFunction(st, driver_->loaded.entry_point, {}, ExecContextKind::kEntryPoint, -1);
     return;
   }
   if (!ks.driver_registered) {
@@ -1016,7 +1041,8 @@ void Engine::WriteMemValueRaw(ExecutionState& st, uint32_t addr, const Value& va
   // The memory checker usually reports driver stores first (with richer
   // provenance); this backstop holds even with checkers disabled, and
   // suppresses the write so cached and in-guest code bytes can never diverge.
-  if (static_cast<uint64_t>(addr) + size > loaded_.code_begin && addr < loaded_.code_end) {
+  const LoadedDriver& loaded = driver_->loaded;
+  if (static_cast<uint64_t>(addr) + size > loaded.code_begin && addr < loaded.code_end) {
     ReportBug(st, BugType::kMemoryCorruption,
               StrFormat("write barrier: %u-byte store into immutable driver code at 0x%08x",
                         size, addr),
@@ -1233,10 +1259,10 @@ void Engine::AddConstraintChecked(ExecutionState& st, ExprRef constraint) {
 void Engine::NoteCoverage(ExecutionState& st, uint32_t pc) {
   // Callers guarantee pc is inside the code segment; leaders are always
   // instruction-aligned, so the dense bitmap fully replaces the map lookup.
-  uint32_t offset = pc - loaded_.code_begin;
-  if (offset % kInstructionSize != 0 ||
-      offset / kInstructionSize >= block_leader_slots_.size() ||
-      block_leader_slots_[offset / kInstructionSize] == 0) {
+  const std::vector<uint8_t>& leader_slots = driver_->block_leader_slots;
+  uint32_t offset = pc - driver_->loaded.code_begin;
+  if (offset % kInstructionSize != 0 || offset / kInstructionSize >= leader_slots.size() ||
+      leader_slots[offset / kInstructionSize] == 0) {
     return;  // not a block leader
   }
   ++block_counts_[pc];
@@ -1465,15 +1491,15 @@ bool Engine::TryMergeAtPc(ExecutionState& st) {
 }
 
 CoverageBitmap Engine::CoverageSnapshot() const {
-  CoverageBitmap bitmap(block_leader_slots_.size());
+  CoverageBitmap bitmap(driver_->block_leader_slots.size());
   for (uint32_t pc : covered_blocks_) {
-    bitmap.Set((pc - loaded_.code_begin) / kInstructionSize);
+    bitmap.Set((pc - driver_->loaded.code_begin) / kInstructionSize);
   }
   return bitmap;
 }
 
 uint64_t Engine::BlockCountAt(uint32_t pc) const {
-  uint32_t leader = cfg_.BlockLeaderFor(pc);
+  uint32_t leader = driver_->cfg.BlockLeaderFor(pc);
   if (leader == 0) {
     return 0;
   }
@@ -1821,7 +1847,8 @@ bool Engine::MaybeBacktrackConcretization(ExecutionState& st, ExprRef blocked_co
 
 bool Engine::ExecuteInstruction(ExecutionState& st) {
   uint32_t pc = st.pc;
-  if (!loaded_.ContainsCode(pc)) {
+  const LoadedDriver& layout = driver_->loaded;
+  if (!layout.ContainsCode(pc)) {
     ReportBug(st, BugType::kSegfault,
               StrFormat("execution reached invalid address 0x%08x", pc),
               "control flow left the driver's code segment");
@@ -2191,7 +2218,7 @@ bool Engine::ExecuteInstruction(ExecutionState& st) {
     }
 
     case Opcode::kBr:
-      if (!loaded_.ContainsCode(insn.imm)) {
+      if (!layout.ContainsCode(insn.imm)) {
         ReportBug(st, BugType::kSegfault,
                   StrFormat("jump to invalid address 0x%08x", insn.imm), "branch leaves code");
         return false;
@@ -2201,7 +2228,7 @@ bool Engine::ExecuteInstruction(ExecutionState& st) {
 
     case Opcode::kBz:
     case Opcode::kBnz: {
-      if (!loaded_.ContainsCode(insn.imm)) {
+      if (!layout.ContainsCode(insn.imm)) {
         ReportBug(st, BugType::kSegfault,
                   StrFormat("branch to invalid address 0x%08x", insn.imm), "branch leaves code");
         return false;
@@ -2231,7 +2258,7 @@ bool Engine::ExecuteInstruction(ExecutionState& st) {
         st.pc = target;
         return true;  // handled next iteration
       }
-      if (!loaded_.ContainsCode(target) || (target - loaded_.code_begin) % kInstructionSize != 0) {
+      if (!layout.ContainsCode(target) || (target - layout.code_begin) % kInstructionSize != 0) {
         ReportBug(st, BugType::kSegfault,
                   StrFormat("indirect jump to invalid address 0x%08x", target),
                   "computed jump target is outside the driver's code");
@@ -2242,7 +2269,7 @@ bool Engine::ExecuteInstruction(ExecutionState& st) {
     }
 
     case Opcode::kCall:
-      if (!loaded_.ContainsCode(insn.imm)) {
+      if (!layout.ContainsCode(insn.imm)) {
         ReportBug(st, BugType::kSegfault,
                   StrFormat("call to invalid address 0x%08x", insn.imm), "call leaves code");
         return false;
@@ -2260,7 +2287,7 @@ bool Engine::ExecuteInstruction(ExecutionState& st) {
         st.pc = target;
         return true;
       }
-      if (!loaded_.ContainsCode(target) || (target - loaded_.code_begin) % kInstructionSize != 0) {
+      if (!layout.ContainsCode(target) || (target - layout.code_begin) % kInstructionSize != 0) {
         ReportBug(st, BugType::kSegfault,
                   StrFormat("return to invalid address 0x%08x", target),
                   "clobbered return address (stack corruption?)");
@@ -2319,13 +2346,13 @@ bool Engine::ExecuteInstruction(ExecutionState& st) {
 
 void Engine::HandleKCall(ExecutionState& st, const Instruction& insn) {
   uint32_t index = insn.imm;
-  if (index >= import_table_.size()) {
+  if (index >= driver_->import_table.size()) {
     ReportBug(st, BugType::kApiMisuse,
               StrFormat("kcall with invalid import index %u at 0x%08x", index, st.pc),
               "import table bounds violation");
     return;
   }
-  const std::string& name = loaded_.imports[index];
+  const std::string& name = driver_->loaded.imports[index];
   uint32_t kcall_seq = st.kernel.kcall_seq++;
   ++stats_.kernel_calls;
 
@@ -2379,7 +2406,7 @@ void Engine::HandleKCall(ExecutionState& st, const Instruction& insn) {
     }
   }
 
-  import_table_[index](kc);
+  driver_->import_table[index](kc);
   if (!st.alive()) {
     return;
   }
@@ -2560,7 +2587,7 @@ void Engine::ReportBug(ExecutionState& st, BugType type, const std::string& titl
     bug.type = effective;
     bug.title = title;
     bug.details = effective_details;
-    bug.driver = image_.name;
+    bug.driver = driver_->loaded.name;
     bug.checker = "engine";
     bug.pc = st.pc;
     bug.state_id = st.id;

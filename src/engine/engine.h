@@ -40,6 +40,7 @@
 #include "src/support/status.h"
 #include "src/vm/coverage_map.h"
 #include "src/vm/disasm.h"
+#include "src/vm/guest_memory.h"
 #include "src/vm/image.h"
 
 namespace ddt {
@@ -146,7 +147,34 @@ struct EngineConfig {
   // only — they never influence exploration, bug sets, or reports.
   obs::MetricsRegistry* metrics = nullptr;
   obs::PassProfile* profile = nullptr;
+
+  // Rejects a zero max_states, max_instructions or max_wall_ms: a zero
+  // budget would silently run forever (or not at all, depending on the
+  // check's direction), so LoadDriver refuses it rather than guess intent.
+  Status ValidateBudgets() const;
 };
+
+// The per-image half of a driver load: everything LoadDriver derives from the
+// image alone. PrepareDriver builds it once; any number of engines then load
+// it, on any threads, because nothing in it changes after PrepareDriver
+// returns.
+struct PreparedDriver {
+  LoadedDriver loaded;                    // layout, name and import names
+  std::vector<KernelApiFn> import_table;  // resolved import handlers
+  std::vector<uint8_t> code;              // source of each engine's block cache
+  Cfg cfg;
+  // Dense block-leader bitmap (one slot per aligned instruction) replacing
+  // the per-instruction std::map lookup on the coverage path.
+  std::vector<uint8_t> block_leader_slots;
+  // Root holding the installed code and data. Each engine's initial state
+  // starts from a copy-on-write share of it (GuestMemory::ShareImage).
+  GuestMemory memory;
+};
+
+// Resolves the image's imports, installs code and data behind the image
+// window, recovers the CFG and builds the leader bitmap. Fails on an
+// unresolvable import or an image too large for the window.
+Result<std::shared_ptr<const PreparedDriver>> PrepareDriver(const DriverImage& image);
 
 // Stable string key identifying a symbolic variable's origin across runs
 // (used to map solved inputs onto replay inputs).
@@ -240,8 +268,13 @@ class Engine : public CheckerHost, private BlockCountOracle {
   // Device model prototype for the initial state (SymbolicDevice by default).
   void SetDevice(std::unique_ptr<DeviceModel> device) { device_proto_ = std::move(device); }
 
-  // Loads the driver image behind the PCI shell and prepares the initial
-  // state (but does not run). Fails on unresolvable imports or a bad image.
+  // Loads a prepared driver behind the PCI shell and builds the initial state
+  // over a copy-on-write share of its installed image (but does not run).
+  // Fails on a zero budget. The engine keeps `driver` alive.
+  Status LoadDriver(std::shared_ptr<const PreparedDriver> driver,
+                    const PciDescriptor& descriptor);
+  // PrepareDriver + the overload above. A zero budget is reported ahead of
+  // an unresolvable import or an oversized image.
   Status LoadDriver(const DriverImage& image, const PciDescriptor& descriptor);
 
   // Explores until budgets are exhausted or every state terminated.
@@ -258,7 +291,7 @@ class Engine : public CheckerHost, private BlockCountOracle {
   const EngineStats& stats() const { return stats_; }
   const std::vector<CoverageSample>& coverage_samples() const { return coverage_samples_; }
   size_t covered_blocks() const { return covered_blocks_.size(); }
-  size_t total_blocks() const { return cfg_.NumBlocks(); }
+  size_t total_blocks() const { return driver_ != nullptr ? driver_->cfg.NumBlocks() : 0; }
   const std::unordered_set<uint32_t>& covered_block_leaders() const { return covered_blocks_; }
   // Covered block leaders as a dense instruction-slot bitmap (the stable
   // coverage-novelty API; see src/vm/coverage_map.h). Slot i = the aligned
@@ -266,8 +299,9 @@ class Engine : public CheckerHost, private BlockCountOracle {
   CoverageBitmap CoverageSnapshot() const;
   // Path seeds collected this run (empty unless config.max_path_seeds > 0).
   const std::vector<PathSeed>& path_seeds() const { return path_seeds_; }
-  const Cfg& cfg() const { return cfg_; }
-  const LoadedDriver& loaded_driver() const { return loaded_; }
+  // The loaded driver's CFG and layout; valid after a successful LoadDriver.
+  const Cfg& cfg() const { return driver_->cfg; }
+  const LoadedDriver& loaded_driver() const { return driver_->loaded; }
   const MemStats& mem_stats() const { return mem_stats_; }
   // The decoded-block translation cache; null when enable_block_cache is off
   // or LoadDriver has not run.
@@ -409,17 +443,11 @@ class Engine : public CheckerHost, private BlockCountOracle {
   Solver solver_;
   Rng rng_;
 
-  // Driver under test.
-  DriverImage image_;
-  LoadedDriver loaded_;
+  // Driver under test (shared, read-only; null until LoadDriver succeeds).
+  std::shared_ptr<const PreparedDriver> driver_;
   PciDescriptor pci_;
-  Cfg cfg_;
-  // Decode-once translation cache over the immutable code segment, plus a
-  // dense leader bitmap (one slot per aligned instruction) replacing the
-  // per-instruction std::map lookup on the coverage path.
+  // Decode-once translation cache over the immutable code segment.
   std::unique_ptr<BlockCache> block_cache_;
-  std::vector<uint8_t> block_leader_slots_;
-  std::vector<KernelApiFn> import_table_;  // resolved import handlers
   std::map<std::string, uint32_t> registry_;
   std::vector<WorkloadStep> workload_;
   std::unique_ptr<DeviceModel> device_proto_;

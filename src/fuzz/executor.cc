@@ -1,6 +1,7 @@
 #include "src/fuzz/executor.h"
 
 #include <exception>
+#include <utility>
 
 #include "src/core/bug_io.h"
 #include "src/support/check.h"
@@ -26,17 +27,23 @@ FuzzExecResult FuzzExecutor::Execute(const FuzzInput& input) const {
   config.engine.profile = nullptr;
   config.dma_checker = true;
 
+  if (!driver_.ok()) {
+    // The text a load from the image reports: a zero budget comes first.
+    Status budgets = config.engine.ValidateBudgets();
+    result.failure = budgets.ok() ? driver_.error() : budgets.message();
+    return result;
+  }
   try {
     ScopedCheckTrap trap;
     Ddt ddt(config);
-    Result<DdtResult> run = ddt.TestDriver(image_, descriptor_);
+    Result<DdtResult> run = ddt.TestDriver(driver_.value(), descriptor_);
     if (!run.ok()) {
       result.failure = run.status().message();
       return result;
     }
     // Guided runs push no path constraints, so SolveInputs gave these bugs no
     // inputs; patch in the fuzz fields so a saved evidence file replays.
-    std::vector<Bug> bugs = run.value().bugs;
+    std::vector<Bug> bugs = std::move(run.value().bugs);
     for (Bug& bug : bugs) {
       if (bug.inputs.empty()) {
         bug.inputs = ToSolvedInputs(input);

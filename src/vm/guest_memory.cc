@@ -8,7 +8,7 @@ namespace ddt {
 GuestMemory::GuestMemory() : root_(std::make_shared<Root>()) {}
 
 void GuestMemory::InitWrite(uint32_t addr, const uint8_t* data, size_t len) {
-  DDT_CHECK_MSG(!forked_, "InitWrite after first fork");
+  DDT_CHECK_MSG(!root_shared_, "InitWrite after the root is shared");
   for (size_t i = 0; i < len; ++i) {
     uint32_t a = addr + static_cast<uint32_t>(i);
     uint32_t page = a / kPageSize;
@@ -18,6 +18,13 @@ void GuestMemory::InitWrite(uint32_t addr, const uint8_t* data, size_t len) {
     }
     bytes[a % kPageSize] = data[i];
   }
+}
+
+GuestMemory GuestMemory::ShareImage() const {
+  GuestMemory share;
+  share.root_ = root_;
+  share.root_shared_ = true;
+  return share;
 }
 
 MemByte GuestMemory::Resolve(uint32_t addr, bool* walked_chain) const {
@@ -116,14 +123,14 @@ GuestMemory GuestMemory::Fork() {
   if (stats_ != nullptr) {
     ++stats_->forks;
   }
-  forked_ = true;
+  root_shared_ = true;
 
   GuestMemory child;
   child.root_ = root_;
   child.stats_ = stats_;
   child.access_count_ = access_count_;
   child.eager_fork_ = eager_fork_;
-  child.forked_ = true;
+  child.root_shared_ = true;
 
   if (eager_fork_) {
     // Ablation mode: the child receives a full deep copy of the merged

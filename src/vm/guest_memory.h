@@ -8,6 +8,11 @@
 // exactly the paper's "cache each resolved read in the leaf state"
 // optimization.
 //
+// One installed root can also back many independent memories at once
+// (ShareImage): a driver image is installed once and every engine that loads
+// it starts from a copy-on-write share, reading the root concurrently and
+// writing only its own deltas.
+//
 // Bytes are concrete-or-symbolic (MemByte); the interpreter composes words
 // from bytes, and KLEE-style Extract/Concat folding in ExprContext
 // reassembles whole symbolic words.
@@ -53,9 +58,16 @@ class GuestMemory {
   GuestMemory(const GuestMemory&) = delete;
   GuestMemory& operator=(const GuestMemory&) = delete;
 
-  // Installs initial image bytes into the shared root. Only valid before the
-  // first fork (the root is shared afterwards).
+  // Installs initial image bytes into the root. Only valid before the first
+  // fork or share (the root is read-only once shared).
   void InitWrite(uint32_t addr, const uint8_t* data, size_t len);
+
+  // A fresh memory over this one's root, with no chain and an empty delta:
+  // it reads the installed bytes and keeps its own writes to itself. The
+  // root is never written again (InitWrite on the share fails a check), so
+  // shares may be read from different threads while this memory stays
+  // const. Stats and eager mode are not inherited.
+  GuestMemory ShareImage() const;
 
   MemByte ReadByte(uint32_t addr);
   void WriteByte(uint32_t addr, MemByte byte);
@@ -103,7 +115,7 @@ class GuestMemory {
   MemStats* stats_ = nullptr;
   uint64_t access_count_ = 0;
   bool eager_fork_ = false;
-  bool forked_ = false;
+  bool root_shared_ = false;  // InitWrite is no longer allowed
 
   static constexpr size_t kCompactionDepth = 96;
 };

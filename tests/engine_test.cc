@@ -9,6 +9,8 @@
 #include "src/core/ddt.h"
 #include "src/core/replay.h"
 #include "src/vm/assembler.h"
+#include "src/vm/isa.h"
+#include "src/vm/layout.h"
 
 namespace ddt {
 namespace {
@@ -586,13 +588,39 @@ TEST(EngineTest, InstructionBudgetIsHonored) {
 
 // --- 13. Config validation ----------------------------------------------------
 
+// The clean toy driver linked against a kernel API MiniOS does not export.
+DriverImage UnresolvedImportImage() {
+  DriverImage image = AssembleToy(kCleanDriver);
+  image.imports.push_back("MosNoSuchRoutine");
+  return image;
+}
+
 TEST(EngineTest, ZeroBudgetsAreRejectedAtLoad) {
-  auto expect_rejected = [](DdtConfig config, const char* what) {
-    Ddt ddt(config);
-    Result<DdtResult> result = ddt.TestDriver(AssembleToy(kCleanDriver), ToyPci());
-    ASSERT_FALSE(result.ok()) << what << " = 0 should be rejected";
-    EXPECT_NE(result.status().message().find(what), std::string::npos)
-        << result.status().message();
+  Result<std::shared_ptr<const PreparedDriver>> prepared =
+      PrepareDriver(AssembleToy(kCleanDriver));
+  ASSERT_TRUE(prepared.ok()) << prepared.error();
+  auto expect_rejected = [&prepared](DdtConfig config, const char* what) {
+    auto expect_names_budget = [what](const Status& status, const char* load_path) {
+      ASSERT_FALSE(status.ok()) << what << " = 0 should be rejected by " << load_path;
+      EXPECT_NE(status.message().find(what), std::string::npos)
+          << load_path << ": " << status.message();
+    };
+    Ddt from_image(config);
+    expect_names_budget(from_image.TestDriver(AssembleToy(kCleanDriver), ToyPci()).status(),
+                        "Ddt image overload");
+    Ddt from_prepared(config);
+    expect_names_budget(from_prepared.TestDriver(prepared.value(), ToyPci()).status(),
+                        "Ddt prepared overload");
+    Engine engine(config.engine);
+    expect_names_budget(engine.LoadDriver(prepared.value(), ToyPci()),
+                        "Engine prepared overload");
+    // A zero budget is reported ahead of an image that would not load.
+    Ddt bad_import(config);
+    expect_names_budget(bad_import.TestDriver(UnresolvedImportImage(), ToyPci()).status(),
+                        "Ddt image overload, bad import");
+    Engine bad_import_engine(config.engine);
+    expect_names_budget(bad_import_engine.LoadDriver(UnresolvedImportImage(), ToyPci()),
+                        "Engine image overload, bad import");
   };
   DdtConfig zero_states;
   zero_states.engine.max_states = 0;
@@ -603,6 +631,28 @@ TEST(EngineTest, ZeroBudgetsAreRejectedAtLoad) {
   DdtConfig zero_wall;
   zero_wall.engine.max_wall_ms = 0;
   expect_rejected(zero_wall, "max_wall_ms");
+}
+
+// An image that does not load fails with the same text whether it is
+// prepared on its own or loaded through either image overload.
+TEST(EngineTest, LoadErrorsAreTheSameOnEveryLoadPath) {
+  DriverImage oversized = AssembleToy(kCleanDriver);
+  oversized.code.resize(kDriverImageLimit - kDriverImageBase + kInstructionSize, 0);
+  const std::pair<DriverImage, std::string> cases[] = {
+      {UnresolvedImportImage(), "unresolved driver import: MosNoSuchRoutine"},
+      {oversized, "driver image too large for the image window"},
+  };
+  for (const auto& [image, message] : cases) {
+    Result<std::shared_ptr<const PreparedDriver>> prepared = PrepareDriver(image);
+    ASSERT_FALSE(prepared.ok()) << message;
+    EXPECT_EQ(prepared.error(), message);
+    Engine engine;
+    EXPECT_EQ(engine.LoadDriver(image, ToyPci()).message(), message);
+    Ddt ddt;
+    Result<DdtResult> run = ddt.TestDriver(image, ToyPci());
+    ASSERT_FALSE(run.ok()) << message;
+    EXPECT_EQ(run.error(), message);
+  }
 }
 
 // --- 14. Resource governor ----------------------------------------------------

@@ -1,8 +1,9 @@
 // The hybrid concolic fuzz loop (src/fuzz): input serialization, deterministic
 // mutation, coverage-novelty corpus admission and persistence, the concrete
-// executor's seed round-trip, report determinism across thread and worker
-// counts, the latent-bug acceptance path (a bug only the fuzz plane finds,
-// with a replayable evidence file), and promotion driving symbolic passes into
+// executor's seed round-trip and isolation between execs that share one
+// prepared driver, report determinism across thread and worker counts, the
+// latent-bug acceptance path (a bug only the fuzz plane finds, with a
+// replayable evidence file), and promotion driving symbolic passes into
 // blocks the capped exploration alone never covered.
 #include "src/fuzz/fuzz.h"
 
@@ -10,6 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "src/fuzz/mutator.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
+#include "src/vm/assembler.h"
 
 namespace ddt {
 namespace fuzz {
@@ -223,6 +226,139 @@ TEST(FuzzExecutorTest, SerializedSeedRoundTripReplaysIdentically) {
   EXPECT_EQ(first.coverage.Fingerprint(), second.coverage.Fingerprint());
   EXPECT_EQ(first.instructions, second.instructions);
   EXPECT_EQ(first.bugs_text, second.bugs_text);
+}
+
+// A driver whose init ORs a device register into a latch in .data and
+// branches on the latch. Each exec must start from the installed image's
+// zero latch: a value left by an earlier exec would turn the zero path into
+// the latched one.
+constexpr const char* kLatchDriver = R"(
+  .driver "toy_latch"
+  .entry driver_entry
+  .code
+  .func driver_entry
+    la r0, entry_table
+    kcall MosRegisterDriver
+    ret
+
+  .func ep_init
+    movi r0, 0
+    kcall MosMapIoSpace     ; r0 = BAR0 base
+    ld32 r1, [r0+4]         ; device register: a fuzz field
+    la r2, latch
+    ld32 r3, [r2+0]
+    or r3, r3, r1
+    st32 [r2+0], r3
+    bnz r3, latched
+    movi r0, 0
+    ret
+  latched:
+    movi r0, 0
+    ret
+
+  .data
+  entry_table:
+    .word ep_init
+    .word 0
+    .word 0
+    .word 0
+    .word 0
+    .word 0
+    .word 0
+    .word 0
+  latch:
+    .word 0
+)";
+
+PciDescriptor LatchPci() {
+  PciDescriptor pci;
+  pci.vendor_id = 0x10EC;
+  pci.device_id = 0x8029;
+  pci.irq_line = 10;
+  pci.bars.push_back(PciBar{0x100});
+  return pci;
+}
+
+// Everything an execution reports that a leak through the shared image
+// could change.
+std::string Observation(const FuzzExecResult& r) {
+  return StrFormat("ok=%d fingerprint=%016llx instructions=%llu\n", r.ok ? 1 : 0,
+                   static_cast<unsigned long long>(r.coverage.Fingerprint()),
+                   static_cast<unsigned long long>(r.instructions)) +
+         r.failure + "\n" + r.bugs_text;
+}
+
+// Every execution loads the one prepared driver; the guest writes of one exec
+// must never reach the next. A, B, A through one executor: both A runs are
+// identical, and B matches B on a fresh executor.
+TEST(FuzzExecutorTest, SharedImageDoesNotLeakBetweenExecs) {
+  Result<AssembledDriver> assembled = Assemble(kLatchDriver);
+  ASSERT_TRUE(assembled.ok()) << assembled.error();
+  const DriverImage& image = assembled.value().image;
+  const PciDescriptor pci = LatchPci();
+  FaultCampaignConfig campaign;
+
+  DdtConfig seed_config = campaign.base;
+  seed_config.engine.max_path_seeds = 8;
+  Ddt seed_pass(seed_config);
+  Result<DdtResult> run = seed_pass.TestDriver(image, pci);
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  std::vector<FuzzInput> seeds;
+  for (const PathSeed& seed : run.value().path_seeds) {
+    seeds.push_back(FromPathSeed(seed, seed_config.engine.fault_plan, "seed"));
+  }
+  ASSERT_FALSE(seeds.empty());
+
+  // A and B: two seeds whose fresh-executor observations differ, so either
+  // exec's writes reaching the other would show.
+  const FuzzInput& a = seeds.front();
+  std::string fresh_a = Observation(FuzzExecutor(campaign, image, pci).Execute(a));
+  const FuzzInput* b = nullptr;
+  std::string fresh_b;
+  for (const FuzzInput& seed : seeds) {
+    fresh_b = Observation(FuzzExecutor(campaign, image, pci).Execute(seed));
+    if (fresh_b != fresh_a) {
+      b = &seed;
+      break;
+    }
+  }
+  ASSERT_NE(b, nullptr) << "every seed replays to the same observation";
+
+  FuzzExecutor executor(campaign, image, pci);
+  FuzzExecResult first_a = executor.Execute(a);
+  FuzzExecResult only_b = executor.Execute(*b);
+  FuzzExecResult second_a = executor.Execute(a);
+  ASSERT_TRUE(first_a.ok) << first_a.failure;
+  ASSERT_TRUE(only_b.ok) << only_b.failure;
+  EXPECT_EQ(Observation(first_a), fresh_a);
+  EXPECT_EQ(Observation(only_b), fresh_b);
+  EXPECT_EQ(Observation(second_a), fresh_a);
+}
+
+// An image that does not load still makes an executor; every exec then
+// quarantines with the load's error, a zero budget reported first.
+TEST(FuzzExecutorTest, UnloadableImageQuarantinesEveryExec) {
+  const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
+  DriverImage image = rtl.image;
+  image.imports.push_back("MosNoSuchRoutine");
+  FaultCampaignConfig campaign;
+  FaultCampaignConfig zero_budget;
+  zero_budget.base.engine.max_instructions = 0;
+
+  std::unique_ptr<FuzzExecutor> executor;
+  std::unique_ptr<FuzzExecutor> zero_budget_executor;
+  ASSERT_NO_THROW(executor = std::make_unique<FuzzExecutor>(campaign, image, rtl.pci));
+  ASSERT_NO_THROW(zero_budget_executor =
+                      std::make_unique<FuzzExecutor>(zero_budget, image, rtl.pci));
+  for (int i = 0; i < 3; ++i) {
+    FuzzExecResult r = executor->Execute(SampleInput());
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.failure, "unresolved driver import: MosNoSuchRoutine");
+    EXPECT_TRUE(r.bugs_text.empty());
+    FuzzExecResult z = zero_budget_executor->Execute(SampleInput());
+    EXPECT_FALSE(z.ok);
+    EXPECT_EQ(z.failure, "EngineConfig.max_instructions must be nonzero");
+  }
 }
 
 // The full contract: for one fuzz seed the deterministic report is

@@ -1,11 +1,16 @@
 // Tests for the VM substrate: ISA encode/decode round-trips, the assembler,
 // DDF image serialization, CFG recovery, and chained-COW guest memory
-// semantics (including fork isolation and the eager ablation mode).
+// semantics (including fork isolation, shared image roots and the eager
+// ablation mode).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "src/expr/expr.h"
+#include "src/support/check.h"
 #include "src/support/rng.h"
 #include "src/vm/assembler.h"
 #include "src/vm/disasm.h"
@@ -423,6 +428,55 @@ TEST(GuestMemoryTest, ForkIsolation) {
   EXPECT_EQ(child.ReadByte(100).conc, 2);
   EXPECT_EQ(child.ReadByte(101).conc, 0);
   EXPECT_EQ(mem.ReadByte(101).conc, 3);
+}
+
+TEST(GuestMemoryTest, SharedImageIsCopyOnWrite) {
+  GuestMemory image;
+  const uint8_t data[] = {1, 2, 3, 4};
+  image.InitWrite(0x10000, data, sizeof(data));
+
+  GuestMemory a = image.ShareImage();
+  GuestMemory b = image.ShareImage();
+  a.WriteByte(0x10000, MemByte::Concrete(0xAA));
+  b.WriteByte(0x10001, MemByte::Concrete(0xBB));
+  EXPECT_EQ(a.ReadByte(0x10000).conc, 0xAA);
+  EXPECT_EQ(a.ReadByte(0x10001).conc, 2);
+  EXPECT_EQ(b.ReadByte(0x10000).conc, 1);
+  EXPECT_EQ(b.ReadByte(0x10001).conc, 0xBB);
+  for (uint32_t i = 0; i < sizeof(data); ++i) {
+    EXPECT_EQ(image.ReadByte(0x10000 + i).conc, data[i]);
+  }
+
+  // The root is read-only once shared: installing through a share fails.
+  {
+    ScopedCheckTrap trap;
+    EXPECT_THROW(a.InitWrite(0x10000, data, 1), CheckFailureError);
+  }
+  EXPECT_EQ(b.ReadByte(0x10000).conc, 1);
+
+  // Shares taken and used on two threads at once: each reads the root while
+  // writing only its own delta.
+  const GuestMemory& root = image;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (uint8_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&root, &data, &mismatches, t] {
+      for (int round = 0; round < 200; ++round) {
+        GuestMemory mem = root.ShareImage();
+        for (uint32_t i = 0; i < sizeof(data); ++i) {
+          mismatches += mem.ReadByte(0x10000 + i).conc != data[i];
+          mem.WriteByte(0x10000 + i, MemByte::Concrete(static_cast<uint8_t>(0x80 + t)));
+          mismatches += mem.ReadByte(0x10000 + i).conc != 0x80 + t;
+        }
+        mismatches += mem.ReadByte(0x10004).conc != 0;
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(image.ReadByte(0x10000).conc, 1);
 }
 
 TEST(GuestMemoryTest, ChainResolvesThroughParents) {
