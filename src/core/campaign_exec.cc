@@ -9,14 +9,6 @@
 
 namespace ddt {
 
-namespace {
-
-std::string BugKey(const Bug& bug) {
-  return StrFormat("%d|%s", static_cast<int>(bug.type), bug.title.c_str());
-}
-
-}  // namespace
-
 uint64_t CampaignFingerprint(const FaultCampaignConfig& config, const DriverImage& image) {
   uint64_t h = 0xCBF29CE484222325ull;
   auto mix_bytes = [&h](const void* data, size_t size) {
@@ -59,6 +51,10 @@ uint64_t CampaignFingerprint(const FaultCampaignConfig& config, const DriverImag
   mix_bytes(image.name.data(), image.name.size());
   mix_bytes(image.code.data(), image.code.size());
   return h;
+}
+
+std::string BugKey(const Bug& bug) {
+  return StrFormat("%d|%s", static_cast<int>(bug.type), bug.title.c_str());
 }
 
 Status ValidateCampaignConfig(const FaultCampaignConfig& config) {
@@ -313,6 +309,82 @@ PassOutcome OutcomeFromRecord(CampaignPassRecord&& rec, bool restored_from_journ
 }
 
 // ---------------------------------------------------------------------------
+// CampaignSchedule
+// ---------------------------------------------------------------------------
+
+Status CampaignSchedule::Open(const DriverImage& image, obs::MetricsRegistry* metrics) {
+  fingerprint_ = CampaignFingerprint(config_, image);
+  if (config_.resume) {
+    std::vector<CampaignPassRecord> records;
+    Result<std::unique_ptr<CampaignJournal>> opened =
+        CampaignJournal::OpenForResume(config_.journal_path, image.name, fingerprint_, &records);
+    if (!opened.ok()) {
+      return opened.status();
+    }
+    journal_ = opened.take();
+    for (CampaignPassRecord& rec : records) {
+      journaled_.insert_or_assign(rec.index, std::move(rec));
+    }
+  } else if (!config_.journal_path.empty()) {
+    Result<std::unique_ptr<CampaignJournal>> created =
+        CampaignJournal::Create(config_.journal_path, image.name, fingerprint_);
+    if (!created.ok()) {
+      return created.status();
+    }
+    journal_ = created.take();
+  }
+  if (journal_ != nullptr && metrics != nullptr) {
+    journal_->SetMetrics(metrics);
+  }
+  return Status::Ok();
+}
+
+std::optional<CampaignPassRecord> CampaignSchedule::TakeBaseline() {
+  auto it = journaled_.find(0);
+  if (it == journaled_.end() || !it->second.has_profile || it->second.quarantined) {
+    return std::nullopt;
+  }
+  CampaignPassRecord baseline = std::move(it->second);
+  journaled_.erase(it);
+  return baseline;
+}
+
+Result<CampaignSchedule::Passes> CampaignSchedule::Derive(const FaultSiteProfile& profile,
+                                                          const HwSiteProfile& hw_profile) {
+  size_t plan_budget = config_.max_passes > 0 ? config_.max_passes - 1 : 0;
+  plans_ = GenerateCampaignPlans(profile, config_.seed, config_.max_occurrences_per_class,
+                                 config_.escalation_rounds, plan_budget);
+  // Hardware fault plans ride the same budget, after the kernel-API plans:
+  // the error paths §3.4 targets first are the common case, device-level
+  // hostility extends the campaign rather than displacing it.
+  if (config_.hw_faults && plans_.size() < plan_budget) {
+    for (FaultPlan& plan : GenerateHwCampaignPlans(hw_profile, config_.hw_max_points_per_kind,
+                                                   plan_budget - plans_.size())) {
+      plans_.push_back(std::move(plan));
+    }
+  }
+  Passes passes;
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    uint64_t index = i + 1;
+    auto it = journaled_.find(index);
+    if (it == journaled_.end()) {
+      passes.pending.push_back(index);
+      continue;
+    }
+    if (it->second.label != plans_[i].label) {
+      return Status::Error(StrFormat(
+          "journal '%s' does not match the campaign schedule: pass %zu is '%s' in the "
+          "journal but '%s' in the regenerated plan",
+          config_.journal_path.c_str(), static_cast<size_t>(index), it->second.label.c_str(),
+          plans_[i].label.c_str()));
+    }
+    passes.restored.push_back(std::move(it->second));
+  }
+  journaled_.clear();
+  return passes;
+}
+
+// ---------------------------------------------------------------------------
 // CampaignMerger
 // ---------------------------------------------------------------------------
 
@@ -360,6 +432,16 @@ void CampaignMerger::Merge(const FaultPlan& plan, PassOutcome& out) {
       result.total_wall_ms += stats.wall_ms;
       result.total_stats.Accumulate(stats);
       result.total_solver_stats.Accumulate(solver_stats);
+#ifndef DDT_OBS_DISABLED
+      if (from_record && config_.collect_metrics) {
+        // A live pass's engine published these itself at the end of its run.
+        obs::MetricsRegistry record_metrics;
+        PublishStatsMetrics(stats, solver_stats, !plan.hw_points.empty(),
+                            config_.shared_cache || !config_.shared_cache_path.empty(),
+                            &record_metrics);
+        result.metrics.Merge(record_metrics.Snapshot());
+      }
+#endif
       // Fork-site hotness for the obs profile. Keys are pre-formatted here
       // because obs must not depend on engine types; record-sourced passes
       // contribute too (the table rides in EngineStats through the journal).

@@ -46,6 +46,11 @@ namespace ddt {
 // pass's identity.
 uint64_t CampaignFingerprint(const FaultCampaignConfig& config, const DriverImage& image);
 
+// A bug's identity for deduplication: type and title. The campaign merger
+// and the fuzz plane share it, so a fuzz bug is new iff no campaign pass and
+// no earlier fuzz exec already reported it.
+std::string BugKey(const Bug& bug);
+
 // Mirrors the PR-1 EngineConfig validation: reject configurations that would
 // otherwise fail late (or hang) with a clear message before any pass runs.
 Status ValidateCampaignConfig(const FaultCampaignConfig& config);
@@ -146,19 +151,76 @@ CampaignPassRecord MakePassRecord(uint64_t index, const FaultPlan& plan, const P
 // passes_loaded) from a fleet record executed this run (not counted).
 PassOutcome OutcomeFromRecord(CampaignPassRecord&& rec, bool restored_from_journal);
 
+// The §3.4 campaign schedule, shared by the in-process scheduler and the
+// fleet coordinator: pass 0 is the plain baseline, and passes 1..n run the
+// fault plans derived from the baseline's fault-site and hardware-site
+// profiles. With a journal, Open either creates it or (resume) reopens it and
+// keeps its records, so only the passes it lacks run again. Running passes
+// is left to the caller: the thread pool and the fleet's leases share no
+// more than this.
+class CampaignSchedule {
+ public:
+  // `config` must outlive the schedule.
+  explicit CampaignSchedule(const FaultCampaignConfig& config) : config_(config) {}
+
+  // Creates config.journal_path fresh, or with config.resume reopens it and
+  // loads its records; without a journal path there is nothing to open.
+  // `metrics` (nullable) receives the journal's append latency.
+  Status Open(const DriverImage& image, obs::MetricsRegistry* metrics);
+
+  // Null when the campaign keeps no journal.
+  CampaignJournal* journal() const { return journal_.get(); }
+  // CampaignFingerprint of the campaign; valid after Open.
+  uint64_t fingerprint() const { return fingerprint_; }
+
+  // The journaled baseline, moved out, when it can be restored: it carries
+  // the profiles every plan derives from and was not quarantined. nullopt
+  // means pass 0 must run.
+  std::optional<CampaignPassRecord> TakeBaseline();
+
+  // Pass indices (1-based, ascending) split by whether the journal already
+  // holds them.
+  struct Passes {
+    std::vector<CampaignPassRecord> restored;  // journaled passes, moved out
+    std::vector<uint64_t> pending;             // passes still to run
+  };
+  // Derives plans() from the baseline's profiles: kernel-API plans, then
+  // hardware plans when config.hw_faults, within max_passes - 1. Fails when a
+  // journaled pass's label disagrees with its regenerated plan, which means
+  // the journal belongs to another schedule.
+  Result<Passes> Derive(const FaultSiteProfile& profile, const HwSiteProfile& hw_profile);
+
+  // Pass i + 1 runs plans()[i]; empty until Derive.
+  const std::vector<FaultPlan>& plans() const { return plans_; }
+
+ private:
+  const FaultCampaignConfig& config_;
+  uint64_t fingerprint_ = 0;
+  std::unique_ptr<CampaignJournal> journal_;
+  std::map<uint64_t, CampaignPassRecord> journaled_;  // pass index -> record
+  std::vector<FaultPlan> plans_;
+};
+
 // Merges pass outcomes into a FaultCampaignResult in plan order. Bug
 // deduplication, aggregate accumulation, and the pass table are functions of
 // merge *order* alone, so any scheduler — sequential, thread pool, or
 // multi-process fleet — that merges in plan order produces a byte-identical
 // deterministic report. Not thread-safe; merging always happens on one
 // thread.
+//
+// With config.collect_metrics, a pass merged from a record publishes its
+// stats counters into result->metrics exactly as a live engine would have
+// (PublishStatsMetrics), so journal-restored and fleet passes count too.
 class CampaignMerger {
  public:
-  explicit CampaignMerger(FaultCampaignResult* result) : result_(result) {}
+  // `config` must outlive the merger.
+  CampaignMerger(const FaultCampaignConfig& config, FaultCampaignResult* result)
+      : config_(config), result_(result) {}
 
   void Merge(const FaultPlan& plan, PassOutcome& out);
 
  private:
+  const FaultCampaignConfig& config_;
   FaultCampaignResult* result_;
   std::set<std::string> seen_;
 };

@@ -316,43 +316,11 @@ std::string EncodeRecord(const CampaignPassRecord& rec) {
                                   rec.hw_profile.max_crossings, rec.hw_profile.max_interrupts));
   }
   const EngineStats& e = rec.stats;
-  w.U64("e_instructions", e.instructions);
-  w.U64("e_forks", e.forks);
-  w.U64("e_dropped_forks", e.dropped_forks);
-  w.U64("e_states_created", e.states_created);
-  w.U64("e_states_terminated", e.states_terminated);
-  w.U64("e_max_live_states", e.max_live_states);
-  w.U64("e_kernel_calls", e.kernel_calls);
-  w.U64("e_interrupts_injected", e.interrupts_injected);
-  w.U64("e_entry_invocations", e.entry_invocations);
-  w.U64("e_concretizations", e.concretizations);
-  w.U64("e_concretization_backtracks", e.concretization_backtracks);
-  w.U64("e_faults_injected", e.faults_injected);
-  // Hardware fault plane counters (absent in older journals; GetU64 defaults
-  // them to 0).
-  w.U64("e_hw_faults", e.hw_faults_injected);
-  w.U64("e_hw_removals", e.hw_removals);
-  w.U64("e_hw_sticky", e.hw_sticky_faults);
-  w.U64("e_hw_storms", e.hw_irq_storms);
-  w.U64("e_hw_suppressed", e.hw_irq_suppressed);
-  w.U64("e_hw_doorbells_dropped", e.hw_doorbells_dropped);
-  w.U64("e_hw_reads_floated", e.hw_reads_floated);
-  w.U64("e_hw_writes_dropped", e.hw_writes_dropped);
-  w.U64("e_hw_removal_events", e.hw_removal_events);
-  w.U64("e_states_evicted", e.states_evicted);
-  w.U64("e_peak_state_bytes", e.peak_state_bytes);
-  w.U64("e_blocks_decoded", e.blocks_decoded);
-  w.U64("e_block_cache_hits", e.block_cache_hits);
-  // Absent in older journals (GetU64 defaults it to 0). Volatile-report
-  // only, but a fleet worker's RESULT is the coordinator's sole window into
-  // its pass, so it rides along. Keys of retired counters in older records
-  // are ignored on decode.
-  w.U64("e_bc_fallback_fetches", e.block_cache_fallback_fetches);
-  // Path-explosion control counters + fork-profiler table (absent in older
-  // journals; GetU64/GetStr default to 0/empty).
-  w.U64("e_states_merged", e.states_merged);
-  w.U64("e_loop_kills", e.loop_kills);
-  w.U64("e_edge_kills", e.edge_kills);
+  // Counter keys are DDT_ENGINE_COUNTERS' journal column. Keys absent in
+  // older journals decode to 0; keys of retired counters are ignored.
+  for (const auto& row : kEngineCounters) {
+    w.U64(row.journal_key, e.*row.field);
+  }
   {
     std::string rule_kills;
     for (size_t i = 0; i < e.edge_rule_kills.size(); ++i) {
@@ -366,27 +334,9 @@ std::string EncodeRecord(const CampaignPassRecord& rec) {
   w.Str("e_fork_sites", EncodeForkSiteTable(e.fork_sites));
   w.Dbl("e_wall_ms", e.wall_ms);
   const SolverStats& s = rec.solver_stats;
-  w.U64("s_queries", s.queries);
-  w.U64("s_quick_decides", s.quick_decides);
-  w.U64("s_cache_hits", s.cache_hits);
-  w.U64("s_sat_calls", s.sat_calls);
-  w.U64("s_sat_results", s.sat_results);
-  w.U64("s_unsat_results", s.unsat_results);
-  w.U64("s_unknown_results", s.unknown_results);
-  w.U64("s_query_timeouts", s.query_timeouts);
-  w.U64("s_aborted_queries", s.aborted_queries);
-  w.U64("s_total_conflicts", s.total_conflicts);
-  w.U64("s_total_sat_vars", s.total_sat_vars);
-  w.U64("s_total_sat_clauses", s.total_sat_clauses);
-  w.U64("s_model_reuse_hits", s.model_reuse_hits);
-  // Shared-cache counters (absent in v1 journals; GetU64 defaults them to 0).
-  // Volatile-report only, but a fleet worker's RESULT is the coordinator's
-  // sole window into its pass, so they ride along.
-  w.U64("s_sc_hits", s.shared_cache_hits);
-  w.U64("s_sc_fastpath", s.shared_cache_fastpath_hits);
-  w.U64("s_sc_misses", s.shared_cache_misses);
-  w.U64("s_sc_stores", s.shared_cache_stores);
-  w.U64("s_sc_verify_failures", s.shared_cache_verify_failures);
+  for (const auto& row : kSolverCounters) {
+    w.U64(row.journal_key, s.*row.field);
+  }
   w.Dbl("s_max_query_wall_ms", s.max_query_wall_ms);
   w.Str("bugs", SerializeBugs(rec.bugs));
   return w.Finish();
@@ -437,35 +387,9 @@ bool DecodeRecord(const std::map<std::string, std::string>& m, CampaignPassRecor
     }
   }
   EngineStats& e = rec->stats;
-  e.instructions = GetU64(m, "e_instructions");
-  e.forks = GetU64(m, "e_forks");
-  e.dropped_forks = GetU64(m, "e_dropped_forks");
-  e.states_created = GetU64(m, "e_states_created");
-  e.states_terminated = GetU64(m, "e_states_terminated");
-  e.max_live_states = GetU64(m, "e_max_live_states");
-  e.kernel_calls = GetU64(m, "e_kernel_calls");
-  e.interrupts_injected = GetU64(m, "e_interrupts_injected");
-  e.entry_invocations = GetU64(m, "e_entry_invocations");
-  e.concretizations = GetU64(m, "e_concretizations");
-  e.concretization_backtracks = GetU64(m, "e_concretization_backtracks");
-  e.faults_injected = GetU64(m, "e_faults_injected");
-  e.hw_faults_injected = GetU64(m, "e_hw_faults");
-  e.hw_removals = GetU64(m, "e_hw_removals");
-  e.hw_sticky_faults = GetU64(m, "e_hw_sticky");
-  e.hw_irq_storms = GetU64(m, "e_hw_storms");
-  e.hw_irq_suppressed = GetU64(m, "e_hw_suppressed");
-  e.hw_doorbells_dropped = GetU64(m, "e_hw_doorbells_dropped");
-  e.hw_reads_floated = GetU64(m, "e_hw_reads_floated");
-  e.hw_writes_dropped = GetU64(m, "e_hw_writes_dropped");
-  e.hw_removal_events = GetU64(m, "e_hw_removal_events");
-  e.states_evicted = GetU64(m, "e_states_evicted");
-  e.peak_state_bytes = GetU64(m, "e_peak_state_bytes");
-  e.blocks_decoded = GetU64(m, "e_blocks_decoded");
-  e.block_cache_hits = GetU64(m, "e_block_cache_hits");
-  e.block_cache_fallback_fetches = GetU64(m, "e_bc_fallback_fetches");
-  e.states_merged = GetU64(m, "e_states_merged");
-  e.loop_kills = GetU64(m, "e_loop_kills");
-  e.edge_kills = GetU64(m, "e_edge_kills");
+  for (const auto& row : kEngineCounters) {
+    e.*row.field = GetU64(m, row.journal_key);
+  }
   {
     std::string rule_kills = GetStr(m, "e_edge_rule_kills");
     if (!rule_kills.empty()) {
@@ -481,24 +405,9 @@ bool DecodeRecord(const std::map<std::string, std::string>& m, CampaignPassRecor
   e.fork_sites = DecodeForkSiteTable(GetStr(m, "e_fork_sites"));
   e.wall_ms = GetDbl(m, "e_wall_ms");
   SolverStats& s = rec->solver_stats;
-  s.queries = GetU64(m, "s_queries");
-  s.quick_decides = GetU64(m, "s_quick_decides");
-  s.cache_hits = GetU64(m, "s_cache_hits");
-  s.sat_calls = GetU64(m, "s_sat_calls");
-  s.sat_results = GetU64(m, "s_sat_results");
-  s.unsat_results = GetU64(m, "s_unsat_results");
-  s.unknown_results = GetU64(m, "s_unknown_results");
-  s.query_timeouts = GetU64(m, "s_query_timeouts");
-  s.aborted_queries = GetU64(m, "s_aborted_queries");
-  s.total_conflicts = GetU64(m, "s_total_conflicts");
-  s.total_sat_vars = GetU64(m, "s_total_sat_vars");
-  s.total_sat_clauses = GetU64(m, "s_total_sat_clauses");
-  s.model_reuse_hits = GetU64(m, "s_model_reuse_hits");
-  s.shared_cache_hits = GetU64(m, "s_sc_hits");
-  s.shared_cache_fastpath_hits = GetU64(m, "s_sc_fastpath");
-  s.shared_cache_misses = GetU64(m, "s_sc_misses");
-  s.shared_cache_stores = GetU64(m, "s_sc_stores");
-  s.shared_cache_verify_failures = GetU64(m, "s_sc_verify_failures");
+  for (const auto& row : kSolverCounters) {
+    s.*row.field = GetU64(m, row.journal_key);
+  }
   s.max_query_wall_ms = GetDbl(m, "s_max_query_wall_ms");
   Result<std::vector<Bug>> bugs = DeserializeBugs(GetStr(m, "bugs"));
   if (!bugs.ok()) {

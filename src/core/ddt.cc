@@ -217,7 +217,7 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
   // records carry the pass index, so load order never matters. The same
   // executor/merger pair drives the multi-process fleet (src/fleet), which is
   // why they live in campaign_exec.h rather than here.
-  CampaignMerger merger(&result);
+  CampaignMerger merger(config, &result);
 
   // Campaign-level registry for the instruments that outlive any single pass
   // (thread-pool queue depth and busy time, journal flush latency, supervisor
@@ -246,33 +246,14 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
   CampaignPassExecutor executor(config, image, descriptor, shared_cache.get(),
                                 campaign_metrics.get());
 
-  // Journal setup. Resume loads the completed passes; a fresh journal starts
-  // with just the header.
-  uint64_t fingerprint = CampaignFingerprint(config, image);
-  std::unique_ptr<CampaignJournal> journal;
-  std::map<uint64_t, CampaignPassRecord> journaled;  // pass index -> record
-  if (config.resume) {
-    std::vector<CampaignPassRecord> records;
-    Result<std::unique_ptr<CampaignJournal>> opened =
-        CampaignJournal::OpenForResume(config.journal_path, image.name, fingerprint, &records);
-    if (!opened.ok()) {
-      return opened.status();
-    }
-    journal = opened.take();
-    for (CampaignPassRecord& rec : records) {
-      journaled.insert_or_assign(rec.index, std::move(rec));
-    }
-  } else if (!config.journal_path.empty()) {
-    Result<std::unique_ptr<CampaignJournal>> created =
-        CampaignJournal::Create(config.journal_path, image.name, fingerprint);
-    if (!created.ok()) {
-      return created.status();
-    }
-    journal = created.take();
+  // Journal and schedule (campaign_exec.h): a resume keeps the journaled
+  // passes, a fresh journal starts with just the header.
+  CampaignSchedule schedule(config);
+  Status opened = schedule.Open(image, campaign_metrics.get());
+  if (!opened.ok()) {
+    return opened;
   }
-  if (journal != nullptr && campaign_metrics != nullptr) {
-    journal->SetMetrics(campaign_metrics.get());
-  }
+  CampaignJournal* journal = schedule.journal();
 
   // Pass 0: plain baseline. Besides its own bugs, it measures the fault-site
   // profile every later plan is generated from — which is why the journal
@@ -281,13 +262,10 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
   // is deliberately not journaled, so a plain rerun retries it).
   FaultSiteProfile profile;
   HwSiteProfile hw_profile;
-  auto base_it = journaled.find(0);
-  if (base_it != journaled.end() && base_it->second.has_profile &&
-      !base_it->second.quarantined) {
-    profile = base_it->second.profile;
-    hw_profile = base_it->second.hw_profile;
-    PassOutcome restored =
-        OutcomeFromRecord(std::move(base_it->second), /*restored_from_journal=*/true);
+  if (std::optional<CampaignPassRecord> base = schedule.TakeBaseline()) {
+    profile = base->profile;
+    hw_profile = base->hw_profile;
+    PassOutcome restored = OutcomeFromRecord(std::move(*base), /*restored_from_journal=*/true);
     merger.Merge(FaultPlan{}, restored);
   } else {
     PassOutcome baseline = executor.Execute(FaultPlan{});
@@ -307,39 +285,19 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
     merger.Merge(FaultPlan{}, baseline);
   }
 
-  size_t plan_budget = config.max_passes > 0 ? config.max_passes - 1 : 0;
-  std::vector<FaultPlan> plans =
-      GenerateCampaignPlans(profile, config.seed, config.max_occurrences_per_class,
-                            config.escalation_rounds, plan_budget);
-  // Hardware fault plans ride the same budget, after the kernel-API plans:
-  // the error paths §3.4 targets first are the common case, device-level
-  // hostility extends the campaign rather than displacing it.
-  if (config.hw_faults && plans.size() < plan_budget) {
-    std::vector<FaultPlan> hw_plans = GenerateHwCampaignPlans(
-        hw_profile, config.hw_max_points_per_kind, plan_budget - plans.size());
-    for (FaultPlan& plan : hw_plans) {
-      plans.push_back(std::move(plan));
-    }
+  // Journaled passes restore instantly, the rest run. outcomes[i] is pass
+  // i + 1.
+  Result<CampaignSchedule::Passes> passes = schedule.Derive(profile, hw_profile);
+  if (!passes.ok()) {
+    return passes.status();
   }
-
-  // Partition the plans: journaled passes restore instantly, the rest run.
+  const std::vector<FaultPlan>& plans = schedule.plans();
   std::vector<PassOutcome> outcomes(plans.size());
-  std::vector<size_t> to_run;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    auto it = journaled.find(i + 1);
-    if (it != journaled.end()) {
-      if (it->second.label != plans[i].label) {
-        return Status::Error(StrFormat(
-            "journal '%s' does not match the campaign schedule: pass %zu is '%s' in the "
-            "journal but '%s' in the regenerated plan",
-            config.journal_path.c_str(), i + 1, it->second.label.c_str(),
-            plans[i].label.c_str()));
-      }
-      outcomes[i] = OutcomeFromRecord(std::move(it->second), /*restored_from_journal=*/true);
-    } else {
-      to_run.push_back(i);
-    }
+  for (CampaignPassRecord& rec : passes.value().restored) {
+    size_t slot = rec.index - 1;
+    outcomes[slot] = OutcomeFromRecord(std::move(rec), /*restored_from_journal=*/true);
   }
+  const std::vector<uint64_t>& to_run = passes.value().pending;
 
   size_t threads = config.threads == 0 ? ThreadPool::HardwareThreads()
                                        : static_cast<size_t>(config.threads);
@@ -356,12 +314,13 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
   // completion order — so a kill loses at most the passes still in flight.
   std::mutex journal_error_mu;
   Status journal_error;
-  auto run_one = [&executor, &plans, &outcomes, &journal, &journal_error_mu,
-                  &journal_error](size_t i) {
-    PassOutcome out = executor.Execute(plans[i]);
+  auto run_one = [&executor, &plans, &outcomes, journal, &journal_error_mu,
+                  &journal_error](uint64_t index) {
+    const FaultPlan& plan = plans[index - 1];
+    PassOutcome out = executor.Execute(plan);
     if (journal != nullptr) {
       obs::ScopedPhase journal_phase(out.profile.get(), obs::Phase::kJournal);
-      Status appended = journal->Append(MakePassRecord(i + 1, plans[i], out, nullptr));
+      Status appended = journal->Append(MakePassRecord(index, plan, out, nullptr));
       if (!appended.ok()) {
         std::unique_lock<std::mutex> lock(journal_error_mu);
         if (journal_error.ok()) {
@@ -369,20 +328,20 @@ Result<FaultCampaignResult> RunFaultCampaign(const FaultCampaignConfig& config,
         }
       }
     }
-    outcomes[i] = std::move(out);
+    outcomes[index - 1] = std::move(out);
   };
 
   if (threads == 1) {
-    for (size_t i : to_run) {
-      run_one(i);
+    for (uint64_t index : to_run) {
+      run_one(index);
     }
   } else {
     ThreadPool pool(threads);
     if (campaign_metrics != nullptr) {
       pool.SetMetrics(campaign_metrics.get());
     }
-    for (size_t i : to_run) {
-      pool.Submit([&run_one, i] { run_one(i); });
+    for (uint64_t index : to_run) {
+      pool.Submit([&run_one, index] { run_one(index); });
     }
     pool.Wait();
     // execute_supervised traps everything thrown under it; an exception the

@@ -1,6 +1,7 @@
 #include "src/engine/engine.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "src/expr/eval.h"
 #include "src/kernel/kernel_api.h"
@@ -15,35 +16,7 @@
 namespace ddt {
 
 void EngineStats::Accumulate(const EngineStats& other) {
-  instructions += other.instructions;
-  forks += other.forks;
-  dropped_forks += other.dropped_forks;
-  states_created += other.states_created;
-  states_terminated += other.states_terminated;
-  max_live_states = std::max(max_live_states, other.max_live_states);
-  kernel_calls += other.kernel_calls;
-  interrupts_injected += other.interrupts_injected;
-  entry_invocations += other.entry_invocations;
-  concretizations += other.concretizations;
-  concretization_backtracks += other.concretization_backtracks;
-  faults_injected += other.faults_injected;
-  hw_faults_injected += other.hw_faults_injected;
-  hw_removals += other.hw_removals;
-  hw_sticky_faults += other.hw_sticky_faults;
-  hw_irq_storms += other.hw_irq_storms;
-  hw_irq_suppressed += other.hw_irq_suppressed;
-  hw_doorbells_dropped += other.hw_doorbells_dropped;
-  hw_reads_floated += other.hw_reads_floated;
-  hw_writes_dropped += other.hw_writes_dropped;
-  hw_removal_events += other.hw_removal_events;
-  states_evicted += other.states_evicted;
-  peak_state_bytes = std::max(peak_state_bytes, other.peak_state_bytes);
-  blocks_decoded += other.blocks_decoded;
-  block_cache_hits += other.block_cache_hits;
-  block_cache_fallback_fetches += other.block_cache_fallback_fetches;
-  states_merged += other.states_merged;
-  loop_kills += other.loop_kills;
-  edge_kills += other.edge_kills;
+  obs::AccumulateCounters(kEngineCounters, other, this);
   if (edge_rule_kills.size() < other.edge_rule_kills.size()) {
     edge_rule_kills.resize(other.edge_rule_kills.size(), 0);
   }
@@ -52,6 +25,27 @@ void EngineStats::Accumulate(const EngineStats& other) {
   }
   AccumulateForkSites(&fork_sites, other.fork_sites);
   wall_ms += other.wall_ms;
+}
+
+void PublishStatsMetrics(const EngineStats& stats, const SolverStats& solver_stats, bool hw_plan,
+                         bool shared_cache, obs::MetricsRegistry* metrics) {
+  auto publish = [&](const auto& rows, const auto& values) {
+    for (const auto& row : rows) {
+      std::string_view metric = row.metric;
+      if ((!hw_plan && metric.starts_with("hw.")) ||
+          (!shared_cache && metric.starts_with("solver.shared_cache."))) {
+        continue;
+      }
+      if (row.merge == obs::CounterMerge::kMax) {
+        metrics->gauge(row.metric)->Set(static_cast<int64_t>(values.*row.field));
+      } else {
+        metrics->counter(row.metric)->Add(values.*row.field);
+      }
+    }
+  };
+  publish(kEngineCounters, stats);
+  publish(kSolverCounters, solver_stats);
+  metrics->gauge("search.fork_sites")->Set(static_cast<int64_t>(stats.fork_sites.size()));
 }
 
 std::string OriginKeyString(const VarOrigin& origin) {
@@ -425,63 +419,13 @@ void Engine::Run() {
                                                              run_start_)
             .count()));
   }
-  PublishObsMetrics();
+  if (config_.metrics != nullptr) {
+    // One shot at the end of Run: the per-pass registry is fresh per engine,
+    // so adding the totals yields absolute values that merge across passes.
+    PublishStatsMetrics(stats_, solver_.stats(), !config_.fault_plan.hw_points.empty(),
+                        config_.solver.shared_cache != nullptr, config_.metrics);
+  }
 #endif
-}
-
-void Engine::PublishObsMetrics() {
-  if (config_.metrics == nullptr) {
-    return;
-  }
-  // One shot at the end of Run: the per-pass registry is fresh per engine, so
-  // adding the totals yields absolute values that merge across passes.
-  obs::MetricsRegistry& m = *config_.metrics;
-  m.counter("engine.instructions")->Add(stats_.instructions);
-  m.counter("engine.forks")->Add(stats_.forks);
-  m.counter("engine.dropped_forks")->Add(stats_.dropped_forks);
-  m.counter("engine.states_created")->Add(stats_.states_created);
-  m.counter("engine.states_terminated")->Add(stats_.states_terminated);
-  m.counter("engine.states_evicted")->Add(stats_.states_evicted);
-  m.counter("engine.kernel_calls")->Add(stats_.kernel_calls);
-  m.counter("engine.interrupts_injected")->Add(stats_.interrupts_injected);
-  m.counter("engine.concretizations")->Add(stats_.concretizations);
-  m.counter("engine.faults_injected")->Add(stats_.faults_injected);
-  if (!config_.fault_plan.hw_points.empty()) {
-    m.counter("hw.faults_injected")->Add(stats_.hw_faults_injected);
-    m.counter("hw.removals")->Add(stats_.hw_removals);
-    m.counter("hw.sticky_faults")->Add(stats_.hw_sticky_faults);
-    m.counter("hw.irq_storms")->Add(stats_.hw_irq_storms);
-    m.counter("hw.irq_suppressed")->Add(stats_.hw_irq_suppressed);
-    m.counter("hw.doorbells_dropped")->Add(stats_.hw_doorbells_dropped);
-    m.counter("hw.reads_floated")->Add(stats_.hw_reads_floated);
-    m.counter("hw.writes_dropped")->Add(stats_.hw_writes_dropped);
-    m.counter("hw.removal_events")->Add(stats_.hw_removal_events);
-  }
-  m.counter("vm.block_cache.blocks_decoded")->Add(stats_.blocks_decoded);
-  m.counter("vm.block_cache.hits")->Add(stats_.block_cache_hits);
-  m.counter("vm.block_cache.fallback_fetches")->Add(stats_.block_cache_fallback_fetches);
-  // Path-explosion control family: merge/kill outcomes plus the fork
-  // profiler's site count (the table itself rides in EngineStats).
-  m.counter("search.states_merged")->Add(stats_.states_merged);
-  m.counter("search.loop_kills")->Add(stats_.loop_kills);
-  m.counter("search.edge_kills")->Add(stats_.edge_kills);
-  m.gauge("search.fork_sites")->Set(static_cast<int64_t>(stats_.fork_sites.size()));
-  m.gauge("engine.peak_state_bytes")->Set(static_cast<int64_t>(stats_.peak_state_bytes));
-  const SolverStats& ss = solver_.stats();
-  m.counter("solver.queries")->Add(ss.queries);
-  m.counter("solver.sat_calls")->Add(ss.sat_calls);
-  m.counter("solver.cache_hits")->Add(ss.cache_hits);
-  m.counter("solver.model_reuse_hits")->Add(ss.model_reuse_hits);
-  m.counter("solver.quick_decides")->Add(ss.quick_decides);
-  m.counter("solver.timeouts")->Add(ss.query_timeouts);
-  m.counter("solver.aborted_queries")->Add(ss.aborted_queries);
-  if (config_.solver.shared_cache != nullptr) {
-    m.counter("solver.shared_cache.hits")->Add(ss.shared_cache_hits);
-    m.counter("solver.shared_cache.fastpath_hits")->Add(ss.shared_cache_fastpath_hits);
-    m.counter("solver.shared_cache.misses")->Add(ss.shared_cache_misses);
-    m.counter("solver.shared_cache.stores")->Add(ss.shared_cache_stores);
-    m.counter("solver.shared_cache.verify_failures")->Add(ss.shared_cache_verify_failures);
-  }
 }
 
 void Engine::StepState(ExecutionState& st) {

@@ -34,6 +34,7 @@
 #include "src/hw/pci.h"
 #include "src/kernel/exerciser.h"
 #include "src/kernel/kernel_api.h"
+#include "src/obs/counter_table.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/solver/solver.h"
@@ -180,49 +181,74 @@ Result<std::shared_ptr<const PreparedDriver>> PrepareDriver(const DriverImage& i
 // (used to map solved inputs onto replay inputs).
 std::string OriginKeyString(const VarOrigin& origin);
 
+// Every uint64_t counter of EngineStats, declared once as
+//   X(field, merge, journal_key, metric)
+// merge: kSum, or kMax for a high-water mark (published as a gauge).
+// journal_key: the counter's key in a campaign-journal record (never rename:
+// journals written by older builds must keep resuming). metric: its name in
+// the per-pass MetricsRegistry; hw.* rows publish only for passes whose plan
+// carries hardware fault points. The struct fields, Accumulate, the journal
+// codec and metric publishing are all generated from this list.
+#define DDT_ENGINE_COUNTERS(X)                                                           \
+  X(instructions, kSum, "e_instructions", "engine.instructions")                         \
+  X(forks, kSum, "e_forks", "engine.forks")                                              \
+  /* Suppressed by max_states. */                                                        \
+  X(dropped_forks, kSum, "e_dropped_forks", "engine.dropped_forks")                      \
+  X(states_created, kSum, "e_states_created", "engine.states_created")                   \
+  X(states_terminated, kSum, "e_states_terminated", "engine.states_terminated")          \
+  X(max_live_states, kMax, "e_max_live_states", "engine.max_live_states")                \
+  X(kernel_calls, kSum, "e_kernel_calls", "engine.kernel_calls")                         \
+  X(interrupts_injected, kSum, "e_interrupts_injected", "engine.interrupts_injected")    \
+  X(entry_invocations, kSum, "e_entry_invocations", "engine.entry_invocations")          \
+  X(concretizations, kSum, "e_concretizations", "engine.concretizations")                \
+  X(concretization_backtracks, kSum, "e_concretization_backtracks",                      \
+    "engine.concretization_backtracks")                                                  \
+  /* Deliberate kernel-API failures delivered by the active FaultPlan. */                \
+  X(faults_injected, kSum, "e_faults_injected", "engine.faults_injected")                \
+  /* Hardware fault plane (device-level schedules in the same FaultPlan): */             \
+  /* total points triggered, plus per-behavior tallies. */                               \
+  X(hw_faults_injected, kSum, "e_hw_faults", "hw.faults_injected")                       \
+  /* Surprise removals (MMIO- or IRQ-indexed). */                                        \
+  X(hw_removals, kSum, "e_hw_removals", "hw.removals")                                   \
+  /* Sticky all-ones error states latched. */                                            \
+  X(hw_sticky_faults, kSum, "e_hw_sticky", "hw.sticky_faults")                           \
+  /* Interrupts forced past the path budget. */                                          \
+  X(hw_irq_storms, kSum, "e_hw_storms", "hw.irq_storms")                                 \
+  /* Deliveries withheld (drought/removal). */                                           \
+  X(hw_irq_suppressed, kSum, "e_hw_suppressed", "hw.irq_suppressed")                     \
+  /* Single writes silently dropped. */                                                  \
+  X(hw_doorbells_dropped, kSum, "e_hw_doorbells_dropped", "hw.doorbells_dropped")        \
+  /* Reads served all-ones (removed/sticky). */                                          \
+  X(hw_reads_floated, kSum, "e_hw_reads_floated", "hw.reads_floated")                    \
+  /* Writes dropped after removal. */                                                    \
+  X(hw_writes_dropped, kSum, "e_hw_writes_dropped", "hw.writes_dropped")                 \
+  /* PnP removal deliveries to the exerciser. */                                         \
+  X(hw_removal_events, kSum, "e_hw_removal_events", "hw.removal_events")                 \
+  /* States killed by the resource governor (per-state fuel or memory */                 \
+  /* pressure), as opposed to normal termination. */                                     \
+  X(states_evicted, kSum, "e_states_evicted", "engine.states_evicted")                   \
+  /* Peak approximate working-set across live states: COW delta bytes plus */            \
+  /* path-constraint counts (the §5.2 "DDT used at most 4 GB" accounting, */             \
+  /* scaled to this reproduction). */                                                    \
+  X(peak_state_bytes, kMax, "e_peak_state_bytes", "engine.peak_state_bytes")             \
+  /* Translation-cache accounting: straight-line blocks decoded once, and */             \
+  /* instruction fetches served from already-decoded slots. */                           \
+  X(blocks_decoded, kSum, "e_blocks_decoded", "vm.block_cache.blocks_decoded")           \
+  X(block_cache_hits, kSum, "e_block_cache_hits", "vm.block_cache.hits")                 \
+  /* Probes the cache could not serve (misaligned pc or undecodable slot) */             \
+  /* that fell back to byte-wise fetch. */                                               \
+  X(block_cache_fallback_fetches, kSum, "e_bc_fallback_fetches",                         \
+    "vm.block_cache.fallback_fetches")                                                   \
+  /* Path-explosion control (volatile: never in deterministic reports). */               \
+  /* Diamond merges performed (one per pair). */                                         \
+  X(states_merged, kSum, "e_states_merged", "search.states_merged")                      \
+  /* Back-edge-starvation kills. */                                                      \
+  X(loop_kills, kSum, "e_loop_kills", "search.loop_kills")                               \
+  /* Explicit edge-rule kills (sum of per-rule). */                                      \
+  X(edge_kills, kSum, "e_edge_kills", "search.edge_kills")
+
 struct EngineStats {
-  uint64_t instructions = 0;
-  uint64_t forks = 0;
-  uint64_t dropped_forks = 0;  // suppressed by max_states
-  uint64_t states_created = 0;
-  uint64_t states_terminated = 0;
-  uint64_t max_live_states = 0;
-  uint64_t kernel_calls = 0;
-  uint64_t interrupts_injected = 0;
-  uint64_t entry_invocations = 0;
-  uint64_t concretizations = 0;
-  uint64_t concretization_backtracks = 0;
-  // Deliberate kernel-API failures delivered by the active FaultPlan.
-  uint64_t faults_injected = 0;
-  // Hardware fault plane (device-level schedules in the same FaultPlan):
-  // total points triggered, plus per-behavior tallies.
-  uint64_t hw_faults_injected = 0;
-  uint64_t hw_removals = 0;           // surprise removals (MMIO- or IRQ-indexed)
-  uint64_t hw_sticky_faults = 0;      // sticky all-ones error states latched
-  uint64_t hw_irq_storms = 0;         // interrupts forced past the path budget
-  uint64_t hw_irq_suppressed = 0;     // deliveries withheld (drought/removal)
-  uint64_t hw_doorbells_dropped = 0;  // single writes silently dropped
-  uint64_t hw_reads_floated = 0;      // reads served all-ones (removed/sticky)
-  uint64_t hw_writes_dropped = 0;     // writes dropped after removal
-  uint64_t hw_removal_events = 0;     // PnP removal deliveries to the exerciser
-  // States killed by the resource governor (per-state fuel or memory
-  // pressure), as opposed to normal termination.
-  uint64_t states_evicted = 0;
-  // Peak approximate working-set across live states: COW delta bytes plus
-  // path-constraint counts (the §5.2 "DDT used at most 4 GB" accounting,
-  // scaled to this reproduction).
-  uint64_t peak_state_bytes = 0;
-  // Translation-cache accounting: straight-line blocks decoded once, and
-  // instruction fetches served from already-decoded slots.
-  uint64_t blocks_decoded = 0;
-  uint64_t block_cache_hits = 0;
-  // Probes the cache could not serve (misaligned pc or undecodable slot) that
-  // fell back to byte-wise fetch.
-  uint64_t block_cache_fallback_fetches = 0;
-  // Path-explosion control (volatile: never in deterministic reports).
-  uint64_t states_merged = 0;  // diamond merges performed (one per pair)
-  uint64_t loop_kills = 0;     // back-edge-starvation kills
-  uint64_t edge_kills = 0;     // explicit edge-rule kills (sum of per-rule)
+  DDT_ENGINE_COUNTERS(DDT_COUNTER_FIELD)
   // Per-rule kill counts, index-aligned with PathCtlConfig::kill_edges.
   std::vector<uint64_t> edge_rule_kills;
   // Fork profiler: per-(fork-site pc, fault-site) attribution of the state
@@ -230,10 +256,25 @@ struct EngineStats {
   ForkSiteTable fork_sites;
   double wall_ms = 0;
 
-  // Adds `other`'s counters into this (sums, except high-water marks which
-  // take the max). Used to aggregate per-pass stats across a campaign.
+  // Adds `other`'s counters into this, each by its table merge rule. Used to
+  // aggregate per-pass stats across a campaign.
   void Accumulate(const EngineStats& other);
 };
+
+#define DDT_ENGINE_ROW(...) DDT_COUNTER_ROW(EngineStats, __VA_ARGS__)
+inline constexpr obs::CounterRow<EngineStats> kEngineCounters[] = {
+    DDT_ENGINE_COUNTERS(DDT_ENGINE_ROW)};
+#undef DDT_ENGINE_ROW
+
+// Publishes every EngineStats and SolverStats row into `metrics`, plus the
+// search.fork_sites gauge. hw.* rows publish only when `hw_plan` (the pass's
+// plan carries hardware fault points), solver.shared_cache.* rows only when
+// `shared_cache` (the pass ran against a shared query cache). A live engine
+// calls it at the end of Run; the campaign merger calls it for passes it
+// merges from records, so every pass publishes the same names whichever
+// scheduler ran it.
+void PublishStatsMetrics(const EngineStats& stats, const SolverStats& solver_stats, bool hw_plan,
+                         bool shared_cache, obs::MetricsRegistry* metrics);
 
 // One coverage datapoint, taken whenever a new basic block is first covered.
 struct CoverageSample {
@@ -431,9 +472,6 @@ class Engine : public CheckerHost, private BlockCountOracle {
   bool MergeEligible(const ExecutionState& st) const;
   bool BudgetExceeded() const;
   double ElapsedMs() const;
-  // Publishes EngineStats/SolverStats into config_.metrics as named counters
-  // at the end of Run(); no-op when metrics are off.
-  void PublishObsMetrics();
 
   std::vector<SolvedInput> SolveInputs(ExecutionState& st);
 

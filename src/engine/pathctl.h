@@ -78,12 +78,7 @@ struct ForkSiteStats {
   uint64_t states_merged = 0;
   uint64_t kills = 0;
 
-  bool operator==(const ForkSiteStats& other) const {
-    return states_created == other.states_created &&
-           dropped_forks == other.dropped_forks &&
-           states_evicted == other.states_evicted && sat_calls == other.sat_calls &&
-           states_merged == other.states_merged && kills == other.kills;
-  }
+  bool operator==(const ForkSiteStats& other) const = default;
 
   void Accumulate(const ForkSiteStats& other);
 };

@@ -30,6 +30,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -86,7 +87,7 @@ class Coordinator {
  public:
   Coordinator(const FaultCampaignConfig& config, const DriverImage& image,
               const PciDescriptor& descriptor, const FleetCampaignConfig& fleet)
-      : config_(config), image_(image), descriptor_(descriptor), fleet_(fleet) {}
+      : config_(config), image_(image), descriptor_(descriptor), fleet_(fleet), schedule_(config) {}
 
   Result<FaultCampaignResult> Run() {
     auto campaign_start = Clock::now();
@@ -134,47 +135,19 @@ class Coordinator {
           "max_pass_wall_ms (%u)",
           fleet_.heartbeat_timeout_ms, config_.max_pass_wall_ms));
     }
-    fingerprint_ = CampaignFingerprint(config_, image_);
-
     if (config_.collect_metrics) {
       metrics_ = std::make_shared<obs::MetricsRegistry>();
     }
 
-    // Main journal: exactly the in-process semantics — Create fresh, or
-    // OpenForResume and pre-populate completed passes.
-    std::map<uint64_t, CampaignPassRecord> resumed;
-    if (config_.resume) {
-      std::vector<CampaignPassRecord> records;
-      Result<std::unique_ptr<CampaignJournal>> opened = CampaignJournal::OpenForResume(
-          config_.journal_path, image_.name, fingerprint_, &records);
-      if (!opened.ok()) {
-        return opened.status();
-      }
-      journal_ = opened.take();
-      for (CampaignPassRecord& rec : records) {
-        resumed.insert_or_assign(rec.index, std::move(rec));
-      }
-    } else if (!config_.journal_path.empty()) {
-      Result<std::unique_ptr<CampaignJournal>> created =
-          CampaignJournal::Create(config_.journal_path, image_.name, fingerprint_);
-      if (!created.ok()) {
-        return created.status();
-      }
-      journal_ = created.take();
+    // Main journal and schedule: exactly the in-process semantics. A restored
+    // baseline (with its profiles) makes the whole schedule known before any
+    // worker spawns.
+    Status opened = schedule_.Open(image_, metrics_.get());
+    if (!opened.ok()) {
+      return opened;
     }
-    if (journal_ != nullptr && metrics_ != nullptr) {
-      journal_->SetMetrics(metrics_.get());
-    }
-
-    // A restored baseline (with its profile) makes the whole schedule known
-    // before any worker spawns; later restored passes are validated against
-    // the regenerated plans inside OnPlansReady.
-    resume_records_ = std::move(resumed);
-    auto base = resume_records_.find(0);
-    if (base != resume_records_.end() && base->second.has_profile && !base->second.quarantined) {
-      CampaignPassRecord rec = std::move(base->second);
-      resume_records_.erase(base);
-      Status accepted = AcceptRecord(std::move(rec), RecordSource::kResume);
+    if (std::optional<CampaignPassRecord> base = schedule_.TakeBaseline()) {
+      Status accepted = AcceptRecord(std::move(*base), RecordSource::kResume);
       if (!accepted.ok()) {
         return accepted;
       }
@@ -405,7 +378,7 @@ class Coordinator {
         if (!DecodeHello(frame.body, &hello)) {
           return HandleLoss(slot, "malformed HELLO");
         }
-        if (hello.fingerprint != fingerprint_) {
+        if (hello.fingerprint != schedule_.fingerprint()) {
           // A mismatched worker is *rejected*, not quarantined: it is running
           // a different campaign (config or image skew), which is an
           // operator problem, not a pass problem. No salvage, no respawn.
@@ -531,7 +504,7 @@ class Coordinator {
     // completed pass the campaign keeps — including, possibly, the in-flight
     // lease itself (died after journaling, before RESULT).
     Result<std::vector<CampaignPassRecord>> salvaged =
-        LoadCampaignJournalRecords(slot.journal_path, image_.name, fingerprint_);
+        LoadCampaignJournalRecords(slot.journal_path, image_.name, schedule_.fingerprint());
     if (salvaged.ok()) {
       for (CampaignPassRecord& rec : salvaged.value()) {
         Status accepted = AcceptRecord(std::move(rec), RecordSource::kSalvage);
@@ -558,11 +531,12 @@ class Coordinator {
           // The pass kills whoever runs it. Quarantine it with a
           // deterministic failure string (no pids, no timing) so resumed or
           // re-run fleets produce the same record.
+          const FaultPlan& plan = schedule_.plans()[index - 1];
           CampaignPassRecord rec;
           rec.index = index;
-          rec.label = plans_[index - 1].label;
-          rec.points = plans_[index - 1].points;
-          rec.hw_points = plans_[index - 1].hw_points;
+          rec.label = plan.label;
+          rec.points = plan.points;
+          rec.hw_points = plan.hw_points;
           rec.quarantined = true;
           rec.failure =
               StrFormat("worker process lost %u times executing this pass", losses);
@@ -612,7 +586,7 @@ class Coordinator {
       LeaseBody lease;
       lease.index = index;
       if (index > 0) {
-        lease.plan = plans_[index - 1];
+        lease.plan = schedule_.plans()[index - 1];
       }
       Status written = WriteFrame(slot.to_fd, FrameType::kLease, EncodeLease(lease));
       if (!written.ok()) {
@@ -638,7 +612,7 @@ class Coordinator {
     if (completed_.find(index) != completed_.end()) {
       return Status::Ok();  // idempotent: wire + salvage may both report it
     }
-    if (have_plans_ && index > plans_.size()) {
+    if (have_plans_ && index > schedule_.plans().size()) {
       return Status::Ok();  // stray record beyond the schedule
     }
     if (index == 0) {
@@ -650,8 +624,8 @@ class Coordinator {
             "fleet worker returned a baseline record without a fault-site profile");
       }
     }
-    if (source != RecordSource::kResume && journal_ != nullptr) {
-      Status appended = journal_->Append(record);
+    if (source != RecordSource::kResume && schedule_.journal() != nullptr) {
+      Status appended = schedule_.journal()->Append(record);
       if (!appended.ok()) {
         return appended;
       }
@@ -673,52 +647,26 @@ class Coordinator {
   }
 
   Status OnPlansReady(const FaultSiteProfile& profile, const HwSiteProfile& hw_profile) {
-    size_t plan_budget = config_.max_passes > 0 ? config_.max_passes - 1 : 0;
-    plans_ = GenerateCampaignPlans(profile, config_.seed, config_.max_occurrences_per_class,
-                                   config_.escalation_rounds, plan_budget);
-    // Same appending rule as the in-process scheduler, from the same profile
-    // (carried in the baseline record), so both schedulers derive the
-    // identical schedule and the merged reports stay byte-identical.
-    if (config_.hw_faults && plans_.size() < plan_budget) {
-      std::vector<FaultPlan> hw_plans = GenerateHwCampaignPlans(
-          hw_profile, config_.hw_max_points_per_kind, plan_budget - plans_.size());
-      for (FaultPlan& plan : hw_plans) {
-        plans_.push_back(std::move(plan));
-      }
+    Result<CampaignSchedule::Passes> passes = schedule_.Derive(profile, hw_profile);
+    if (!passes.ok()) {
+      return passes.status();
     }
     have_plans_ = true;
-    // Fold in resume-journal records now that labels can be validated, then
-    // queue whatever is still missing.
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      auto it = resume_records_.find(i + 1);
-      if (it == resume_records_.end()) {
-        continue;
-      }
-      if (it->second.label != plans_[i].label) {
-        return Status::Error(StrFormat(
-            "journal '%s' does not match the campaign schedule: pass %zu is '%s' in the "
-            "journal but '%s' in the regenerated plan",
-            config_.journal_path.c_str(), i + 1, it->second.label.c_str(),
-            plans_[i].label.c_str()));
-      }
-      Status accepted = AcceptRecord(std::move(it->second), RecordSource::kResume);
+    for (CampaignPassRecord& rec : passes.value().restored) {
+      Status accepted = AcceptRecord(std::move(rec), RecordSource::kResume);
       if (!accepted.ok()) {
         return accepted;
       }
     }
-    resume_records_.clear();
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      if (completed_.find(i + 1) == completed_.end()) {
-        pending_.push_back(i + 1);
-      }
-    }
+    pending_.insert(pending_.end(), passes.value().pending.begin(),
+                    passes.value().pending.end());
     return Status::Ok();
   }
 
   // --- Finalization --------------------------------------------------------
 
   Status MergeAll() {
-    CampaignMerger merger(&result_);
+    CampaignMerger merger(config_, &result_);
     auto merge_one = [this, &merger](uint64_t index, const FaultPlan& plan) -> Status {
       auto it = completed_.find(index);
       if (it == completed_.end()) {
@@ -735,8 +683,8 @@ class Coordinator {
     if (!st.ok()) {
       return st;
     }
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      st = merge_one(i + 1, plans_[i]);
+    for (size_t i = 0; i < schedule_.plans().size(); ++i) {
+      st = merge_one(i + 1, schedule_.plans()[i]);
       if (!st.ok()) {
         return st;
       }
@@ -805,20 +753,17 @@ class Coordinator {
   const PciDescriptor& descriptor_;
   const FleetCampaignConfig& fleet_;
 
-  uint64_t fingerprint_ = 0;
-  std::unique_ptr<CampaignJournal> journal_;
+  CampaignSchedule schedule_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   FaultCampaignResult result_;
 
   std::vector<Slot> slots_;
   uint64_t generation_counter_ = 0;
 
-  std::vector<FaultPlan> plans_;
   bool have_plans_ = false;
   std::deque<uint64_t> pending_;
   std::map<uint64_t, uint32_t> lease_losses_;
   std::map<uint64_t, CampaignPassRecord> completed_;
-  std::map<uint64_t, CampaignPassRecord> resume_records_;
   std::set<uint64_t> restored_;
 
   bool drain_started_ = false;

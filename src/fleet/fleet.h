@@ -10,7 +10,8 @@
 //               ──pipe──> worker 1
 //               ──pipe──> ...
 //
-// The coordinator owns the schedule: it leases pass indices to workers over
+// The coordinator owns the schedule, derived by the same CampaignSchedule
+// the in-process scheduler uses: it leases pass indices to workers over
 // the wire protocol (src/fleet/wire.h), tracks liveness via heartbeats and
 // waitpid, and merges RESULT records in plan order with the same
 // CampaignMerger the in-process scheduler uses. A worker that dies — any

@@ -24,13 +24,6 @@ namespace fuzz {
 
 namespace {
 
-// Same identity key the campaign merger deduplicates with
-// (src/core/campaign_exec.cc) — a fuzz bug is "new" iff no campaign pass and
-// no earlier fuzz exec already reported it.
-std::string BugKey(const Bug& bug) {
-  return StrFormat("%d|%s", static_cast<int>(bug.type), bug.title.c_str());
-}
-
 // In-process execution: campaign.threads semantics (0 = one per hardware
 // thread, 1 = inline). Results land in exec-index slots, so the merge order
 // downstream is independent of completion order.

@@ -14,24 +14,7 @@
 namespace ddt {
 
 void SolverStats::Accumulate(const SolverStats& other) {
-  queries += other.queries;
-  quick_decides += other.quick_decides;
-  cache_hits += other.cache_hits;
-  sat_calls += other.sat_calls;
-  sat_results += other.sat_results;
-  unsat_results += other.unsat_results;
-  unknown_results += other.unknown_results;
-  query_timeouts += other.query_timeouts;
-  aborted_queries += other.aborted_queries;
-  total_conflicts += other.total_conflicts;
-  total_sat_vars += other.total_sat_vars;
-  total_sat_clauses += other.total_sat_clauses;
-  model_reuse_hits += other.model_reuse_hits;
-  shared_cache_hits += other.shared_cache_hits;
-  shared_cache_fastpath_hits += other.shared_cache_fastpath_hits;
-  shared_cache_misses += other.shared_cache_misses;
-  shared_cache_stores += other.shared_cache_stores;
-  shared_cache_verify_failures += other.shared_cache_verify_failures;
+  obs::AccumulateCounters(kSolverCounters, other, this);
   max_query_wall_ms = std::max(max_query_wall_ms, other.max_query_wall_ms);
 }
 

@@ -21,6 +21,7 @@
 
 #include "src/expr/eval.h"
 #include "src/expr/expr.h"
+#include "src/obs/counter_table.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/solver/shared_cache.h"
@@ -68,47 +69,64 @@ struct SolverConfig {
   obs::PassProfile* profile = nullptr;
 };
 
+// Every uint64_t counter of SolverStats, declared once as
+//   X(field, merge, journal_key, metric)
+// with the same columns as DDT_ENGINE_COUNTERS (src/engine/engine.h).
+// solver.shared_cache.* rows publish only for passes that ran against a
+// shared query cache.
+#define DDT_SOLVER_COUNTERS(X)                                                            \
+  X(queries, kSum, "s_queries", "solver.queries")                                         \
+  /* Answered by interval analysis. */                                                    \
+  X(quick_decides, kSum, "s_quick_decides", "solver.quick_decides")                       \
+  X(cache_hits, kSum, "s_cache_hits", "solver.cache_hits")                                \
+  X(sat_calls, kSum, "s_sat_calls", "solver.sat_calls")                                   \
+  X(sat_results, kSum, "s_sat_results", "solver.sat_results")                             \
+  X(unsat_results, kSum, "s_unsat_results", "solver.unsat_results")                       \
+  X(unknown_results, kSum, "s_unknown_results", "solver.unknown_results")                 \
+  /* Queries abandoned because they hit SolverConfig::max_query_ms (a subset */           \
+  /* of unknown_results). */                                                              \
+  X(query_timeouts, kSum, "s_query_timeouts", "solver.timeouts")                          \
+  /* Queries abandoned because the cooperative abort flag fired (also a */                \
+  /* subset of unknown_results) — the supervisor cancelled this pass. */                  \
+  X(aborted_queries, kSum, "s_aborted_queries", "solver.aborted_queries")                 \
+  X(total_conflicts, kSum, "s_total_conflicts", "solver.total_conflicts")                 \
+  X(total_sat_vars, kSum, "s_total_sat_vars", "solver.total_sat_vars")                    \
+  X(total_sat_clauses, kSum, "s_total_sat_clauses", "solver.total_sat_clauses")           \
+  /* Queries answered by re-evaluating under the last satisfying model */                 \
+  /* (SolverConfig::enable_model_reuse), skipping bit-blasting entirely. */               \
+  X(model_reuse_hits, kSum, "s_model_reuse_hits", "solver.model_reuse_hits")              \
+  /* --- Shared cross-pass cache (SolverConfig::shared_cache) --- */                      \
+  /* Exact canonical-fingerprint hits answered without a SAT call. */                     \
+  X(shared_cache_hits, kSum, "s_sc_hits", "solver.shared_cache.hits")                     \
+  /* Counterexample fast-path hits: the query was answered from a cached */               \
+  /* verdict/model for its constraint-set prefix (subset → unsat */                       \
+  /* propagation, or a cached model that re-verified against the superset). */            \
+  X(shared_cache_fastpath_hits, kSum, "s_sc_fastpath",                                    \
+    "solver.shared_cache.fastpath_hits")                                                  \
+  /* Lookups that found nothing usable and fell through to SAT. */                        \
+  X(shared_cache_misses, kSum, "s_sc_misses", "solver.shared_cache.misses")               \
+  /* Verdicts this solver contributed to the shared store. */                             \
+  X(shared_cache_stores, kSum, "s_sc_stores", "solver.shared_cache.stores")               \
+  /* Cached models that failed concrete re-verification (stale or remapped */             \
+  /* against the wrong width set) — treated as misses, never trusted. */                  \
+  X(shared_cache_verify_failures, kSum, "s_sc_verify_failures",                           \
+    "solver.shared_cache.verify_failures")
+
 struct SolverStats {
-  uint64_t queries = 0;
-  uint64_t quick_decides = 0;   // answered by interval analysis
-  uint64_t cache_hits = 0;
-  uint64_t sat_calls = 0;
-  uint64_t sat_results = 0;
-  uint64_t unsat_results = 0;
-  uint64_t unknown_results = 0;
-  // Queries abandoned because they hit SolverConfig::max_query_ms (a subset
-  // of unknown_results).
-  uint64_t query_timeouts = 0;
-  // Queries abandoned because the cooperative abort flag fired (also a
-  // subset of unknown_results) — the supervisor cancelled this pass.
-  uint64_t aborted_queries = 0;
-  uint64_t total_conflicts = 0;
-  uint64_t total_sat_vars = 0;
-  uint64_t total_sat_clauses = 0;
-  // Queries answered by re-evaluating under the last satisfying model
-  // (SolverConfig::enable_model_reuse), skipping bit-blasting entirely.
-  uint64_t model_reuse_hits = 0;
-  // --- Shared cross-pass cache (SolverConfig::shared_cache) ---
-  // Exact canonical-fingerprint hits answered without a SAT call.
-  uint64_t shared_cache_hits = 0;
-  // Counterexample fast-path hits: the query was answered from a cached
-  // verdict/model for its constraint-set prefix (subset → unsat propagation,
-  // or a cached model that re-verified against the superset).
-  uint64_t shared_cache_fastpath_hits = 0;
-  // Lookups that found nothing usable and fell through to SAT.
-  uint64_t shared_cache_misses = 0;
-  // Verdicts this solver contributed to the shared store.
-  uint64_t shared_cache_stores = 0;
-  // Cached models that failed concrete re-verification (stale or remapped
-  // against the wrong width set) — treated as misses, never trusted.
-  uint64_t shared_cache_verify_failures = 0;
+  DDT_SOLVER_COUNTERS(DDT_COUNTER_FIELD)
   // Wall time of the slowest single SolveExprs call, in milliseconds.
   double max_query_wall_ms = 0;
 
-  // Folds `other` into this: counters are summed, max_query_wall_ms takes
-  // the max. Used to aggregate per-pass stats across a fault campaign.
+  // Folds `other` into this: counters by their table merge rule,
+  // max_query_wall_ms by max. Used to aggregate per-pass stats across a
+  // fault campaign.
   void Accumulate(const SolverStats& other);
 };
+
+#define DDT_SOLVER_ROW(...) DDT_COUNTER_ROW(SolverStats, __VA_ARGS__)
+inline constexpr obs::CounterRow<SolverStats> kSolverCounters[] = {
+    DDT_SOLVER_COUNTERS(DDT_SOLVER_ROW)};
+#undef DDT_SOLVER_ROW
 
 class Solver {
  public:

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "src/core/ddt.h"
 #include "src/drivers/corpus.h"
@@ -277,24 +280,34 @@ TEST(BlockCacheDifferentialTest, CachedExecutionIdenticalAcrossCorpus) {
 }
 
 TEST(EngineStatsTest, AccumulateSumsCountersAndMaxesHighWater) {
-  EngineStats a;
-  a.instructions = 100;
-  a.forks = 2;
-  a.max_live_states = 5;
-  a.peak_state_bytes = 1000;
-  a.wall_ms = 10;
-  EngineStats b;
-  b.instructions = 50;
-  b.forks = 1;
-  b.max_live_states = 9;
-  b.peak_state_bytes = 400;
-  b.wall_ms = 5;
-  a.Accumulate(b);
-  EXPECT_EQ(a.instructions, 150u);
-  EXPECT_EQ(a.forks, 3u);
-  EXPECT_EQ(a.max_live_states, 9u);    // max, not sum
-  EXPECT_EQ(a.peak_state_bytes, 1000u);  // max, not sum
-  EXPECT_DOUBLE_EQ(a.wall_ms, 15.0);
+  // kMax is for high-water marks only; every other counter is an event count.
+  std::set<std::string> max_rows;
+  for (const auto& row : kEngineCounters) {
+    if (row.merge == obs::CounterMerge::kMax) {
+      max_rows.insert(row.name);
+    }
+  }
+  EXPECT_EQ(max_rows, (std::set<std::string>{"max_live_states", "peak_state_bytes"}));
+
+  EngineStats total;
+  EngineStats big;
+  EngineStats small;
+  for (const auto& row : kEngineCounters) {
+    total.*row.field = 40;
+    big.*row.field = 100;
+    small.*row.field = 1;
+  }
+  big.edge_rule_kills = {1, 2};
+  small.edge_rule_kills = {3};
+  big.wall_ms = 10;
+  small.wall_ms = 5;
+  total.Accumulate(big);
+  total.Accumulate(small);
+  for (const auto& row : kEngineCounters) {
+    EXPECT_EQ(total.*row.field, row.merge == obs::CounterMerge::kMax ? 100u : 141u) << row.name;
+  }
+  EXPECT_EQ(total.edge_rule_kills, (std::vector<uint64_t>{4, 2}));
+  EXPECT_DOUBLE_EQ(total.wall_ms, 15.0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Campaign checkpoint journal units: full record round-trip (stats, bugs,
-// profile, quarantine metadata), crash-tolerant resume (torn and corrupt
+// Campaign checkpoint journal units: the record payload pinned byte for byte,
+// full record round-trip (every counter row, stats, bugs, profile,
+// quarantine metadata), crash-tolerant resume (torn and corrupt
 // trailing records discarded, valid prefix preserved and appendable), and
 // header validation (wrong driver / fingerprint / format rejected).
 #include "src/core/campaign_journal.h"
@@ -8,6 +9,7 @@
 
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,95 @@ CampaignPassRecord SampleRecord(uint64_t index) {
   bug.fault_plan.points = rec.points;
   rec.bugs.push_back(bug);
   return rec;
+}
+
+// A record in which every counter, both doubles, the per-rule kills and one
+// fork-site row hold distinct values.
+CampaignPassRecord GoldenRecord() {
+  CampaignPassRecord rec;
+  rec.index = 3;
+  rec.label = "allocation#1";
+  rec.points.push_back(FaultPoint{FaultClass::kAllocation, 1});
+  rec.hw_points.push_back(HwFaultPoint{HwFaultKind::kDoorbellDrop, 12});
+  rec.retries = 2;
+  rec.has_profile = true;
+  rec.profile.max_occurrences = {4, 1, 0, 2};
+  rec.hw_profile = HwSiteProfile{5, 3, 2, 7, 1};
+  uint64_t value = 101;
+  for (const auto& row : kEngineCounters) {
+    rec.stats.*row.field = value++;
+  }
+  value = 201;
+  for (const auto& row : kSolverCounters) {
+    rec.solver_stats.*row.field = value++;
+  }
+  rec.stats.edge_rule_kills = {3, 0, 5};
+  rec.stats.fork_sites[{0x00401230u, "allocation#1"}] = ForkSiteStats{11, 12, 13, 14, 15, 16};
+  rec.stats.wall_ms = 123.45678901234567;
+  rec.solver_stats.max_query_wall_ms = 7.0625;
+  return rec;
+}
+
+// The payload is an on-disk format: journals and fleet shard journals written
+// by older builds must keep resuming, and fleet workers ship it over the
+// wire. The literal pins every key, its position and its encoding.
+TEST(CampaignJournalTest, PayloadMatchesThePinnedFormat) {
+  const std::string pinned =
+      R"json({"i":3,"label":"allocation#1","points":"0#1","hw_points":"5#12","retries":2)json"
+      R"json(,"q":0,"failure":"","profile":"4 1 0 2","hw_profile":"5 3 2 7 1")json"
+      R"json(,"e_instructions":101,"e_forks":102,"e_dropped_forks":103,"e_states_created":104)json"
+      R"json(,"e_states_terminated":105,"e_max_live_states":106,"e_kernel_calls":107)json"
+      R"json(,"e_interrupts_injected":108,"e_entry_invocations":109,"e_concretizations":110)json"
+      R"json(,"e_concretization_backtracks":111,"e_faults_injected":112,"e_hw_faults":113)json"
+      R"json(,"e_hw_removals":114,"e_hw_sticky":115,"e_hw_storms":116,"e_hw_suppressed":117)json"
+      R"json(,"e_hw_doorbells_dropped":118,"e_hw_reads_floated":119,"e_hw_writes_dropped":120)json"
+      R"json(,"e_hw_removal_events":121,"e_states_evicted":122,"e_peak_state_bytes":123)json"
+      R"json(,"e_blocks_decoded":124,"e_block_cache_hits":125,"e_bc_fallback_fetches":126)json"
+      R"json(,"e_states_merged":127,"e_loop_kills":128,"e_edge_kills":129)json"
+      R"json(,"e_edge_rule_kills":"3 0 5")json"
+      R"json(,"e_fork_sites":"00401230:allocation#1:11:12:13:14:15:16")json"
+      R"json(,"e_wall_ms":123.45678901234567,"s_queries":201,"s_quick_decides":202)json"
+      R"json(,"s_cache_hits":203,"s_sat_calls":204,"s_sat_results":205,"s_unsat_results":206)json"
+      R"json(,"s_unknown_results":207,"s_query_timeouts":208,"s_aborted_queries":209)json"
+      R"json(,"s_total_conflicts":210,"s_total_sat_vars":211,"s_total_sat_clauses":212)json"
+      R"json(,"s_model_reuse_hits":213,"s_sc_hits":214,"s_sc_fastpath":215,"s_sc_misses":216)json"
+      R"json(,"s_sc_stores":217,"s_sc_verify_failures":218,"s_max_query_wall_ms":7.0625)json"
+      R"json(,"bugs":"ddt-bug-report v1\n"})json";
+  EXPECT_EQ(EncodeCampaignPassRecord(GoldenRecord()), pinned);
+}
+
+TEST(CampaignJournalTest, EveryCounterRowRoundTrips) {
+  const CampaignPassRecord want = GoldenRecord();
+  CampaignPassRecord got;
+  ASSERT_TRUE(DecodeCampaignPassRecord(EncodeCampaignPassRecord(want), &got));
+  for (const auto& row : kEngineCounters) {
+    EXPECT_EQ(got.stats.*row.field, want.stats.*row.field) << row.name;
+  }
+  for (const auto& row : kSolverCounters) {
+    EXPECT_EQ(got.solver_stats.*row.field, want.solver_stats.*row.field) << row.name;
+  }
+  EXPECT_EQ(got.stats.edge_rule_kills, want.stats.edge_rule_kills);
+  EXPECT_EQ(got.stats.fork_sites, want.stats.fork_sites);
+  EXPECT_EQ(got.stats.wall_ms, want.stats.wall_ms);
+  EXPECT_EQ(got.solver_stats.max_query_wall_ms, want.solver_stats.max_query_wall_ms);
+}
+
+// Two rows sharing a journal key or a metric name would overwrite each other.
+TEST(CampaignJournalTest, CounterRowsHaveDistinctKeysAndMetrics) {
+  std::set<std::string> keys;
+  std::set<std::string> metrics;
+  size_t rows = 0;
+  auto collect = [&](const auto& table) {
+    for (const auto& row : table) {
+      keys.insert(row.journal_key);
+      metrics.insert(row.metric);
+      ++rows;
+    }
+  };
+  collect(kEngineCounters);
+  collect(kSolverCounters);
+  EXPECT_EQ(keys.size(), rows);
+  EXPECT_EQ(metrics.size(), rows);
 }
 
 TEST(CampaignJournalTest, RoundTripsRecordsExactly) {

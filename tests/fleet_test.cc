@@ -3,6 +3,8 @@
 // SIGKILLed workers (salvage + lease reassignment), duplicate RESULT frames,
 // worker recycling, and resume — and a worker whose HELLO fingerprint does
 // not match is rejected (operator error), never quarantined (pass error).
+// Both schedulers refuse a journal from another schedule with one error, and
+// record-sourced passes publish the same counter metrics as live ones.
 // Plus wire-protocol units: framing round-trip, incremental decode, CRC and
 // truncation detection.
 #include "src/fleet/fleet.h"
@@ -10,9 +12,13 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <fstream>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/core/campaign_exec.h"
 #include "src/drivers/corpus.h"
 #include "src/fleet/wire.h"
 #include "src/support/strings.h"
@@ -330,6 +336,108 @@ TEST(FleetCampaignTest, CoordinatorJournalResumesWithoutReleasing) {
   ASSERT_TRUE(second.ok()) << second.status().message();
   EXPECT_EQ(second.value().FormatReport(driver.name, false), ReferenceReport());
   EXPECT_EQ(second.value().passes_loaded, second.value().passes.size());
+}
+
+// A journal whose pass 1 carries another label belongs to another schedule.
+// It is rewritten through CampaignJournal, so every CRC holds and the
+// fingerprint matches: only the schedule's label check can catch it, and
+// both schedulers must refuse it with the same text.
+TEST(FleetCampaignTest, BothSchedulersRefuseAJournalFromAnotherSchedule) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  FaultCampaignConfig config = TestConfig();
+  config.journal_path = testing::TempDir() + "fleet_relabelled.journal";
+  Result<FaultCampaignResult> first = RunFaultCampaign(config, driver.image, driver.pci);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+
+  uint64_t fingerprint = CampaignFingerprint(config, driver.image);
+  Result<std::vector<CampaignPassRecord>> records =
+      LoadCampaignJournalRecords(config.journal_path, driver.image.name, fingerprint);
+  ASSERT_TRUE(records.ok()) << records.status().message();
+  {
+    Result<std::unique_ptr<CampaignJournal>> journal =
+        CampaignJournal::Create(config.journal_path, driver.image.name, fingerprint);
+    ASSERT_TRUE(journal.ok()) << journal.status().message();
+    for (CampaignPassRecord& rec : records.value()) {
+      if (rec.index == 1) {
+        rec.label = "relabelled";
+      }
+      ASSERT_TRUE(journal.value()->Append(rec).ok());
+    }
+  }
+
+  config.resume = true;
+  Result<FaultCampaignResult> in_process = RunFaultCampaign(config, driver.image, driver.pci);
+  Result<FaultCampaignResult> fleet =
+      RunFleetCampaign(config, driver.image, driver.pci, TestFleet("relabelled", 2));
+  ASSERT_FALSE(in_process.ok());
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_NE(in_process.status().message().find(
+                "does not match the campaign schedule: pass 1 is 'relabelled' in the journal"),
+            std::string::npos)
+      << in_process.status().message();
+  EXPECT_EQ(fleet.status().message(), in_process.status().message());
+}
+
+// The table-row metrics of a snapshot: counters for kSum rows, gauge
+// high-water marks for kMax rows. Rows a run did not publish stay absent.
+std::map<std::string, uint64_t> CounterRowMetrics(const obs::MetricsSnapshot& snapshot) {
+  std::map<std::string, uint64_t> out;
+  auto collect = [&](const auto& rows) {
+    for (const auto& row : rows) {
+      if (row.merge == obs::CounterMerge::kMax) {
+        auto it = snapshot.gauges.find(row.metric);
+        if (it != snapshot.gauges.end()) {
+          out[row.metric] = static_cast<uint64_t>(it->second.max);
+        }
+      } else {
+        auto it = snapshot.counters.find(row.metric);
+        if (it != snapshot.counters.end()) {
+          out[row.metric] = it->second;
+        }
+      }
+    }
+  };
+  collect(kEngineCounters);
+  collect(kSolverCounters);
+  return out;
+}
+
+// Passes merged from records — every fleet pass, every journal-restored pass
+// — publish their counters from the record, so the metrics do not depend on
+// who ran a pass. Without a shared cache every row is deterministic.
+TEST(FleetCampaignTest, RecordSourcedPassesPublishTheSameCounterMetrics) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  FaultCampaignConfig config = TestConfig();
+  config.collect_metrics = true;
+  Result<FaultCampaignResult> fleet =
+      RunFleetCampaign(config, driver.image, driver.pci, TestFleet("metrics", 3));
+  ASSERT_TRUE(fleet.ok()) << fleet.status().message();
+
+  config.journal_path = testing::TempDir() + "fleet_metrics.journal";
+  Result<FaultCampaignResult> reference = RunFaultCampaign(config, driver.image, driver.pci);
+  ASSERT_TRUE(reference.ok()) << reference.status().message();
+  std::map<std::string, uint64_t> want = CounterRowMetrics(reference.value().metrics);
+  EXPECT_GT(want["engine.instructions"], 0u);
+  EXPECT_EQ(want.count("hw.faults_injected"), 0u);  // no hw plan ran
+  EXPECT_EQ(CounterRowMetrics(fleet.value().metrics), want);
+
+  // Kill and resume: keep the header and the first three records (one
+  // thread journals in plan order), as a campaign killed after pass 2
+  // leaves its journal, then resume.
+  std::string journal;
+  {
+    std::ifstream in(config.journal_path);
+    std::string line;
+    for (int i = 0; i < 4 && std::getline(in, line); ++i) {
+      journal += line + "\n";
+    }
+  }
+  std::ofstream(config.journal_path, std::ios::trunc) << journal;
+  config.resume = true;
+  Result<FaultCampaignResult> resumed = RunFaultCampaign(config, driver.image, driver.pci);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed.value().passes_loaded, 3u);
+  EXPECT_EQ(CounterRowMetrics(resumed.value().metrics), want);
 }
 
 }  // namespace

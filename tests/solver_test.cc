@@ -692,39 +692,24 @@ TEST(SolverModelReuseTest, ModelRequestingQueriesBypassReuse) {
 }
 
 TEST(SolverStatsTest, AccumulateSumsCountersAndMaxesQueryTime) {
-  SolverStats a;
-  a.queries = 10;
-  a.sat_calls = 4;
-  a.model_reuse_hits = 2;
-  a.aborted_queries = 1;
-  a.shared_cache_hits = 3;
-  a.shared_cache_fastpath_hits = 1;
-  a.shared_cache_misses = 6;
-  a.shared_cache_stores = 5;
-  a.shared_cache_verify_failures = 1;
-  a.max_query_wall_ms = 7.5;
-  SolverStats b;
-  b.queries = 3;
-  b.sat_calls = 1;
-  b.model_reuse_hits = 5;
-  b.aborted_queries = 2;
-  b.shared_cache_hits = 2;
-  b.shared_cache_fastpath_hits = 4;
-  b.shared_cache_misses = 1;
-  b.shared_cache_stores = 2;
-  b.shared_cache_verify_failures = 3;
-  b.max_query_wall_ms = 2.5;
-  a.Accumulate(b);
-  EXPECT_EQ(a.queries, 13u);
-  EXPECT_EQ(a.sat_calls, 5u);
-  EXPECT_EQ(a.model_reuse_hits, 7u);
-  EXPECT_EQ(a.aborted_queries, 3u);
-  EXPECT_EQ(a.shared_cache_hits, 5u);
-  EXPECT_EQ(a.shared_cache_fastpath_hits, 5u);
-  EXPECT_EQ(a.shared_cache_misses, 7u);
-  EXPECT_EQ(a.shared_cache_stores, 7u);
-  EXPECT_EQ(a.shared_cache_verify_failures, 4u);
-  EXPECT_DOUBLE_EQ(a.max_query_wall_ms, 7.5);  // max, not sum
+  SolverStats total;
+  SolverStats big;
+  SolverStats small;
+  for (const auto& row : kSolverCounters) {
+    EXPECT_EQ(row.merge, obs::CounterMerge::kSum) << row.name;  // all event counts
+    total.*row.field = 40;
+    big.*row.field = 100;
+    small.*row.field = 1;
+  }
+  total.max_query_wall_ms = 7.5;
+  big.max_query_wall_ms = 2.5;
+  small.max_query_wall_ms = 9.25;
+  total.Accumulate(big);
+  total.Accumulate(small);
+  for (const auto& row : kSolverCounters) {
+    EXPECT_EQ(total.*row.field, 141u) << row.name;
+  }
+  EXPECT_DOUBLE_EQ(total.max_query_wall_ms, 9.25);  // max, not sum
 }
 
 // --- Per-solver cache collision safety ---------------------------------------
