@@ -525,7 +525,7 @@ int main(int argc, char** argv) {
   // journaled run against the identical unjournaled run (threads=4, from
   // part 2).
   std::printf("\n=== campaign supervisor overhead (checkpoint journal) ===\n");
-  const char* journal_path = "/tmp/ddt_bench_campaign.jsonl";
+  const char* journal_path = "/tmp/ddt_bench_campaign.journal";
   CampaignRun journaled = RunCampaign(farm_image, farm_pci, 4, journal_path);
   std::remove(journal_path);
   double journal_overhead =

@@ -12,8 +12,10 @@
 // schedule.
 //
 // Supervisor flags (CI uses these to prove kill-and-resume determinism):
-//   --journal=PATH     checkpoint each completed pass to PATH
-//   --resume           resume from a (possibly interrupted) journal at PATH
+//   --journal=PATH     checkpoint each completed pass to PATH (CRC-framed
+//                      records; a torn tail from a kill is discarded)
+//   --resume           resume from a (possibly interrupted) journal at PATH;
+//                      with --fuzz-corpus, also resume the fuzz loop
 //   --report-out=PATH  write the deterministic report (no wall times, thread
 //                      counts, or resume counters) to PATH for diffing
 //   --threads=N        scheduler threads (default: one per hardware thread)
@@ -21,7 +23,8 @@
 //                      process-wide canonical query cache persisted at PATH:
 //                      the first run is cold, reruns warm-start from disk and
 //                      skip already-solved SAT work (the deterministic report
-//                      is byte-identical either way — CI diffs it)
+//                      is byte-identical either way — CI diffs it); a damaged
+//                      or stale file is ignored and counted, never fatal
 //
 // Path-explosion control flags (src/engine/pathctl.h; see DESIGN.md §7i):
 //   --pathctl=0|1      enable the path-explosion controls: diamond state
@@ -80,9 +83,11 @@
 //                      are bound to it
 //   --fuzz-batches=N   mutation batches after the seed batch (default 4)
 //   --fuzz-execs=N     concrete executions per batch (default 32)
-//   --fuzz-corpus=PATH persist the corpus (CRC-sealed, torn-tail tolerant);
-//                      with --resume, completed batches load from it and only
-//                      missing batches execute
+//   --fuzz-corpus=PATH persist the corpus and the loop's resume state
+//                      (CRC-framed records, torn-tail tolerant); with
+//                      --resume, completed batches load from it with their
+//                      tallies and bugs, only missing batches execute, and
+//                      the report matches an uninterrupted run's
 //                      (--workers also shards fuzz execs across forked
 //                      processes; the report is identical at any count)
 #include <unistd.h>

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/support/record.h"
 #include "src/support/strings.h"
 
 namespace ddt {
@@ -234,8 +235,12 @@ Result<std::vector<Bug>> DeserializeBugs(const std::string& text) {
     } else if (key == "trace") {
       // Stored as rendered text; kept in `details` addendum rather than as
       // structured events (expression pointers cannot cross processes).
-      current.details += current.details.empty() ? "" : "\n";
-      current.details += Unescape(value);
+      // An empty trace (every deserialized bug's) adds nothing, so a second
+      // round trip reproduces the first byte for byte.
+      if (!value.empty()) {
+        current.details += current.details.empty() ? "" : "\n";
+        current.details += Unescape(value);
+      }
     }
   }
   if (in_bug) {
@@ -245,34 +250,15 @@ Result<std::vector<Bug>> DeserializeBugs(const std::string& text) {
 }
 
 Status SaveBugsFile(const std::string& path, const std::vector<Bug>& bugs) {
-  std::string text = SerializeBugs(bugs);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error("cannot open for writing: " + path);
-  }
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return Status::Error("short write: " + path);
-  }
-  return Status::Ok();
+  return WriteFileAtomic(path, SerializeBugs(bugs));
 }
 
 Result<std::vector<Bug>> LoadBugsFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::Error("cannot open: " + path);
+  Result<std::string> text = ReadWholeFile(path);
+  if (!text.ok()) {
+    return text.status();
   }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string text(static_cast<size_t>(size > 0 ? size : 0), '\0');
-  size_t read = std::fread(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (read != text.size()) {
-    return Status::Error("short read: " + path);
-  }
-  return DeserializeBugs(text);
+  return DeserializeBugs(text.value());
 }
 
 }  // namespace ddt

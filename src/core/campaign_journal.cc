@@ -7,14 +7,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string_view>
 #include <utility>
 
 #include "src/core/bug_io.h"
 #include "src/obs/trace_events.h"
-#include "src/support/crc32.h"
+#include "src/support/record.h"
 #include "src/support/strings.h"
 
 namespace ddt {
@@ -89,7 +88,7 @@ class JsonWriter {
 
 // Parses one flat object into key -> decoded value. Strings are unescaped;
 // numbers kept as their raw token (callers strtoull/strtod them). Returns
-// false on any malformed input — the caller treats the line as a torn tail.
+// false on any malformed input — the caller treats the record as a torn tail.
 bool ParseFlatJson(std::string_view text, std::map<std::string, std::string>* out) {
   size_t pos = 0;
   auto skip_ws = [&] {
@@ -233,7 +232,7 @@ std::string GetStr(const std::map<std::string, std::string>& m, const char* key)
 // ---------------------------------------------------------------------------
 
 constexpr char kFormatName[] = "ddt-campaign-journal";
-constexpr int kFormatVersion = 1;
+constexpr int kFormatVersion = 2;
 
 std::string PointsToString(const std::vector<FaultPoint>& points) {
   std::string out;
@@ -417,53 +416,26 @@ bool DecodeRecord(const std::map<std::string, std::string>& m, CampaignPassRecor
   return true;
 }
 
-// Wraps a record payload into one journal line; the CRC covers exactly the
-// payload text, so any torn write or bit flip is detected.
-std::string WrapLine(const std::string& payload) {
-  return StrFormat("{\"crc\":\"%08X\",\"record\":", Crc32(payload)) + payload + "}\n";
-}
-
-// Inverse of WrapLine (without the trailing newline). Returns false unless
-// the wrapper parses and the CRC matches.
-bool UnwrapLine(std::string_view line, std::string_view* payload) {
-  constexpr std::string_view kPrefix = "{\"crc\":\"";
-  constexpr size_t kCrcDigits = 8;
-  constexpr std::string_view kMid = "\",\"record\":";
-  size_t header_len = kPrefix.size() + kCrcDigits + kMid.size();
-  if (line.size() < header_len + 2 || line.substr(0, kPrefix.size()) != kPrefix ||
-      line.substr(kPrefix.size() + kCrcDigits, kMid.size()) != kMid || line.back() != '}') {
-    return false;
-  }
-  char hex[kCrcDigits + 1] = {};
-  std::memcpy(hex, line.data() + kPrefix.size(), kCrcDigits);
-  char* end = nullptr;
-  uint32_t crc = static_cast<uint32_t>(std::strtoul(hex, &end, 16));
-  if (end != hex + kCrcDigits) {
-    return false;
-  }
-  *payload = line.substr(header_len, line.size() - header_len - 1);
-  return Crc32(*payload) == crc;
-}
-
 std::string EncodeHeader(const std::string& driver, uint64_t fingerprint) {
   JsonWriter w;
   w.Str("format", kFormatName);
   w.U64("v", kFormatVersion);
   w.Str("driver", driver);
   w.Str("fp", StrFormat("%016llX", static_cast<unsigned long long>(fingerprint)));
-  return w.Finish() + "\n";
+  return w.Finish();
 }
 
-// Validates a journal's header line against (driver, fingerprint). On success
-// leaves `in` positioned at the first record line.
-Status ValidateHeader(std::ifstream& in, const std::string& path, const std::string& driver,
-                      uint64_t fingerprint, size_t* header_bytes) {
-  std::string line;
-  if (!std::getline(in, line)) {
+// Validates a journal's header record against (driver, fingerprint). On
+// success leaves `*pos` just past it.
+Status ValidateHeader(std::string_view bytes, const std::string& path, const std::string& driver,
+                      uint64_t fingerprint, size_t* pos) {
+  if (bytes.empty()) {
     return Status::Error(StrFormat("cannot resume: journal '%s' is empty", path.c_str()));
   }
+  std::string_view payload;
   std::map<std::string, std::string> header;
-  if (!ParseFlatJson(line, &header) || GetStr(header, "format") != kFormatName) {
+  if (ReadRecord(bytes, pos, &payload) != RecordRead::kRecord ||
+      !ParseFlatJson(payload, &header) || GetStr(header, "format") != kFormatName) {
     return Status::Error(
         StrFormat("'%s' is not a DDT campaign journal", path.c_str()));
   }
@@ -482,30 +454,26 @@ Status ValidateHeader(std::ifstream& in, const std::string& path, const std::str
         "(fingerprint %s, expected %s)",
         path.c_str(), GetStr(header, "fp").c_str(), expected_fp.c_str()));
   }
-  *header_bytes = line.size() + 1;
   return Status::Ok();
 }
 
-// Reads the valid record prefix: every intact record extends it; the first
-// torn, corrupt, or undecodable line ends it — a crash mid-append is
-// expected, not fatal. Returns the byte offset just past the last valid line.
-size_t ReadValidRecords(std::ifstream& in, size_t header_bytes,
+// Reads the valid record prefix from `pos` on: every intact record extends
+// it; the first torn, corrupt, or undecodable record ends it — a crash
+// mid-append is expected, not fatal. Returns the byte offset just past the
+// last valid record.
+size_t ReadValidRecords(std::string_view bytes, size_t pos,
                         std::vector<CampaignPassRecord>* records) {
-  size_t valid_end = header_bytes;
-  std::string line;
-  while (std::getline(in, line)) {
-    bool complete = !in.eof();  // a final line without '\n' is a torn write
+  for (;;) {
+    size_t next = pos;
     std::string_view payload;
-    std::map<std::string, std::string> fields;
     CampaignPassRecord rec;
-    if (!complete || !UnwrapLine(line, &payload) || !ParseFlatJson(payload, &fields) ||
-        !DecodeRecord(fields, &rec)) {
-      break;
+    if (ReadRecord(bytes, &next, &payload) != RecordRead::kRecord ||
+        !DecodeCampaignPassRecord(payload, &rec)) {
+      return pos;
     }
     records->push_back(std::move(rec));
-    valid_end += line.size() + 1;
+    pos = next;
   }
-  return valid_end;
 }
 
 }  // namespace
@@ -514,7 +482,7 @@ std::string EncodeCampaignPassRecord(const CampaignPassRecord& record) {
   return EncodeRecord(record);
 }
 
-bool DecodeCampaignPassRecord(const std::string& payload, CampaignPassRecord* record) {
+bool DecodeCampaignPassRecord(std::string_view payload, CampaignPassRecord* record) {
   std::map<std::string, std::string> fields;
   return ParseFlatJson(payload, &fields) && DecodeRecord(fields, record);
 }
@@ -523,16 +491,16 @@ Result<std::vector<CampaignPassRecord>> LoadCampaignJournalRecords(const std::st
                                                                    const std::string& driver,
                                                                    uint64_t fingerprint) {
   std::vector<CampaignPassRecord> records;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  Result<std::string> bytes = ReadWholeFile(path);
+  if (!bytes.ok()) {
     return records;  // no shard journal yet — the worker died before pass 1
   }
-  size_t header_bytes = 0;
-  Status st = ValidateHeader(in, path, driver, fingerprint, &header_bytes);
+  size_t pos = 0;
+  Status st = ValidateHeader(bytes.value(), path, driver, fingerprint, &pos);
   if (!st.ok()) {
     return st;
   }
-  ReadValidRecords(in, header_bytes, &records);
+  ReadValidRecords(bytes.value(), pos, &records);
   return records;
 }
 
@@ -548,13 +516,18 @@ CampaignJournal::~CampaignJournal() {
 Result<std::unique_ptr<CampaignJournal>> CampaignJournal::Create(const std::string& path,
                                                                  const std::string& driver,
                                                                  uint64_t fingerprint) {
+  std::string header;
+  Status framed = AppendRecord(&header, EncodeHeader(driver, fingerprint));
+  if (!framed.ok()) {
+    return Status::Error(StrFormat("cannot write campaign journal '%s': %s", path.c_str(),
+                                   framed.message().c_str()));
+  }
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) {
     return Status::Error(
         StrFormat("cannot open campaign journal '%s' for writing: %s", path.c_str(),
                   std::strerror(errno)));
   }
-  std::string header = EncodeHeader(driver, fingerprint);
   if (std::fwrite(header.data(), 1, header.size(), file) != header.size() ||
       std::fflush(file) != 0) {
     std::fclose(file);
@@ -566,19 +539,18 @@ Result<std::unique_ptr<CampaignJournal>> CampaignJournal::Create(const std::stri
 Result<std::unique_ptr<CampaignJournal>> CampaignJournal::OpenForResume(
     const std::string& path, const std::string& driver, uint64_t fingerprint,
     std::vector<CampaignPassRecord>* records) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  Result<std::string> bytes = ReadWholeFile(path);
+  if (!bytes.ok()) {
     return Status::Error(StrFormat(
         "cannot resume: campaign journal '%s' does not exist or is unreadable", path.c_str()));
   }
-  size_t header_bytes = 0;
-  Status st = ValidateHeader(in, path, driver, fingerprint, &header_bytes);
+  size_t pos = 0;
+  Status st = ValidateHeader(bytes.value(), path, driver, fingerprint, &pos);
   if (!st.ok()) {
     return st;
   }
   records->clear();
-  size_t valid_end = ReadValidRecords(in, header_bytes, records);
-  in.close();
+  size_t valid_end = ReadValidRecords(bytes.value(), pos, records);
 
   // Truncate the invalid tail so appended records follow the valid prefix.
   if (::truncate(path.c_str(), static_cast<off_t>(valid_end)) != 0) {
@@ -609,13 +581,19 @@ void CampaignJournal::SetMetrics(obs::MetricsRegistry* metrics) {
 
 Status CampaignJournal::Append(const CampaignPassRecord& record) {
   obs::ScopedSpan obs_span("journal.append");
-  std::string line = WrapLine(EncodeRecord(record));
+  std::string frame;
+  Status framed = AppendRecord(&frame, EncodeRecord(record));
+  if (!framed.ok()) {
+    return Status::Error(StrFormat("cannot append to campaign journal '%s': %s", path_.c_str(),
+                                   framed.message().c_str()));
+  }
   std::unique_lock<std::mutex> lock(mu_);
   std::chrono::steady_clock::time_point start;
   if (append_ms_ != nullptr) {
     start = std::chrono::steady_clock::now();
   }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() || std::fflush(file_) != 0) {
+  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
+      std::fflush(file_) != 0) {
     return Status::Error(StrFormat("cannot append to campaign journal '%s'", path_.c_str()));
   }
   if (append_ms_ != nullptr) {

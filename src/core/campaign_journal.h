@@ -6,21 +6,22 @@
 // merges, a self-contained record — the plan, the per-pass engine/solver
 // stats, the serialized bugs (src/core/bug_io.h), and for the baseline the
 // fault-site profile every later plan derives from — is appended to an
-// append-only JSONL file and flushed. Restarting the campaign with
+// append-only file and flushed. Restarting the campaign with
 // `resume = true` loads the completed passes from the journal, executes only
 // the missing ones, and merges everything in plan order, so the deterministic
 // report is byte-identical to an uninterrupted run.
 //
-// Format: line 1 is a header naming the format version, the driver, and a
+// Format: a sequence of CRC-framed records (src/support/record.h). The first
+// record is a flat-JSON header naming the format version, the driver, and a
 // fingerprint of every plan-determining config knob plus the driver image
 // bytes (so a journal cannot silently resume a *different* campaign; thread
 // count and supervisor budgets are deliberately excluded — resuming with more
-// workers or a longer watchdog is legitimate). Every subsequent line is
-//   {"crc":"XXXXXXXX","record":{...flat JSON...}}
-// where the CRC-32 covers the record text. A process killed mid-append leaves
-// a torn or corrupt final line; resume discards the invalid tail (truncating
-// the file back to the valid prefix) rather than failing, because losing one
-// pass is recoverable and losing the journal is not.
+// workers or a longer watchdog is legitimate). Every later record is one
+// pass's flat-JSON payload (EncodeCampaignPassRecord). A process killed
+// mid-append leaves a torn or corrupt final record; resume discards the
+// invalid tail (truncating the file back to the valid prefix) rather than
+// failing, because losing one pass is recoverable and losing the journal is
+// not. A journal of another format version is refused.
 #ifndef SRC_CORE_CAMPAIGN_JOURNAL_H_
 #define SRC_CORE_CAMPAIGN_JOURNAL_H_
 
@@ -29,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/bug_report.h"
@@ -42,7 +44,7 @@ namespace ddt {
 
 // One checkpointed campaign pass. `index` is the pass's position in the plan
 // order (0 = baseline); records may be appended in completion order by
-// parallel workers, so the index — not the line number — is the key.
+// parallel workers, so the index — not the record position — is the key.
 struct CampaignPassRecord {
   uint64_t index = 0;
   std::string label;               // plan label ("" for the baseline)
@@ -63,15 +65,15 @@ struct CampaignPassRecord {
 };
 
 // Flat-JSON payload codec for one pass record — the exact bytes the journal
-// stores inside its CRC wrapper. Exposed because the fleet wire protocol
+// stores inside its record framing. Exposed because the fleet wire protocol
 // (src/fleet) ships RESULT payloads in this encoding, so a record produced
 // by a worker process, a record checkpointed to a shard journal, and a
 // record in the coordinator's main journal are interchangeable byte-for-byte.
 std::string EncodeCampaignPassRecord(const CampaignPassRecord& record);
-bool DecodeCampaignPassRecord(const std::string& payload, CampaignPassRecord* record);
+bool DecodeCampaignPassRecord(std::string_view payload, CampaignPassRecord* record);
 
 // Read-only load of every intact record in a journal (valid prefix up to the
-// first torn/corrupt line), without truncating or reopening the file. A
+// first torn/corrupt record), without truncating or reopening the file. A
 // missing file yields an empty list — the fleet coordinator salvages the
 // shard journal of a worker that may have died before creating it. A header
 // that exists but names a different campaign is an error.

@@ -73,6 +73,7 @@ struct Slot {
   bool recycling = false;  // draining specifically to respawn fresh
   bool got_bye = false;
   bool eof = false;
+  bool reaped = false;   // exit status collected; the pid must not be signalled
   bool retired = false;  // never respawn (rejected HELLO or campaign drain)
   int64_t lease = -1;    // pass index in flight
   Clock::time_point last_heard;
@@ -169,7 +170,7 @@ class Coordinator {
   Status Spawn(Slot& slot) {
     slot.generation = ++generation_counter_;
     slot.journal_path = ShardJournalPath(fleet_.shard_dir, slot.id, slot.generation);
-    slot.helloed = slot.draining = slot.recycling = slot.got_bye = slot.eof = false;
+    slot.helloed = slot.draining = slot.recycling = slot.got_bye = slot.eof = slot.reaped = false;
     slot.decoder = FrameDecoder();
     slot.lease = -1;
     slot.cache_delta_path.clear();
@@ -352,8 +353,9 @@ class Coordinator {
         return st;
       }
     }
-    if (slot.eof && slot.alive() && !slot.got_bye) {
-      // Pipe closed without a clean BYE: the worker is dying or dead.
+    if (slot.eof && slot.alive() && !slot.got_bye && !slot.reaped) {
+      // Pipe closed without a clean BYE: the worker is dying or dead. (A
+      // reaped worker's exit is judged by ReapAndTimeout.)
       return HandleLoss(slot, "pipe closed");
     }
     return Status::Ok();
@@ -445,17 +447,15 @@ class Coordinator {
       }
       int status = 0;
       if (TryReap(slot.pid, &status)) {
-        if (slot.got_bye || (slot.draining && !slot.recycling && WIFEXITED(status) &&
-                             WEXITSTATUS(status) == 0)) {
-          Status st = RetireCleanly(slot);
-          if (!st.ok()) {
-            return st;
-          }
-        } else {
-          Status st = HandleLoss(slot, DescribeExit(status), /*already_reaped=*/true);
-          if (!st.ok()) {
-            return st;
-          }
+        slot.reaped = true;
+        // Frames the worker wrote before it exited may still be unread; its
+        // BYE (which names its cache delta) is what makes the exit clean.
+        Status st = DrainPipe(slot);
+        if (st.ok() && slot.alive()) {
+          st = slot.got_bye ? RetireCleanly(slot) : HandleLoss(slot, DescribeExit(status));
+        }
+        if (!st.ok()) {
+          return st;
         }
         continue;
       }
@@ -483,14 +483,14 @@ class Coordinator {
 
   // The one road out for every abnormal end: kill with certainty, salvage the
   // shard journal, requeue the in-flight lease, respawn if work remains.
-  Status HandleLoss(Slot& slot, const std::string& reason, bool already_reaped = false) {
+  Status HandleLoss(Slot& slot, const std::string& reason) {
     if (!slot.alive()) {
       return Status::Ok();
     }
     DDT_LOG_WARN("fleet worker %u (pid %d, gen %llu) lost: %s", slot.id,
                  static_cast<int>(slot.pid), static_cast<unsigned long long>(slot.generation),
                  reason.c_str());
-    if (!already_reaped) {
+    if (!slot.reaped) {
       KillAndReap(slot.pid);  // no zombie writer may race the shard journal
     }
     bool was_rejected = slot.draining && slot.retired && !slot.recycling && !slot.helloed;

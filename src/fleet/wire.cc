@@ -5,87 +5,13 @@
 #include <cerrno>
 #include <cstring>
 
-#include "src/support/crc32.h"
 #include "src/support/eintr.h"
+#include "src/support/record.h"
 #include "src/support/strings.h"
 
 namespace ddt {
 namespace fleet {
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendStr(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-// Bounds-checked little-endian reader (the wire twin of the shared cache's
-// file reader). Any overrun poisons it; callers check ok at the end, so a
-// truncated body decodes to false rather than garbage.
-struct BodyReader {
-  const char* p;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p + pos, n);
-    pos += n;
-    return true;
-  }
-  uint8_t U8() {
-    uint8_t v = 0;
-    Take(&v, 1);
-    return v;
-  }
-  uint32_t U32() {
-    unsigned char b[4] = {0, 0, 0, 0};
-    Take(b, 4);
-    return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-           (static_cast<uint32_t>(b[2]) << 16) | (static_cast<uint32_t>(b[3]) << 24);
-  }
-  uint64_t U64() {
-    unsigned char b[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    Take(b, 8);
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | b[i];
-    }
-    return v;
-  }
-  std::string Str() {
-    uint32_t n = U32();
-    if (!ok || size - pos < n) {
-      ok = false;
-      return std::string();
-    }
-    std::string s(p + pos, n);
-    pos += n;
-    return s;
-  }
-  bool Done() const { return ok && pos == size; }
-};
-
-uint32_t ReadU32At(const char* p) {
-  const unsigned char* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) | (static_cast<uint32_t>(b[3]) << 24);
-}
 
 bool ValidFrameType(uint8_t t) {
   return t >= static_cast<uint8_t>(FrameType::kHello) &&
@@ -94,16 +20,14 @@ bool ValidFrameType(uint8_t t) {
 
 }  // namespace
 
-std::string EncodeFrame(FrameType type, std::string_view body) {
-  std::string payload;
-  payload.reserve(1 + body.size());
-  payload.push_back(static_cast<char>(type));
-  payload.append(body.data(), body.size());
+Result<std::string> EncodeFrame(FrameType type, std::string_view body) {
+  std::string payload(1, static_cast<char>(type));
+  payload += body;
   std::string frame;
-  frame.reserve(8 + payload.size());
-  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-  AppendU32(&frame, Crc32(payload));
-  frame += payload;
+  Status framed = AppendRecord(&frame, payload);
+  if (!framed.ok()) {
+    return Status::Error("fleet frame: " + framed.message());
+  }
   return frame;
 }
 
@@ -113,26 +37,22 @@ FrameDecoder::Next FrameDecoder::Pop(Frame* out) {
   if (corrupt_) {
     return Next::kCorrupt;
   }
-  if (buf_.size() - pos_ < 8) {
-    return Next::kNeedMore;
+  std::string_view payload;
+  switch (ReadRecord(buf_, &pos_, &payload)) {
+    case RecordRead::kIncomplete:
+      return Next::kNeedMore;
+    case RecordRead::kCorrupt:
+      corrupt_ = true;
+      return Next::kCorrupt;
+    case RecordRead::kRecord:
+      break;
   }
-  uint32_t len = ReadU32At(buf_.data() + pos_);
-  uint32_t crc = ReadU32At(buf_.data() + pos_ + 4);
-  if (len == 0 || len > kMaxFrameBytes) {
-    corrupt_ = true;
-    return Next::kCorrupt;
-  }
-  if (buf_.size() - pos_ - 8 < len) {
-    return Next::kNeedMore;
-  }
-  const char* payload = buf_.data() + pos_ + 8;
-  if (Crc32(payload, len) != crc || !ValidFrameType(static_cast<uint8_t>(payload[0]))) {
+  if (payload.empty() || !ValidFrameType(static_cast<uint8_t>(payload[0]))) {
     corrupt_ = true;
     return Next::kCorrupt;
   }
   out->type = static_cast<FrameType>(payload[0]);
-  out->body.assign(payload + 1, len - 1);
-  pos_ += 8 + len;
+  out->body.assign(payload.substr(1));
   if (pos_ > (1u << 20) && pos_ * 2 > buf_.size()) {
     buf_.erase(0, pos_);
     pos_ = 0;
@@ -141,101 +61,90 @@ FrameDecoder::Next FrameDecoder::Pop(Frame* out) {
 }
 
 Status WriteFrame(int fd, FrameType type, std::string_view body) {
-  std::string frame = EncodeFrame(type, body);
-  size_t written = 0;
-  while (written < frame.size()) {
-    ssize_t n = RetryOnEintr(
-        [&] { return ::write(fd, frame.data() + written, frame.size() - written); });
-    if (n < 0) {
-      return Status::Error(StrFormat("fleet pipe write failed: %s", std::strerror(errno)));
-    }
-    written += static_cast<size_t>(n);
+  Result<std::string> frame = EncodeFrame(type, body);
+  if (!frame.ok()) {
+    return frame.status();
   }
-  return Status::Ok();
+  Status written = WriteAll(fd, frame.value());
+  return written.ok() ? written : Status::Error("fleet pipe " + written.message());
 }
 
-Result<Frame> ReadFrame(int fd) {
-  FrameDecoder decoder;
+Result<Frame> FrameReader::Next() {
   Frame frame;
   char chunk[4096];
   for (;;) {
-    FrameDecoder::Next next = decoder.Pop(&frame);
-    if (next == FrameDecoder::Next::kFrame) {
-      return frame;
+    switch (decoder_.Pop(&frame)) {
+      case FrameDecoder::Next::kFrame:
+        return frame;
+      case FrameDecoder::Next::kCorrupt:
+        return Status::Error("fleet pipe frame corrupt");
+      case FrameDecoder::Next::kNeedMore:
+        break;
     }
-    if (next == FrameDecoder::Next::kCorrupt) {
-      return Status::Error("fleet pipe frame corrupt");
-    }
-    ssize_t n = RetryOnEintr([&] { return ::read(fd, chunk, sizeof(chunk)); });
+    ssize_t n = RetryOnEintr([&] { return ::read(fd_, chunk, sizeof(chunk)); });
     if (n < 0) {
       return Status::Error(StrFormat("fleet pipe read failed: %s", std::strerror(errno)));
     }
     if (n == 0) {
       return Status::Error("fleet pipe closed");
     }
-    decoder.Feed(chunk, static_cast<size_t>(n));
+    decoder_.Feed(chunk, static_cast<size_t>(n));
   }
 }
 
 std::string EncodeHello(const HelloBody& hello) {
-  std::string body;
-  AppendU64(&body, hello.fingerprint);
-  AppendU64(&body, hello.pid);
-  return body;
+  ByteWriter w;
+  w.U64(hello.fingerprint);
+  w.U64(hello.pid);
+  return w.Take();
 }
 
 bool DecodeHello(std::string_view body, HelloBody* hello) {
-  BodyReader r{body.data(), body.size()};
+  ByteReader r(body);
   hello->fingerprint = r.U64();
   hello->pid = r.U64();
   return r.Done();
 }
 
 std::string EncodeLease(const LeaseBody& lease) {
-  std::string body;
-  AppendU64(&body, lease.index);
-  AppendStr(&body, lease.plan.label);
-  AppendU32(&body, static_cast<uint32_t>(lease.plan.points.size()));
+  ByteWriter w;
+  w.U64(lease.index);
+  w.Str(lease.plan.label);
+  w.U32(static_cast<uint32_t>(lease.plan.points.size()));
   for (const FaultPoint& point : lease.plan.points) {
-    AppendU32(&body, static_cast<uint32_t>(point.cls));
-    AppendU32(&body, point.occurrence);
+    w.U32(static_cast<uint32_t>(point.cls));
+    w.U32(point.occurrence);
   }
-  AppendU32(&body, static_cast<uint32_t>(lease.plan.hw_points.size()));
+  w.U32(static_cast<uint32_t>(lease.plan.hw_points.size()));
   for (const HwFaultPoint& point : lease.plan.hw_points) {
-    AppendU32(&body, static_cast<uint32_t>(point.kind));
-    AppendU32(&body, point.index);
+    w.U32(static_cast<uint32_t>(point.kind));
+    w.U32(point.index);
   }
-  return body;
+  return w.Take();
 }
 
 bool DecodeLease(std::string_view body, LeaseBody* lease) {
-  BodyReader r{body.data(), body.size()};
+  ByteReader r(body);
   lease->index = r.U64();
   lease->plan.label = r.Str();
-  uint32_t count = r.U32();
-  if (!r.ok || count > kMaxFrameBytes / 8) {
-    return false;
-  }
+  uint32_t count = r.Count(8);
   lease->plan.points.clear();
   lease->plan.points.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t cls = r.U32();
     uint32_t occurrence = r.U32();
-    if (!r.ok || cls >= kNumFaultClasses) {
+    if (!r.ok() || cls >= kNumFaultClasses) {
       return false;
     }
     lease->plan.points.push_back(FaultPoint{static_cast<FaultClass>(cls), occurrence});
   }
-  uint32_t hw_count = r.U32();
-  if (!r.ok || hw_count > kMaxFrameBytes / 8) {
-    return false;
-  }
+  uint32_t hw_count = r.Count(8);
   lease->plan.hw_points.clear();
   lease->plan.hw_points.reserve(hw_count);
   for (uint32_t i = 0; i < hw_count; ++i) {
     uint32_t kind = r.U32();
     uint32_t index = r.U32();
-    if (!r.ok || kind >= kNumHwFaultKinds) {
+    if (!r.ok() || kind >= kNumHwFaultKinds) {
       return false;
     }
     lease->plan.hw_points.push_back(HwFaultPoint{static_cast<HwFaultKind>(kind), index});
@@ -244,58 +153,58 @@ bool DecodeLease(std::string_view body, LeaseBody* lease) {
 }
 
 std::string EncodeHeartbeat(uint64_t seq) {
-  std::string body;
-  AppendU64(&body, seq);
-  return body;
+  ByteWriter w;
+  w.U64(seq);
+  return w.Take();
 }
 
 bool DecodeHeartbeat(std::string_view body, uint64_t* seq) {
-  BodyReader r{body.data(), body.size()};
+  ByteReader r(body);
   *seq = r.U64();
   return r.Done();
 }
 
 std::string EncodeBye(const ByeBody& bye) {
-  std::string body;
-  body.push_back(static_cast<char>(bye.code));
-  AppendStr(&body, bye.detail);
-  return body;
+  ByteWriter w;
+  w.U8(bye.code);
+  w.Str(bye.detail);
+  return w.Take();
 }
 
 bool DecodeBye(std::string_view body, ByeBody* bye) {
-  BodyReader r{body.data(), body.size()};
+  ByteReader r(body);
   bye->code = r.U8();
   bye->detail = r.Str();
   return r.Done();
 }
 
 std::string EncodeFuzzExecLease(const FuzzExecLease& lease) {
-  std::string body;
-  AppendU64(&body, lease.index);
-  AppendStr(&body, lease.input_text);
-  return body;
+  ByteWriter w;
+  w.U64(lease.index);
+  w.Str(lease.input_text);
+  return w.Take();
 }
 
 bool DecodeFuzzExecLease(std::string_view body, FuzzExecLease* lease) {
-  BodyReader r{body.data(), body.size()};
+  ByteReader r(body);
   lease->index = r.U64();
   lease->input_text = r.Str();
   return r.Done();
 }
 
 std::string EncodeFuzzExecResult(const FuzzExecResultBody& result) {
-  std::string body;
-  AppendU64(&body, result.index);
-  body.push_back(static_cast<char>(result.ok));
-  AppendStr(&body, result.failure);
-  AppendStr(&body, result.coverage_hex);
-  AppendU64(&body, result.instructions);
-  AppendStr(&body, result.bugs_text);
-  return body;
+  ByteWriter w;
+  w.U64(result.index);
+  w.U8(result.ok);
+  w.Str(result.failure);
+  w.Str(result.coverage_hex);
+  w.U64(result.instructions);
+  w.Str(result.bugs_text);
+  return w.Take();
 }
 
 bool DecodeFuzzExecResult(std::string_view body, FuzzExecResultBody* result) {
-  BodyReader r{body.data(), body.size()};
+  ByteReader r(body);
   result->index = r.U64();
   result->ok = r.U8();
   result->failure = r.Str();

@@ -7,6 +7,11 @@
 //   frame := [u32 len][u32 crc][u8 type][body]      (len = 1 + body size,
 //                                                    crc = CRC-32 over type+body)
 //
+// that is, one src/support/record.h record whose payload is the type byte and
+// the body — the same framing the journal, the shared cache file and the fuzz
+// corpus file use on disk. Bodies are built with that header's ByteWriter and
+// read back with its bounds-checked ByteReader.
+//
 //   worker -> coordinator:  HELLO(fingerprint, pid)  once, first
 //                           HEARTBEAT(seq)           periodic liveness
 //                           RESULT(record payload)   one per completed lease
@@ -16,13 +21,13 @@
 //                           BYE(code, detail)        drain and exit (code 0) or
 //                                                    rejected at HELLO (code 1)
 //
-// The CRC (src/support/crc32.h — the same function that seals journal lines
-// and cache files) is not paranoia about pipe corruption; it is what lets the
+// The CRC is not paranoia about pipe corruption; it is what lets the
 // coordinator treat *any* malformed byte stream from a dying or misbehaving
 // worker as a worker loss rather than undefined behavior. A frame that fails
-// its CRC, exceeds the size cap, or truncates at EOF marks the connection
-// corrupt, and the coordinator's only response to a corrupt connection is the
-// same as to a dead one: kill, salvage the shard journal, reassign.
+// its CRC, exceeds the record size cap, or truncates at EOF marks the
+// connection corrupt, and the coordinator's only response to a corrupt
+// connection is the same as to a dead one: kill, salvage the shard journal,
+// reassign.
 //
 // RESULT bodies are EncodeCampaignPassRecord payloads verbatim — the exact
 // bytes the worker also appended to its shard journal — so a pass result
@@ -53,16 +58,13 @@ enum class FrameType : uint8_t {
   kFuzzExec = 6,
 };
 
-// Caps a frame at far more than any record needs; a length prefix beyond it
-// means the stream is garbage, not that a bigger buffer is needed.
-constexpr uint32_t kMaxFrameBytes = 64u << 20;
-
 struct Frame {
   FrameType type = FrameType::kHello;
   std::string body;
 };
 
-std::string EncodeFrame(FrameType type, std::string_view body);
+// Fails only for a frame over the record size cap, which no reader accepts.
+Result<std::string> EncodeFrame(FrameType type, std::string_view body);
 
 // Incremental decoder for the coordinator's poll loop: feed whatever bytes
 // read() delivered, pop complete frames. Once a frame fails validation the
@@ -84,12 +86,23 @@ class FrameDecoder {
   bool corrupt_ = false;
 };
 
-// Blocking single-frame I/O for the worker side (and tests). WriteFrame
-// retries short writes and EINTR; callers serialize concurrent writers (the
-// worker's heartbeat thread and lease loop share one mutex). ReadFrame
-// returns an error on EOF, I/O failure, or a corrupt frame.
+// Blocking frame I/O for the worker side, the fuzz shards and tests.
+// WriteFrame retries short writes and EINTR; callers serialize concurrent
+// writers (the worker's heartbeat thread and lease loop share one mutex).
 Status WriteFrame(int fd, FrameType type, std::string_view body);
-Result<Frame> ReadFrame(int fd);
+
+// Blocking reader over one fd. It keeps its decoder across calls, so frames
+// that arrive together in one read() are all returned, in order. Next returns
+// an error on EOF, I/O failure, or a corrupt frame.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd) : fd_(fd) {}
+  Result<Frame> Next();
+
+ private:
+  int fd_;
+  FrameDecoder decoder_;
+};
 
 // --- Body codecs -----------------------------------------------------------
 

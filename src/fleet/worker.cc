@@ -156,9 +156,10 @@ int RunFleetWorker(const FaultCampaignConfig& config, const DriverImage& image,
   }
   HeartbeatThread heartbeat(&writer, options.heartbeat_interval_ms);
 
+  FrameReader reader(options.in_fd);
   int64_t executed = 0;
   for (;;) {
-    Result<Frame> frame = ReadFrame(options.in_fd);
+    Result<Frame> frame = reader.Next();
     if (!frame.ok()) {
       return 2;  // coordinator died or the stream broke: nothing to clean up
     }

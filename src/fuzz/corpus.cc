@@ -1,9 +1,9 @@
 #include "src/fuzz/corpus.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <utility>
 
-#include "src/support/crc32.h"
+#include "src/core/bug_io.h"
+#include "src/support/record.h"
 #include "src/support/strings.h"
 
 namespace ddt {
@@ -11,49 +11,38 @@ namespace fuzz {
 
 namespace {
 
-constexpr char kHeaderTag[] = "ddt-fuzz-corpus v1";
+// Header record: [str tag][u32 version][u64 fingerprint][u32 batches done]
+// [u64 execs][u64 quarantined][u32 n][n x u64 mutations][str bug_io report]
+// [u32 n][n x str bug origin]. Entry record: [u64 novel blocks][u32 batch]
+// [str coverage hex][str serialized input].
+constexpr std::string_view kTag = "ddt-fuzz-corpus";
+constexpr uint32_t kFormatVersion = 2;
 
-// Entry body: one meta line, then the serialized input (which ends in
-// "end\n" and therefore delimits itself).
-std::string EncodeEntryBody(const CorpusEntry& entry) {
-  std::string body = StrFormat("meta %zu %u %s\n", entry.novel_blocks, entry.batch,
-                               entry.coverage.ToHex().c_str());
-  body += SerializeFuzzInput(entry.input);
-  return body;
+std::string EncodeEntry(const CorpusEntry& entry) {
+  ByteWriter w;
+  w.U64(entry.novel_blocks);
+  w.U32(entry.batch);
+  w.Str(entry.coverage.ToHex());
+  w.Str(SerializeFuzzInput(entry.input));
+  return w.Take();
 }
 
-bool DecodeEntryBody(const std::string& body, CorpusEntry* entry) {
-  size_t eol = body.find('\n');
-  if (eol == std::string::npos) {
+bool DecodeEntry(std::string_view payload, CorpusEntry* entry) {
+  ByteReader r(payload);
+  uint64_t novel = r.U64();
+  entry->batch = r.U32();
+  std::string coverage_hex = r.Str();
+  std::string input_text = r.Str();
+  if (!r.Done() || !CoverageBitmap::FromHex(coverage_hex, &entry->coverage)) {
     return false;
   }
-  std::string meta = body.substr(0, eol);
-  if (meta.rfind("meta ", 0) != 0) {
-    return false;
-  }
-  unsigned long long novel;
-  unsigned batch;
-  char cov_hex[16 * 1024];
-  if (std::sscanf(meta.c_str(), "meta %llu %u %16383s", &novel, &batch, cov_hex) != 3) {
-    // A no-coverage entry serializes an empty hex string; retry without it.
-    if (std::sscanf(meta.c_str(), "meta %llu %u", &novel, &batch) != 2) {
-      return false;
-    }
-    cov_hex[0] = '\0';
-  }
-  CoverageBitmap coverage;
-  if (!CoverageBitmap::FromHex(cov_hex, &coverage)) {
-    return false;
-  }
-  Result<FuzzInput> input = ParseFuzzInput(body.substr(eol + 1));
+  Result<FuzzInput> input = ParseFuzzInput(input_text);
   if (!input.ok()) {
     return false;
   }
   entry->input = std::move(input.value());
-  entry->coverage = std::move(coverage);
   entry->coverage_fingerprint = entry->coverage.Fingerprint();
   entry->novel_blocks = static_cast<size_t>(novel);
-  entry->batch = batch;
   return true;
 }
 
@@ -79,98 +68,91 @@ int FuzzCorpus::Offer(const FuzzInput& input, const CoverageBitmap& coverage, ui
   return static_cast<int>(entries_.size() - 1);
 }
 
-Status FuzzCorpus::SaveToFile(const std::string& path, uint64_t fingerprint) const {
-  std::string out = StrFormat("%s %016llx %u\n", kHeaderTag,
-                              static_cast<unsigned long long>(fingerprint), batches_done_);
-  for (const CorpusEntry& entry : entries_) {
-    std::string body = EncodeEntryBody(entry);
-    out += StrFormat("entry %08x %zu\n", Crc32(body), body.size());
-    out += body;
+Status FuzzCorpus::SaveToFile(const std::string& path, uint64_t fingerprint,
+                              const FuzzLoopState& loop) const {
+  ByteWriter header;
+  header.Str(kTag);
+  header.U32(kFormatVersion);
+  header.U64(fingerprint);
+  header.U32(batches_done_);
+  header.U64(loop.execs);
+  header.U64(loop.quarantined_execs);
+  header.U32(static_cast<uint32_t>(loop.mutations.size()));
+  for (uint64_t count : loop.mutations) {
+    header.U64(count);
   }
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error("fuzz corpus: cannot open for writing: " + tmp);
+  header.Str(SerializeBugs(loop.bugs));
+  header.U32(static_cast<uint32_t>(loop.bug_origins.size()));
+  for (const std::string& origin : loop.bug_origins) {
+    header.Str(origin);
   }
-  size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != out.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return Status::Error("fuzz corpus: short write: " + tmp);
+  std::string out;
+  Status written = AppendRecord(&out, header.bytes());
+  for (size_t i = 0; written.ok() && i < entries_.size(); ++i) {
+    written = AppendRecord(&out, EncodeEntry(entries_[i]));
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Error("fuzz corpus: rename failed: " + path);
+  if (written.ok()) {
+    written = WriteFileAtomic(path, out);
   }
-  return Status::Ok();
+  return written.ok() ? written : Status::Error("fuzz corpus: " + written.message());
 }
 
 Status FuzzCorpus::LoadFromFile(const std::string& path, uint64_t fingerprint,
-                                size_t* load_errors) {
+                                size_t* load_errors, FuzzLoopState* loop) {
   if (load_errors != nullptr) {
     *load_errors = 0;
   }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::Error("fuzz corpus: cannot open: " + path);
+  Result<std::string> file = ReadWholeFile(path);
+  if (!file.ok()) {
+    return Status::Error("fuzz corpus: " + file.error());
   }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string text(static_cast<size_t>(size > 0 ? size : 0), '\0');
-  size_t read = std::fread(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (read != text.size()) {
-    return Status::Error("fuzz corpus: short read: " + path);
-  }
-
-  size_t pos = text.find('\n');
-  if (pos == std::string::npos) {
-    return Status::Error("fuzz corpus: missing header: " + path);
-  }
-  std::string header = text.substr(0, pos);
-  ++pos;
-  unsigned long long file_fp;
-  unsigned batches;
-  char tag[64];
-  char version[64];
-  if (std::sscanf(header.c_str(), "%63s %63s %llx %u", tag, version, &file_fp, &batches) != 4 ||
-      StrFormat("%s %s", tag, version) != kHeaderTag) {
+  std::string_view bytes = file.value();
+  size_t pos = 0;
+  std::string_view payload;
+  if (ReadRecord(bytes, &pos, &payload) != RecordRead::kRecord) {
     return Status::Error("fuzz corpus: bad header: " + path);
   }
-  if (file_fp != fingerprint) {
+  ByteReader header(payload);
+  if (header.Str() != kTag) {
+    return Status::Error("fuzz corpus: bad header: " + path);
+  }
+  uint32_t version = header.U32();
+  if (version != kFormatVersion) {
+    return Status::Error(StrFormat("fuzz corpus: unsupported version %u: %s", version,
+                                   path.c_str()));
+  }
+  if (header.U64() != fingerprint) {
     return Status::Error("fuzz corpus: fingerprint mismatch (different driver or fuzz seed): " +
                          path);
   }
+  uint32_t batches = header.U32();
+  FuzzLoopState state;
+  state.execs = header.U64();
+  state.quarantined_execs = header.U64();
+  bool shape_ok = header.Count(8) == state.mutations.size();
+  for (uint64_t& count : state.mutations) {
+    count = header.U64();
+  }
+  Result<std::vector<Bug>> bugs = DeserializeBugs(header.Str());
+  uint32_t origins = header.Count(4);
+  for (uint32_t i = 0; i < origins; ++i) {
+    state.bug_origins.push_back(header.Str());
+  }
+  if (!shape_ok || !header.Done() || !bugs.ok() || bugs.value().size() != origins) {
+    return Status::Error("fuzz corpus: bad header: " + path);
+  }
+  state.bugs = bugs.take();
 
   entries_.clear();
   cumulative_ = CoverageBitmap();
   batches_done_ = batches;
+  *loop = std::move(state);
 
   // Entries up to the first damaged record; the tail after that is dropped.
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      if (load_errors != nullptr) {
-        ++*load_errors;
-      }
-      break;
-    }
-    std::string line = text.substr(pos, eol - pos);
-    unsigned crc;
-    unsigned long long body_size;
-    if (std::sscanf(line.c_str(), "entry %x %llu", &crc, &body_size) != 2 ||
-        eol + 1 + body_size > text.size()) {
-      if (load_errors != nullptr) {
-        ++*load_errors;
-      }
-      break;
-    }
-    std::string body = text.substr(eol + 1, static_cast<size_t>(body_size));
-    pos = eol + 1 + static_cast<size_t>(body_size);
+  while (pos < bytes.size()) {
     CorpusEntry entry;
-    if (Crc32(body) != crc || !DecodeEntryBody(body, &entry)) {
+    if (ReadRecord(bytes, &pos, &payload) != RecordRead::kRecord ||
+        !DecodeEntry(payload, &entry)) {
       if (load_errors != nullptr) {
         ++*load_errors;
       }

@@ -8,20 +8,26 @@
 // fingerprint — deterministic for a fixed fuzz seed at any thread or worker
 // count.
 //
-// On disk the corpus uses the campaign journal's defensive format: a header
-// that binds the file to (driver, fuzz seed), then CRC-sealed length-prefixed
-// entries. A torn or corrupt tail (the process died mid-save) drops only the
-// damaged suffix; everything before it loads, and the next save rewrites the
-// file whole. Each entry carries its coverage bitmap so the cumulative map —
-// and therefore future admission decisions — rebuilds exactly on resume.
+// On disk the corpus uses the campaign journal's defensive format: CRC-framed
+// records (src/support/record.h). The header record binds the file to
+// (driver, fuzz seed) and carries the loop's resume state — the batch cursor
+// plus the tallies and fuzz-only bugs of every completed batch — so a resumed
+// loop reports exactly what an uninterrupted one would. One record per entry
+// follows. A torn or corrupt tail drops only the damaged suffix; everything
+// before it loads, and the next save rewrites the file whole. Each entry
+// carries its coverage bitmap so the cumulative map — and therefore future
+// admission decisions — rebuilds exactly on resume.
 #ifndef SRC_FUZZ_CORPUS_H_
 #define SRC_FUZZ_CORPUS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/engine/bug_report.h"
 #include "src/fuzz/input.h"
+#include "src/fuzz/mutator.h"
 #include "src/support/status.h"
 #include "src/vm/coverage_map.h"
 
@@ -36,6 +42,15 @@ struct CorpusEntry {
   uint32_t batch = 0;               // batch the entry was admitted in
 };
 
+// What the fuzz loop has tallied and found over batches_done() batches.
+struct FuzzLoopState {
+  uint64_t execs = 0;
+  uint64_t quarantined_execs = 0;
+  std::array<uint64_t, kNumMutatorKinds> mutations{};
+  std::vector<Bug> bugs;                 // fuzz-only bugs, bug_io round-tripped
+  std::vector<std::string> bug_origins;  // parallel to bugs
+};
+
 class FuzzCorpus {
  public:
   // Admits `input` iff `coverage` has >= 1 block the cumulative map lacks
@@ -48,18 +63,23 @@ class FuzzCorpus {
   const CoverageBitmap& cumulative() const { return cumulative_; }
   size_t size() const { return entries_.size(); }
 
-  // Batches fully merged so far — the fuzz loop's resume cursor, persisted in
-  // the file header.
+  // Batches fully merged so far — the fuzz loop's resume cursor, persisted
+  // in the file header.
   uint32_t batches_done() const { return batches_done_; }
   void set_batches_done(uint32_t n) { batches_done_ = n; }
 
   // Whole-file rewrite (save is the fuzz checkpoint, once per batch).
-  // `fingerprint` binds the file to the driver + fuzz seed.
-  Status SaveToFile(const std::string& path, uint64_t fingerprint) const;
+  // `fingerprint` binds the file to the driver + fuzz seed; `loop` is the
+  // loop's state after batches_done() batches.
+  Status SaveToFile(const std::string& path, uint64_t fingerprint,
+                    const FuzzLoopState& loop) const;
   // Loads entries up to the first damaged record (torn tails are not fatal;
-  // load_errors reports how many trailing records were dropped). Fails only
-  // on a missing/unreadable file or a fingerprint mismatch.
-  Status LoadFromFile(const std::string& path, uint64_t fingerprint, size_t* load_errors);
+  // load_errors reports how many trailing records were dropped) and the loop
+  // state into `*loop`. Fails, and changes nothing, on a missing/unreadable
+  // file, a damaged header, another format version, or a fingerprint
+  // mismatch.
+  Status LoadFromFile(const std::string& path, uint64_t fingerprint, size_t* load_errors,
+                      FuzzLoopState* loop);
 
  private:
   std::vector<CorpusEntry> entries_;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <numeric>
 #include <set>
@@ -14,7 +13,7 @@
 #include "src/fleet/wire.h"
 #include "src/fuzz/executor.h"
 #include "src/support/check.h"
-#include "src/support/eintr.h"
+#include "src/support/record.h"
 #include "src/support/strings.h"
 #include "src/support/subprocess.h"
 #include "src/support/thread_pool.h"
@@ -50,46 +49,10 @@ std::vector<FuzzExecResult> ExecuteBatchThreads(const FuzzExecutor& executor,
   return results;
 }
 
-// Frames on a fuzz shard pipe are *streamed* — the coordinator pushes a whole
-// shard's leases (plus the BYE) in one write, and the worker streams results
-// back — so each side must keep one decoder alive across frames. A per-call
-// fleet::ReadFrame would silently drop every frame after the first in each
-// read() chunk.
-class FrameStream {
- public:
-  explicit FrameStream(int fd) : fd_(fd) {}
-
-  Result<fleet::Frame> Next() {
-    fleet::Frame frame;
-    char chunk[4096];
-    for (;;) {
-      fleet::FrameDecoder::Next next = decoder_.Pop(&frame);
-      if (next == fleet::FrameDecoder::Next::kFrame) {
-        return frame;
-      }
-      if (next == fleet::FrameDecoder::Next::kCorrupt) {
-        return Status::Error("fuzz pipe frame corrupt");
-      }
-      ssize_t n = RetryOnEintr([&] { return ::read(fd_, chunk, sizeof(chunk)); });
-      if (n < 0) {
-        return Status::Error("fuzz pipe read failed");
-      }
-      if (n == 0) {
-        return Status::Error("fuzz pipe closed");
-      }
-      decoder_.Feed(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_;
-  fleet::FrameDecoder decoder_;
-};
-
 // Child side of a fuzz shard: lease in, result out, BYE ends the loop. Any
 // protocol error exits nonzero; the coordinator salvages the shard inline.
 int FuzzWorkerMain(const FuzzExecutor& executor, int in_fd, int out_fd) {
-  FrameStream frames(in_fd);
+  fleet::FrameReader frames(in_fd);
   for (;;) {
     Result<fleet::Frame> frame = frames.Next();
     if (!frame.ok()) {
@@ -126,18 +89,6 @@ int FuzzWorkerMain(const FuzzExecutor& executor, int in_fd, int out_fd) {
   }
 }
 
-void WriteAllBestEffort(int fd, const std::string& bytes) {
-  size_t written = 0;
-  while (written < bytes.size()) {
-    ssize_t n = RetryOnEintr(
-        [&] { return ::write(fd, bytes.data() + written, bytes.size() - written); });
-    if (n <= 0) {
-      return;  // dead worker; the read side detects and salvages
-    }
-    written += static_cast<size_t>(n);
-  }
-}
-
 // Fork-isolated execution: worker w owns exec indices i % W == w. Each
 // shard's leases (plus the closing BYE) are one pre-encoded byte string
 // pushed by a writer thread while the main thread drains results, so a full
@@ -163,15 +114,25 @@ std::vector<FuzzExecResult> ExecuteBatchWorkers(const FuzzExecutor& executor,
   }
   // Fork before any threads exist (see src/support/subprocess.h).
   for (Shard& shard : shards) {
+    bool encoded = true;
     for (size_t idx : shard.indices) {
       fleet::FuzzExecLease lease;
       lease.index = idx;
       lease.input_text = SerializeFuzzInput(inputs[idx]);
-      shard.lease_bytes +=
+      Result<std::string> frame =
           fleet::EncodeFrame(fleet::FrameType::kFuzzExec, fleet::EncodeFuzzExecLease(lease));
+      if (!frame.ok()) {
+        encoded = false;
+        break;
+      }
+      shard.lease_bytes += frame.value();
+    }
+    if (!encoded) {
+      continue;  // an input over the frame cap: the shard's execs run inline
     }
     shard.lease_bytes += fleet::EncodeFrame(fleet::FrameType::kBye,
-                                            fleet::EncodeBye(fleet::ByeBody{fleet::kByeDrain, ""}));
+                                            fleet::EncodeBye(fleet::ByeBody{fleet::kByeDrain, ""}))
+                             .value();
     Result<ChildProcess> spawned =
         SpawnChild([&executor](int in_fd, int out_fd) { return FuzzWorkerMain(executor, in_fd, out_fd); });
     if (spawned.ok()) {
@@ -185,7 +146,8 @@ std::vector<FuzzExecResult> ExecuteBatchWorkers(const FuzzExecutor& executor,
     ThreadPool writers(std::max<size_t>(num_shards, 1));
     for (Shard& shard : shards) {
       if (shard.alive) {
-        writers.Submit([&shard] { WriteAllBestEffort(shard.child.to_child_fd, shard.lease_bytes); });
+        // A failed write means a dead worker; the read side detects and salvages.
+        writers.Submit([&shard] { (void)WriteAll(shard.child.to_child_fd, shard.lease_bytes); });
       }
     }
     for (Shard& shard : shards) {
@@ -193,7 +155,8 @@ std::vector<FuzzExecResult> ExecuteBatchWorkers(const FuzzExecutor& executor,
         continue;
       }
       bool lost = false;
-      FrameStream frames(shard.child.from_child_fd);
+      // Streamed frames: one reader per pipe keeps every frame of each read().
+      fleet::FrameReader frames(shard.child.from_child_fd);
       for (size_t got = 0; got < shard.indices.size(); ++got) {
         Result<fleet::Frame> frame = frames.Next();
         fleet::FuzzExecResultBody body;
@@ -358,18 +321,23 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
   // Phase 3: the coverage-guided mutation loop.
   uint64_t fingerprint = FuzzFingerprint(config, image);
   FuzzCorpus corpus;
-  if (config.fuzz.resume && !config.fuzz.corpus_path.empty()) {
-    std::FILE* probe = std::fopen(config.fuzz.corpus_path.c_str(), "rb");
-    if (probe != nullptr) {
-      std::fclose(probe);
-      size_t load_errors = 0;
-      Status loaded = corpus.LoadFromFile(config.fuzz.corpus_path, fingerprint, &load_errors);
-      if (!loaded.ok()) {
-        return loaded;  // fingerprint mismatch or unreadable — never silently fresh
-      }
-      result.corpus_load_errors = load_errors;
+  FuzzLoopState loop;
+  if (config.fuzz.resume && !config.fuzz.corpus_path.empty() &&
+      ::access(config.fuzz.corpus_path.c_str(), R_OK) == 0) {
+    size_t load_errors = 0;
+    Status loaded =
+        corpus.LoadFromFile(config.fuzz.corpus_path, fingerprint, &load_errors, &loop);
+    if (!loaded.ok()) {
+      return loaded;  // fingerprint mismatch or damaged header — never silently fresh
+    }
+    result.corpus_load_errors = load_errors;
+    // Completed batches never re-execute: their tallies and bugs come back
+    // from the corpus, and their bug keys dedupe what the rest finds.
+    for (const Bug& bug : loop.bugs) {
+      bug_keys.insert(BugKey(bug));
     }
   }
+  const uint64_t restored_execs = loop.execs;
 
   FuzzExecutor executor(config.campaign, image, descriptor);
   SplitMix64 root(config.fuzz.seed);
@@ -401,7 +369,7 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
       for (uint32_t e = 0; e < config.fuzz.execs_per_batch; ++e) {
         SplitMix64 stream = root.Fork(b).Fork(e);
         const FuzzInput& base = *bases[stream.NextBelow(bases.size())];
-        FuzzInput mutant = MutateInput(base, stream, &result.mutations);
+        FuzzInput mutant = MutateInput(base, stream, &loop.mutations);
         mutant.label = StrFormat("fuzz b%u#%u", b, e);
         inputs.push_back(std::move(mutant));
       }
@@ -418,10 +386,10 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
 
     // Merge strictly in exec-index order — the determinism hinge.
     for (size_t i = 0; i < inputs.size(); ++i) {
-      ++result.execs;
+      ++loop.execs;
       FuzzExecResult& r = exec_results[i];
       if (!r.ok) {
-        ++result.quarantined_execs;
+        ++loop.quarantined_execs;
         continue;
       }
       corpus.Offer(inputs[i], r.coverage, b, config.fuzz.max_corpus);
@@ -430,8 +398,8 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
         if (bugs.ok()) {
           for (Bug& bug : bugs.value()) {
             if (bug_keys.insert(BugKey(bug)).second) {
-              result.fuzz_bugs.push_back(std::move(bug));
-              result.fuzz_bug_origins.push_back(inputs[i].label);
+              loop.bugs.push_back(std::move(bug));
+              loop.bug_origins.push_back(inputs[i].label);
             }
           }
         }
@@ -439,7 +407,7 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
     }
     corpus.set_batches_done(b + 1);
     if (!config.fuzz.corpus_path.empty()) {
-      Status saved = corpus.SaveToFile(config.fuzz.corpus_path, fingerprint);
+      Status saved = corpus.SaveToFile(config.fuzz.corpus_path, fingerprint, loop);
       if (!saved.ok()) {
         return saved;
       }
@@ -448,8 +416,14 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
   result.fuzz_wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - loop_start)
           .count();
-  result.execs_per_sec =
-      result.fuzz_wall_ms > 0 ? result.execs / (result.fuzz_wall_ms / 1000.0) : 0;
+  result.execs_per_sec = result.fuzz_wall_ms > 0
+                             ? (loop.execs - restored_execs) / (result.fuzz_wall_ms / 1000.0)
+                             : 0;
+  result.execs = loop.execs;
+  result.quarantined_execs = loop.quarantined_execs;
+  result.mutations = loop.mutations;
+  result.fuzz_bugs = std::move(loop.bugs);
+  result.fuzz_bug_origins = std::move(loop.bug_origins);
 
   result.corpus_entries = corpus.size();
   result.corpus_blocks = corpus.cumulative().Popcount();

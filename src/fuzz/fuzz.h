@@ -26,9 +26,10 @@
 // deterministic report are byte-identical at any thread count and any worker
 // count — the same contract the campaign supervisor gives, extended to the
 // fuzz plane. A resumed run continues the persisted corpus from its batch
-// cursor (completed batches never re-execute; their counters and bug rows
-// belong to the run that did the work). With fuzzing off the campaign report
-// is untouched, byte for byte.
+// cursor: completed batches never re-execute, and their tallies and bugs
+// come back from the corpus file, so the resumed report is byte-identical to
+// an uninterrupted run's. With fuzzing off the campaign report is untouched,
+// byte for byte.
 #ifndef SRC_FUZZ_FUZZ_H_
 #define SRC_FUZZ_FUZZ_H_
 

@@ -6,12 +6,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <string_view>
 #include <unordered_set>
 
-#include "src/support/crc32.h"
 #include "src/support/log.h"
+#include "src/support/record.h"
 #include "src/support/strings.h"
 
 namespace ddt {
@@ -64,66 +63,11 @@ uint64_t Fnv1a64(const std::string& data) {
   return h;
 }
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-// Bounds-checked little-endian reader over a loaded file image.
-struct ByteReader {
-  const unsigned char* p;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p + pos, n);
-    pos += n;
-    return true;
-  }
-  uint8_t U8() {
-    uint8_t v = 0;
-    Take(&v, 1);
-    return v;
-  }
-  uint32_t U32() {
-    unsigned char b[4] = {0, 0, 0, 0};
-    Take(b, 4);
-    return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-           (static_cast<uint32_t>(b[2]) << 16) | (static_cast<uint32_t>(b[3]) << 24);
-  }
-  uint64_t U64() {
-    unsigned char b[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    Take(b, 8);
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | b[i];
-    }
-    return v;
-  }
-  std::string Str(size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return std::string();
-    }
-    std::string s(reinterpret_cast<const char*>(p + pos), n);
-    pos += n;
-    return s;
-  }
-};
-
-constexpr char kMagic[6] = {'D', 'D', 'T', 'S', 'Q', 'C'};
+// File layout (src/support/record.h framing): a header record
+// [str "DDTSQC"][u32 version][u64 entry count], then one record per entry
+// [u8 sat][str canonical text][u32 n][n x (u32 canonical var, u64 value)].
+constexpr std::string_view kMagic = "DDTSQC";
+constexpr size_t kModelPairBytes = 12;
 
 uint64_t EntryFootprint(const std::string& text, size_t model_size) {
   // Approximate heap footprint: the key text, the model pairs, and fixed
@@ -372,46 +316,37 @@ Status SharedQueryCache::SaveToFile(const std::string& path) const {
   std::sort(snapshot.begin(), snapshot.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::string payload;
-  AppendU64(&payload, snapshot.size());
-  for (const auto& [text, verdict] : snapshot) {
-    payload.push_back(verdict.first ? 1 : 0);
-    AppendU32(&payload, static_cast<uint32_t>(text.size()));
-    payload += text;
-    AppendU32(&payload, static_cast<uint32_t>(verdict.second.size()));
-    for (const auto& [id, value] : verdict.second) {
-      AppendU32(&payload, id);
-      AppendU64(&payload, value);
-    }
-  }
-
   std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  AppendU32(&file, kFormatVersion);
-  file += payload;
-  AppendU32(&file, Crc32(payload.data(), payload.size()));
+  ByteWriter header;
+  header.Str(kMagic);
+  header.U32(kFormatVersion);
+  header.U64(snapshot.size());
+  Status framed = AppendRecord(&file, header.bytes());
+  for (size_t i = 0; framed.ok() && i < snapshot.size(); ++i) {
+    const auto& [text, verdict] = snapshot[i];
+    ByteWriter entry;
+    entry.U8(verdict.first ? 1 : 0);
+    entry.Str(text);
+    entry.U32(static_cast<uint32_t>(verdict.second.size()));
+    for (const auto& [id, value] : verdict.second) {
+      entry.U32(id);
+      entry.U64(value);
+    }
+    framed = AppendRecord(&file, entry.bytes());
+  }
+  if (!framed.ok()) {
+    return Status::Error(StrFormat("shared cache: cannot save '%s': %s", path.c_str(),
+                                   framed.message().c_str()));
+  }
 
   FileLock writer_lock(path + ".lock");
   if (!writer_lock.held()) {
     return Status::Error(
         StrFormat("shared cache: cannot lock '%s.lock' for writing", path.c_str()));
   }
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error(StrFormat("shared cache: cannot open '%s' for writing", tmp.c_str()));
-  }
-  size_t written = std::fwrite(file.data(), 1, file.size(), f);
-  bool ok = written == file.size();
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Error(StrFormat("shared cache: short write to '%s'", tmp.c_str()));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Error(
-        StrFormat("shared cache: cannot rename '%s' to '%s'", tmp.c_str(), path.c_str()));
+  Status written = WriteFileAtomic(path, file);
+  if (!written.ok()) {
+    return Status::Error("shared cache: " + written.message());
   }
   std::lock_guard<std::mutex> lock(io_stats_mu_);
   saved_entries_ = snapshot.size();
@@ -419,17 +354,10 @@ Status SharedQueryCache::SaveToFile(const std::string& path) const {
 }
 
 size_t SharedQueryCache::LoadFromFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  Result<std::string> file = ReadWholeFile(path);
+  if (!file.ok()) {
     return 0;  // no warm-start file yet: the normal cold case, not an error
   }
-  std::string file;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    file.append(buf, n);
-  }
-  std::fclose(f);
 
   auto reject = [this, &path](const char* why) -> size_t {
     DDT_LOG_WARN("shared cache: ignoring '%s': %s", path.c_str(), why);
@@ -438,59 +366,49 @@ size_t SharedQueryCache::LoadFromFile(const std::string& path) {
     return 0;
   };
 
-  if (file.size() < sizeof(kMagic) + sizeof(uint32_t) * 2 + sizeof(uint64_t)) {
-    return reject("truncated header");
+  std::string_view bytes = file.value();
+  size_t pos = 0;
+  std::string_view payload;
+  if (ReadRecord(bytes, &pos, &payload) != RecordRead::kRecord) {
+    return reject("truncated or corrupt header");
   }
-  if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
+  ByteReader header(payload);
+  if (header.Str() != kMagic) {
     return reject("bad magic");
   }
-  ByteReader header{reinterpret_cast<const unsigned char*>(file.data()), file.size(),
-                    sizeof(kMagic)};
   uint32_t version = header.U32();
+  uint64_t count = header.U64();
+  if (!header.Done()) {
+    return reject("malformed header");
+  }
   if (version != kFormatVersion) {
     return reject("format version mismatch");
   }
-  size_t payload_begin = header.pos;
-  size_t payload_size = file.size() - payload_begin - sizeof(uint32_t);
-  uint32_t stored_crc;
-  std::memcpy(&stored_crc, file.data() + payload_begin + payload_size, sizeof(stored_crc));
-  // The CRC footer was appended little-endian; reassemble it the same way.
-  {
-    unsigned char b[4];
-    std::memcpy(b, file.data() + payload_begin + payload_size, 4);
-    stored_crc = static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-                 (static_cast<uint32_t>(b[2]) << 16) | (static_cast<uint32_t>(b[3]) << 24);
-  }
-  if (Crc32(file.data() + payload_begin, payload_size) != stored_crc) {
-    return reject("CRC mismatch (truncated or corrupt)");
-  }
-
-  ByteReader r{reinterpret_cast<const unsigned char*>(file.data()),
-               payload_begin + payload_size, payload_begin};
-  uint64_t count = r.U64();
-  // Parse everything before inserting anything: a malformed payload (which
-  // the CRC should already have caught) loads nothing rather than half.
+  // Parse everything before inserting anything: a damaged file loads nothing
+  // rather than half.
   std::vector<std::pair<std::string, std::pair<bool, CanonicalModel>>> parsed;
-  for (uint64_t i = 0; i < count && r.ok; ++i) {
-    bool sat = r.U8() != 0;
-    uint32_t text_len = r.U32();
-    std::string text = r.Str(text_len);
-    uint32_t model_n = r.U32();
-    if (!r.ok || (!sat && model_n != 0)) {
-      r.ok = false;
-      break;
+  for (uint64_t i = 0; i < count; ++i) {
+    if (ReadRecord(bytes, &pos, &payload) != RecordRead::kRecord) {
+      return reject("truncated or corrupt entry");
     }
+    ByteReader r(payload);
+    bool sat = r.U8() != 0;
+    std::string text = r.Str();
+    uint32_t model_n = r.Count(kModelPairBytes);
     CanonicalModel model;
     model.reserve(model_n);
-    for (uint32_t m = 0; m < model_n && r.ok; ++m) {
+    for (uint32_t m = 0; m < model_n; ++m) {
       uint32_t id = r.U32();
       uint64_t value = r.U64();
       model.emplace_back(id, value);
     }
+    if (!r.Done() || (!sat && model_n != 0)) {
+      return reject("malformed entry");
+    }
     parsed.emplace_back(std::move(text), std::make_pair(sat, std::move(model)));
   }
-  if (!r.ok || r.pos != r.size) {
-    return reject("malformed payload");
+  if (pos != bytes.size()) {
+    return reject("trailing bytes after the last entry");
   }
   for (auto& [text, verdict] : parsed) {
     CanonicalQuery q;

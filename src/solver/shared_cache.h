@@ -23,10 +23,13 @@
 //      wrong verdict. Each shard is bounded (entries and bytes) with
 //      LRU-ish eviction.
 //
-//   3. The store persists to a CRC-protected, version-tagged file so a
-//      repeated or resumed campaign warm-starts: load is best-effort (a
-//      missing, truncated, corrupt, or version-mismatched file is ignored
-//      and counted, never fatal), save is atomic (tmp + rename).
+//   3. The store persists to a file of CRC-framed records
+//      (src/support/record.h) — a version-tagged header naming the entry
+//      count, then one record per entry — so a repeated or resumed campaign
+//      warm-starts: load is all-or-nothing and best-effort (a missing,
+//      truncated, corrupt, or version-mismatched file, or one whose counts
+//      claim more than its bytes hold, is ignored and counted, never fatal),
+//      save is atomic (tmp + rename) under a lock file.
 //
 // Determinism contract (the reason the integration in solver.cc is shaped
 // the way it is): the shared cache may change *how fast* a verdict is found,
@@ -120,8 +123,8 @@ class SharedQueryCache {
   void Store(const CanonicalQuery& query, bool sat, CanonicalModel model);
 
   // --- Persistence ---
-  // Atomic save (tmp + rename) of every resident entry; CRC-protected and
-  // version-tagged. Returns an error only for I/O failures — callers treat
+  // Atomic save (tmp + rename) of every resident entry as CRC-framed,
+  // version-tagged records. Returns an error only for I/O failures — callers treat
   // even that as a warning, never a campaign failure.
   Status SaveToFile(const std::string& path) const;
   // Best-effort warm start: loads entries from `path` into the store. A
@@ -142,7 +145,7 @@ class SharedQueryCache {
 
   // On-disk format version; bumped whenever the canonical encoding or the
   // file layout changes so a stale cache can never be misread.
-  static constexpr uint32_t kFormatVersion = 1;
+  static constexpr uint32_t kFormatVersion = 2;
 
  private:
   struct Entry {

@@ -1,8 +1,8 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the standard zlib
-// CRC. One shared implementation for every integrity-checked byte stream in
-// the tree: the campaign journal's record lines, the shared solver cache's
-// persistence file, and the fleet wire protocol's frames all use this exact
-// function, so a checksum computed by one layer verifies in another.
+// CRC. Its one user is the record framing in src/support/record.h, which
+// seals every integrity-checked byte stream in the tree: the campaign
+// journal, the shared solver cache file, the fuzz corpus file, and the fleet
+// wire protocol's frames.
 #ifndef SRC_SUPPORT_CRC32_H_
 #define SRC_SUPPORT_CRC32_H_
 

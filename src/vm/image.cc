@@ -1,9 +1,9 @@
 #include "src/vm/image.h"
 
-#include <cstdio>
 #include <cstring>
+#include <string_view>
 
-#include "src/support/strings.h"
+#include "src/support/record.h"
 #include "src/vm/guest_memory.h"
 
 namespace ddt {
@@ -21,29 +21,19 @@ struct DdfHeader {
 };
 static_assert(sizeof(DdfHeader) == 56);
 
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v & 0xFF));
-  out->push_back(static_cast<uint8_t>((v >> 8) & 0xFF));
-  out->push_back(static_cast<uint8_t>((v >> 16) & 0xFF));
-  out->push_back(static_cast<uint8_t>((v >> 24) & 0xFF));
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 std::vector<uint8_t> DriverImage::Serialize() const {
   std::vector<uint8_t> out;
   out.reserve(BinaryFileSize());
-  AppendU32(&out, kDdfMagic);
-  AppendU32(&out, entry_offset);
-  AppendU32(&out, static_cast<uint32_t>(code.size()));
-  AppendU32(&out, static_cast<uint32_t>(data.size()));
-  AppendU32(&out, bss_size);
-  AppendU32(&out, static_cast<uint32_t>(imports.size()));
+  ByteWriter header;
+  header.U32(kDdfMagic);
+  header.U32(entry_offset);
+  header.U32(static_cast<uint32_t>(code.size()));
+  header.U32(static_cast<uint32_t>(data.size()));
+  header.U32(bss_size);
+  header.U32(static_cast<uint32_t>(imports.size()));
+  out.insert(out.end(), header.bytes().begin(), header.bytes().end());
   char name_field[32] = {};
   std::strncpy(name_field, name.c_str(), sizeof(name_field) - 1);
   out.insert(out.end(), name_field, name_field + sizeof(name_field));
@@ -63,15 +53,16 @@ Result<DriverImage> DriverImage::Parse(const std::vector<uint8_t>& bytes) {
     return Status::Error("DDF: truncated header");
   }
   const uint8_t* p = bytes.data();
-  if (ReadU32(p) != kDdfMagic) {
+  ByteReader header(std::string_view(reinterpret_cast<const char*>(p), kHeaderSize));
+  if (header.U32() != kDdfMagic) {
     return Status::Error("DDF: bad magic");
   }
   DriverImage image;
-  image.entry_offset = ReadU32(p + 4);
-  uint32_t code_size = ReadU32(p + 8);
-  uint32_t data_size = ReadU32(p + 12);
-  image.bss_size = ReadU32(p + 16);
-  uint32_t import_count = ReadU32(p + 20);
+  image.entry_offset = header.U32();
+  uint32_t code_size = header.U32();
+  uint32_t data_size = header.U32();
+  image.bss_size = header.U32();
+  uint32_t import_count = header.U32();
   char name_field[33] = {};
   std::memcpy(name_field, p + 24, 32);
   image.name = name_field;
@@ -103,37 +94,16 @@ Result<DriverImage> DriverImage::Parse(const std::vector<uint8_t>& bytes) {
 
 Status DriverImage::SaveFile(const std::string& path) const {
   std::vector<uint8_t> bytes = Serialize();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error("cannot open for writing: " + path);
-  }
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) {
-    return Status::Error("short write: " + path);
-  }
-  return Status::Ok();
+  return WriteFileAtomic(
+      path, std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
 Result<DriverImage> DriverImage::LoadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::Error("cannot open: " + path);
+  Result<std::string> bytes = ReadWholeFile(path);
+  if (!bytes.ok()) {
+    return bytes.status();
   }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::Error("cannot stat: " + path);
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) {
-    return Status::Error("short read: " + path);
-  }
-  return Parse(bytes);
+  return Parse(std::vector<uint8_t>(bytes.value().begin(), bytes.value().end()));
 }
 
 size_t DriverImage::BinaryFileSize() const {

@@ -88,6 +88,33 @@ TEST(BugIoTest, EscapingSurvivesNewlinesAndBackslashes) {
   EXPECT_NE(loaded.value()[0].details.find("line one\nline two"), std::string::npos);
 }
 
+// Evidence crosses process boundaries more than once: a fleet pass's bugs go
+// worker -> coordinator -> journal, and fuzz bugs ride the corpus file. From
+// the second serialization on, a round trip must reproduce the text byte for
+// byte, or every trip grows it.
+TEST(BugIoTest, SecondRoundTripIsAFixedPoint) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  DdtConfig config;
+  config.engine.max_instructions = 2'000'000;
+  config.engine.max_states = 512;
+  Ddt ddt(config);
+  Result<DdtResult> result = ddt.TestDriver(driver.image, driver.pci);
+  ASSERT_TRUE(result.ok());
+  ASSERT_FALSE(result.value().bugs.empty());
+
+  Result<std::vector<Bug>> once = DeserializeBugs(SerializeBugs(result.value().bugs));
+  ASSERT_TRUE(once.ok()) << once.error();
+  std::string second = SerializeBugs(once.value());
+  Result<std::vector<Bug>> twice = DeserializeBugs(second);
+  ASSERT_TRUE(twice.ok()) << twice.error();
+  EXPECT_EQ(SerializeBugs(twice.value()), second);
+  ASSERT_EQ(twice.value().size(), result.value().bugs.size());
+  for (size_t i = 0; i < twice.value().size(); ++i) {
+    EXPECT_EQ(twice.value()[i].Row(), result.value().bugs[i].Row());
+    EXPECT_EQ(twice.value()[i].details, once.value()[i].details);
+  }
+}
+
 TEST(BugIoTest, SavedBugStillReplaysAfterLoad) {
   // Find the rtl8029 bugs, save the report, load it back, replay every bug
   // from the deserialized evidence alone.

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/support/record.h"
 #include "src/support/strings.h"
 
 namespace ddt {
@@ -28,6 +29,16 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
+}
+
+// Byte offset just past the first `n` records of a journal file.
+size_t RecordsEnd(const std::string& bytes, size_t n) {
+  size_t pos = 0;
+  std::string_view payload;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(ReadRecord(bytes, &pos, &payload), RecordRead::kRecord) << "record " << i;
+  }
+  return pos;
 }
 
 CampaignPassRecord SampleRecord(uint64_t index) {
@@ -148,7 +159,7 @@ TEST(CampaignJournalTest, CounterRowsHaveDistinctKeysAndMetrics) {
 }
 
 TEST(CampaignJournalTest, RoundTripsRecordsExactly) {
-  std::string path = TempPath("journal_roundtrip.jsonl");
+  std::string path = TempPath("journal_roundtrip.journal");
   {
     Result<std::unique_ptr<CampaignJournal>> journal =
         CampaignJournal::Create(path, "toy", 0xABCDEF0123456789ull);
@@ -234,7 +245,7 @@ TEST(CampaignJournalTest, RetiredCounterKeysDecodeToTheSameRecord) {
 }
 
 TEST(CampaignJournalTest, DiscardsTornTailAndStaysAppendable) {
-  std::string path = TempPath("journal_torn.jsonl");
+  std::string path = TempPath("journal_torn.journal");
   {
     Result<std::unique_ptr<CampaignJournal>> journal = CampaignJournal::Create(path, "toy", 7);
     ASSERT_TRUE(journal.ok());
@@ -242,8 +253,10 @@ TEST(CampaignJournalTest, DiscardsTornTailAndStaysAppendable) {
     ASSERT_TRUE(journal.value()->Append(SampleRecord(1)).ok());
   }
   std::string intact = ReadFile(path);
-  // Simulate a kill mid-append: half a record, no trailing newline.
-  WriteFile(path, intact + "{\"crc\":\"DEADBEEF\",\"record\":{\"i\":2,\"labe");
+  // Simulate a kill mid-append: the first half of the next record.
+  std::string next;
+  ASSERT_TRUE(AppendRecord(&next, EncodeCampaignPassRecord(SampleRecord(2))).ok());
+  WriteFile(path, intact + next.substr(0, next.size() / 2));
 
   std::vector<CampaignPassRecord> records;
   {
@@ -263,17 +276,17 @@ TEST(CampaignJournalTest, DiscardsTornTailAndStaysAppendable) {
 }
 
 TEST(CampaignJournalTest, DiscardsCorruptTrailingRecord) {
-  std::string path = TempPath("journal_corrupt.jsonl");
+  std::string path = TempPath("journal_corrupt.journal");
   {
     Result<std::unique_ptr<CampaignJournal>> journal = CampaignJournal::Create(path, "toy", 7);
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE(journal.value()->Append(SampleRecord(0)).ok());
     ASSERT_TRUE(journal.value()->Append(SampleRecord(1)).ok());
   }
-  // Flip one payload byte inside the final (complete) line: CRC must catch it.
+  // Flip one payload byte inside the final (complete) record: CRC must catch
+  // it. Records: the header, pass 0, pass 1.
   std::string content = ReadFile(path);
-  size_t last_line_start = content.rfind('\n', content.size() - 2) + 1;
-  content[last_line_start + 40] ^= 0x20;
+  content[RecordsEnd(content, 2) + kRecordHeaderBytes + 40] ^= 0x20;
   WriteFile(path, content);
 
   std::vector<CampaignPassRecord> records;
@@ -285,7 +298,7 @@ TEST(CampaignJournalTest, DiscardsCorruptTrailingRecord) {
 }
 
 TEST(CampaignJournalTest, RejectsMismatchedOrInvalidJournals) {
-  std::string path = TempPath("journal_validate.jsonl");
+  std::string path = TempPath("journal_validate.journal");
   {
     Result<std::unique_ptr<CampaignJournal>> journal = CampaignJournal::Create(path, "toy", 7);
     ASSERT_TRUE(journal.ok());
@@ -303,7 +316,7 @@ TEST(CampaignJournalTest, RejectsMismatchedOrInvalidJournals) {
   EXPECT_NE(wrong_fp.error().find("different configuration"), std::string::npos);
 
   Result<std::unique_ptr<CampaignJournal>> missing =
-      CampaignJournal::OpenForResume(TempPath("nope.jsonl"), "toy", 7, &records);
+      CampaignJournal::OpenForResume(TempPath("nope.journal"), "toy", 7, &records);
   ASSERT_FALSE(missing.ok());
   EXPECT_NE(missing.error().find("does not exist"), std::string::npos);
 
@@ -315,9 +328,44 @@ TEST(CampaignJournalTest, RejectsMismatchedOrInvalidJournals) {
   EXPECT_NE(bad.error().find("not a DDT campaign journal"), std::string::npos);
 
   Result<std::unique_ptr<CampaignJournal>> unwritable =
-      CampaignJournal::Create("/nonexistent-dir/j.jsonl", "toy", 7);
+      CampaignJournal::Create("/nonexistent-dir/j.journal", "toy", 7);
   ASSERT_FALSE(unwritable.ok());
   EXPECT_NE(unwritable.error().find("cannot open"), std::string::npos);
+}
+
+// A journal written before the record layout — one JSON line per record
+// (these bytes, verbatim) — is refused with an error and restores nothing.
+TEST(CampaignJournalTest, RefusesAJournalInTheEarlierLayout) {
+  const std::string earlier =
+      R"json({"format":"ddt-campaign-journal","v":1,"driver":"toy","fp":"0000000000000007"}
+)json"
+      R"json({"crc":"5CD0DE07","record":{"i":0,"label":"","points":"","hw_points":"","retries)json"
+      R"json(":0,"q":0,"failure":"","profile":"1 0 0 0","hw_profile":"0 0 0 0 0","e_instructi)json"
+      R"json(ons":0,"e_forks":0,"e_dropped_forks":0,"e_states_created":0,"e_states_terminated)json"
+      R"json(":0,"e_max_live_states":0,"e_kernel_calls":0,"e_interrupts_injected":0,"e_entry_)json"
+      R"json(invocations":0,"e_concretizations":0,"e_concretization_backtracks":0,"e_faults_i)json"
+      R"json(njected":0,"e_hw_faults":0,"e_hw_removals":0,"e_hw_sticky":0,"e_hw_storms":0,"e_)json"
+      R"json(hw_suppressed":0,"e_hw_doorbells_dropped":0,"e_hw_reads_floated":0,"e_hw_writes_)json"
+      R"json(dropped":0,"e_hw_removal_events":0,"e_states_evicted":0,"e_peak_state_bytes":0,")json"
+      R"json(e_blocks_decoded":0,"e_block_cache_hits":0,"e_bc_fallback_fetches":0,"e_states_m)json"
+      R"json(erged":0,"e_loop_kills":0,"e_edge_kills":0,"e_edge_rule_kills":"","e_fork_sites")json"
+      R"json(:"","e_wall_ms":0,"s_queries":0,"s_quick_decides":0,"s_cache_hits":0,"s_sat_call)json"
+      R"json(s":0,"s_sat_results":0,"s_unsat_results":0,"s_unknown_results":0,"s_query_timeou)json"
+      R"json(ts":0,"s_aborted_queries":0,"s_total_conflicts":0,"s_total_sat_vars":0,"s_total_)json"
+      R"json(sat_clauses":0,"s_model_reuse_hits":0,"s_sc_hits":0,"s_sc_fastpath":0,"s_sc_miss)json"
+      R"json(es":0,"s_sc_stores":0,"s_sc_verify_failures":0,"s_max_query_wall_ms":0,"bugs":"d)json"
+      R"json(dt-bug-report v1\n"}}
+)json";
+  std::string path = TempPath("journal_earlier_layout.jsonl");
+  WriteFile(path, earlier);
+  std::vector<CampaignPassRecord> records;
+  Result<std::unique_ptr<CampaignJournal>> resumed =
+      CampaignJournal::OpenForResume(path, "toy", 7, &records);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_NE(resumed.error().find("not a DDT campaign journal"), std::string::npos);
+  EXPECT_TRUE(records.empty());
+  EXPECT_FALSE(LoadCampaignJournalRecords(path, "toy", 7).ok());
+  EXPECT_EQ(ReadFile(path), earlier);  // refused, not repaired
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <memory>
@@ -22,6 +21,7 @@
 #include "src/core/replay.h"
 #include "src/drivers/corpus.h"
 #include "src/support/check.h"
+#include "src/support/record.h"
 #include "src/vm/assembler.h"
 
 namespace ddt {
@@ -270,7 +270,7 @@ void WriteFile(const std::string& path, const std::string& content) {
 TEST(FaultCampaignSupervisorTest, KillAndResumeReportIsByteIdentical) {
   const CorpusDriver& driver = CorpusDriverByName("rtl8029");
 
-  std::string full_path = TempPath("campaign_full.jsonl");
+  std::string full_path = TempPath("campaign_full.journal");
   FaultCampaignConfig config = QuickCampaign();
   config.journal_path = full_path;
   Result<FaultCampaignResult> full = RunFaultCampaign(config, driver.image, driver.pci);
@@ -279,19 +279,22 @@ TEST(FaultCampaignSupervisorTest, KillAndResumeReportIsByteIdentical) {
   size_t total_passes = full.value().passes.size();
   ASSERT_GT(total_passes, 1u);
 
-  // The journal holds one header line plus one record per pass.
+  // The journal holds one header record plus one record per pass.
   std::string journal = ReadFile(full_path);
-  size_t newlines = static_cast<size_t>(std::count(journal.begin(), journal.end(), '\n'));
-  ASSERT_EQ(newlines, total_passes + 1);
+  std::vector<size_t> record_ends;
+  std::string_view payload;
+  for (size_t pos = 0; ReadRecord(journal, &pos, &payload) == RecordRead::kRecord;) {
+    record_ends.push_back(pos);
+  }
+  ASSERT_EQ(record_ends.size(), total_passes + 1);
+  ASSERT_EQ(record_ends.back(), journal.size());
 
   // Simulate a kill: keep the header and the first half of the records, then
-  // a torn half-appended line (the exact on-disk shape a SIGKILL leaves).
+  // a torn half-appended record (the exact on-disk shape a SIGKILL leaves).
   size_t keep_records = total_passes / 2;
-  size_t pos = 0;
-  for (size_t i = 0; i < keep_records + 1; ++i) {
-    pos = journal.find('\n', pos) + 1;
-  }
-  std::string truncated = journal.substr(0, pos) + "{\"crc\":\"00000000\",\"record\":{\"i\":99,";
+  size_t pos = record_ends[keep_records];
+  std::string truncated =
+      journal.substr(0, pos) + journal.substr(pos, (record_ends[keep_records + 1] - pos) / 2);
 
   auto resume_run = [&](const std::string& path, uint32_t threads) {
     FaultCampaignConfig rc = QuickCampaign();
@@ -304,7 +307,7 @@ TEST(FaultCampaignSupervisorTest, KillAndResumeReportIsByteIdentical) {
   };
 
   // Resume sequentially.
-  std::string t1 = TempPath("campaign_resume_t1.jsonl");
+  std::string t1 = TempPath("campaign_resume_t1.journal");
   WriteFile(t1, truncated);
   FaultCampaignResult r1 = resume_run(t1, 1);
   EXPECT_EQ(r1.passes_loaded, keep_records);
@@ -313,7 +316,7 @@ TEST(FaultCampaignSupervisorTest, KillAndResumeReportIsByteIdentical) {
 
   // Resume in parallel (resume repairs the file in place, so each resume
   // starts from a fresh copy of the interrupted journal).
-  std::string t4 = TempPath("campaign_resume_t4.jsonl");
+  std::string t4 = TempPath("campaign_resume_t4.journal");
   WriteFile(t4, truncated);
   FaultCampaignResult r4 = resume_run(t4, 4);
   EXPECT_EQ(r4.passes_loaded, keep_records);
@@ -415,7 +418,7 @@ class ExplodingChecker : public Checker {
 
 TEST(FaultCampaignSupervisorTest, InvariantFailureQuarantinesPassNotProcess) {
   const CorpusDriver& driver = CorpusDriverByName("rtl8029");
-  std::string path = TempPath("campaign_trap.jsonl");
+  std::string path = TempPath("campaign_trap.journal");
 
   FaultCampaignConfig config = QuickCampaign();
   config.max_passes = 3;
@@ -484,18 +487,18 @@ TEST(FaultCampaignSupervisorTest, RejectsInvalidSupervisorConfig) {
   expect_error(c, "journal_path");
 
   c = QuickCampaign();
-  c.journal_path = "/nonexistent-dir/journal.jsonl";
+  c.journal_path = "/nonexistent-dir/journal.journal";
   expect_error(c, "cannot open");
 
   c = QuickCampaign();
   c.resume = true;
-  c.journal_path = TempPath("campaign_never_written.jsonl");
+  c.journal_path = TempPath("campaign_never_written.journal");
   expect_error(c, "does not exist");
 }
 
 TEST(FaultCampaignSupervisorTest, ResumeRejectsJournalFromDifferentCampaign) {
   const CorpusDriver& driver = CorpusDriverByName("rtl8029");
-  std::string path = TempPath("campaign_mismatch.jsonl");
+  std::string path = TempPath("campaign_mismatch.journal");
   {
     // A journal with the right driver name but a foreign config fingerprint.
     Result<std::unique_ptr<CampaignJournal>> journal =

@@ -1,18 +1,22 @@
 // Fleet end-to-end: the multi-process campaign's deterministic report must be
 // byte-identical to the in-process scheduler's — at any worker count, through
 // SIGKILLed workers (salvage + lease reassignment), duplicate RESULT frames,
-// worker recycling, and resume — and a worker whose HELLO fingerprint does
-// not match is rejected (operator error), never quarantined (pass error).
+// worker recycling (every worker's solver-cache delta merged), and resume —
+// and a worker whose HELLO fingerprint does not match is rejected (operator
+// error), never quarantined (pass error).
 // Both schedulers refuse a journal from another schedule with one error, and
 // record-sourced passes publish the same counter metrics as live ones.
-// Plus wire-protocol units: framing round-trip, incremental decode, CRC and
-// truncation detection.
+// Plus wire-protocol units: framing round-trip, pinned frame bytes,
+// incremental decode, CRC and truncation detection, and a blocking reader
+// that keeps every frame of one read().
 #include "src/fleet/fleet.h"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
-#include <fstream>
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +25,8 @@
 #include "src/core/campaign_exec.h"
 #include "src/drivers/corpus.h"
 #include "src/fleet/wire.h"
+#include "src/solver/shared_cache.h"
+#include "src/support/record.h"
 #include "src/support/strings.h"
 
 namespace ddt {
@@ -67,11 +73,16 @@ TEST(FleetWireTest, BodyCodecsRoundTrip) {
   // Truncated bodies must decode to false, not garbage.
   std::string enc = EncodeLease(lease);
   EXPECT_FALSE(DecodeLease(std::string_view(enc).substr(0, enc.size() - 1), &lease2));
+  // So must a point count that claims more points than the body holds.
+  LeaseBody empty;
+  std::string lying = EncodeLease(empty);
+  lying[lying.size() - 8] = '\xFF';  // the kernel-plane count's low byte
+  EXPECT_FALSE(DecodeLease(lying, &lease2));
 }
 
 TEST(FleetWireTest, DecoderHandlesSplitFramesAndDetectsCorruption) {
-  std::string stream = EncodeFrame(FrameType::kHeartbeat, EncodeHeartbeat(1)) +
-                       EncodeFrame(FrameType::kBye, EncodeBye(ByeBody{0, "done"}));
+  std::string stream = EncodeFrame(FrameType::kHeartbeat, EncodeHeartbeat(1)).value() +
+                       EncodeFrame(FrameType::kBye, EncodeBye(ByeBody{0, "done"})).value();
   // Feed one byte at a time: frames must pop exactly when complete.
   FrameDecoder decoder;
   std::vector<Frame> frames;
@@ -99,6 +110,81 @@ TEST(FleetWireTest, DecoderHandlesSplitFramesAndDetectsCorruption) {
   FrameDecoder hostile;
   hostile.Feed(huge.data(), huge.size());
   EXPECT_EQ(hostile.Pop(&frame), FrameDecoder::Next::kCorrupt);
+}
+
+std::string Hex(std::string_view bytes) {
+  return HexBytes(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+}
+
+std::string Unspaced(std::string hex) {
+  hex.erase(std::remove(hex.begin(), hex.end(), ' '), hex.end());
+  return hex;
+}
+
+// Workers and coordinators of older builds speak this protocol: the literals
+// pin the bytes of one frame of every type.
+TEST(FleetWireTest, FramesMatchThePinnedBytes) {
+  LeaseBody lease;
+  lease.index = 7;
+  lease.plan.label = "alloc#1 + map-io-space#0";
+  lease.plan.points = {FaultPoint{FaultClass::kAllocation, 1},
+                       FaultPoint{FaultClass::kMapIoSpace, 0}};
+  lease.plan.hw_points = {HwFaultPoint{HwFaultKind::kSurpriseRemoval, 12},
+                          HwFaultPoint{HwFaultKind::kIrqStorm, 3}};
+  FuzzExecResultBody result;
+  result.index = 5;
+  result.ok = 1;
+  result.coverage_hex = "ff00";
+  result.instructions = 1234;
+  result.bugs_text = "ddt-bug-report v1\n";
+  const std::pair<std::string, const char*> cases[] = {
+      {EncodeFrame(FrameType::kHello, EncodeHello(HelloBody{0x0123456789ABCDEFull, 4242}))
+           .value(),
+       "11000000adf402b901efcdab89674523019210000000000000"},
+      {EncodeFrame(FrameType::kLease, EncodeLease(lease)).value(),
+       "4d0000001102752e02070000000000000018000000616c6c6f632331202b206d61702d696f2d737061636"
+       "52330020000000000000001000000010000000000000002000000000000000c0000000300000003000000"},
+      {EncodeFrame(FrameType::kHeartbeat, EncodeHeartbeat(99)).value(),
+       "09000000338fe081036300000000000000"},
+      {EncodeFrame(FrameType::kResult, "{\"i\":1}").value(),
+       "0800000083e96f1a047b2269223a317d"},
+      {EncodeFrame(FrameType::kBye,
+                   EncodeBye(ByeBody{kByeRejected, "campaign fingerprint mismatch"})).value(),
+       "23000000908ef2d505011d00000063616d706169676"
+       "e2066696e6765727072696e74206d69736d61746368"},
+      {EncodeFrame(FrameType::kFuzzExec,
+                   EncodeFuzzExecLease(FuzzExecLease{3, "label x\nend\n"})).value(),
+       "19000000dddd01480603000000000000000c0000006c6162656c20780a656e640a"},
+      {EncodeFrame(FrameType::kFuzzExec, EncodeFuzzExecResult(result)).value(),
+       "34000000225654fc06050000000000000001000000000400000066663030"
+       "d204000000000000120000006464742d6275672d7265706f72742076310a"},
+  };
+  for (const auto& [frame, pinned] : cases) {
+    EXPECT_EQ(Unspaced(Hex(frame)), pinned);
+  }
+}
+
+// A worker's whole shard of leases, or two results, can land in one read():
+// the reader must hand back every frame, in order, before reporting EOF.
+TEST(FleetWireTest, ReaderReturnsEveryFrameOfOneWrite) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::string two = EncodeFrame(FrameType::kHeartbeat, EncodeHeartbeat(1)).value() +
+                    EncodeFrame(FrameType::kHeartbeat, EncodeHeartbeat(2)).value();
+  ASSERT_EQ(::write(fds[1], two.data(), two.size()), static_cast<ssize_t>(two.size()));
+  ::close(fds[1]);
+  FrameReader reader(fds[0]);
+  for (uint64_t want = 1; want <= 2; ++want) {
+    Result<Frame> frame = reader.Next();
+    ASSERT_TRUE(frame.ok()) << "frame " << want << ": " << frame.error();
+    uint64_t seq = 0;
+    ASSERT_TRUE(DecodeHeartbeat(frame.value().body, &seq));
+    EXPECT_EQ(seq, want);
+  }
+  Result<Frame> eof = reader.Next();
+  ASSERT_FALSE(eof.ok());
+  EXPECT_EQ(eof.error(), "fleet pipe closed");
+  ::close(fds[0]);
 }
 
 // --- End-to-end fleet campaigns -------------------------------------------
@@ -318,6 +404,53 @@ TEST(FleetCampaignTest, WorkerRecyclingDrainsAndRespawns) {
   EXPECT_EQ(r.value().fleet_workers_lost, 0u);
 }
 
+// The solver-cache delta files ("cache-<slot>-<generation>.bin") in `dir`.
+std::vector<std::string> CacheDeltas(const std::string& dir) {
+  std::vector<std::string> paths;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (dirent* e = ::readdir(d)) {
+      std::string name = e->d_name;
+      if (name.rfind("cache-", 0) == 0 && name.compare(name.size() - 4, 4, ".bin") == 0) {
+        paths.push_back(dir + "/" + name);
+      }
+    }
+    ::closedir(d);
+  }
+  return paths;
+}
+
+// A recycled worker can exit before the coordinator reads its BYE, which
+// names its cache delta. Every delta must still be merged: the fold loads
+// exactly the entries of every delta file the workers wrote.
+TEST(FleetCampaignTest, EveryWorkersCacheDeltaIsMerged) {
+  const CorpusDriver& driver = CorpusDriverByName("rtl8029");
+  FleetCampaignConfig fleet = TestFleet("cache_deltas", 2);
+  fleet.max_leases_per_worker = 1;
+  FaultCampaignConfig config = TestConfig();
+  config.shared_cache_path = fleet.shard_dir + "/shared.bin";
+  std::remove(config.shared_cache_path.c_str());
+  for (const std::string& stale : CacheDeltas(fleet.shard_dir)) {
+    std::remove(stale.c_str());
+  }
+  Result<FaultCampaignResult> r = RunFleetCampaign(config, driver.image, driver.pci, fleet);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().FormatReport(driver.name, false), ReferenceReport());
+  EXPECT_EQ(r.value().fleet_workers_lost, 0u);
+  EXPECT_GE(r.value().fleet_workers_recycled, 1u);
+
+  std::vector<std::string> deltas = CacheDeltas(fleet.shard_dir);
+  EXPECT_EQ(deltas.size(), r.value().fleet_workers_spawned);
+  uint64_t delta_entries = 0;
+  for (const std::string& path : deltas) {
+    SharedQueryCache delta;
+    delta_entries += delta.LoadFromFile(path);
+    EXPECT_EQ(delta.stats().load_errors, 0u) << path;
+  }
+  EXPECT_GT(delta_entries, 0u);
+  EXPECT_EQ(r.value().shared_cache_loaded_entries, delta_entries);
+  EXPECT_EQ(r.value().shared_cache_load_errors, 0u);
+}
+
 TEST(FleetCampaignTest, CoordinatorJournalResumesWithoutReleasing) {
   const CorpusDriver& driver = CorpusDriverByName("rtl8029");
   std::string journal = testing::TempDir() + "fleet_resume.journal";
@@ -424,15 +557,14 @@ TEST(FleetCampaignTest, RecordSourcedPassesPublishTheSameCounterMetrics) {
   // Kill and resume: keep the header and the first three records (one
   // thread journals in plan order), as a campaign killed after pass 2
   // leaves its journal, then resume.
-  std::string journal;
-  {
-    std::ifstream in(config.journal_path);
-    std::string line;
-    for (int i = 0; i < 4 && std::getline(in, line); ++i) {
-      journal += line + "\n";
-    }
+  Result<std::string> journal = ReadWholeFile(config.journal_path);
+  ASSERT_TRUE(journal.ok()) << journal.error();
+  size_t keep = 0;
+  std::string_view payload;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(ReadRecord(journal.value(), &keep, &payload), RecordRead::kRecord);
   }
-  std::ofstream(config.journal_path, std::ios::trunc) << journal;
+  ASSERT_TRUE(WriteFileAtomic(config.journal_path, journal.value().substr(0, keep)).ok());
   config.resume = true;
   Result<FaultCampaignResult> resumed = RunFaultCampaign(config, driver.image, driver.pci);
   ASSERT_TRUE(resumed.ok()) << resumed.status().message();

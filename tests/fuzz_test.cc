@@ -1,7 +1,8 @@
 // The hybrid concolic fuzz loop (src/fuzz): input serialization, deterministic
 // mutation, coverage-novelty corpus admission and persistence, the concrete
 // executor's seed round-trip and isolation between execs that share one
-// prepared driver, report determinism across thread and worker counts, the
+// prepared driver, report determinism across thread and worker counts and
+// across kill-and-resume, the
 // latent-bug acceptance path (a bug only the fuzz plane finds, with a
 // replayable evidence file), and promotion driving symbolic passes into
 // blocks the capped exploration alone never covered.
@@ -143,21 +144,38 @@ TEST(FuzzCorpusTest, PersistsAndSurvivesTornTail) {
   second.label = "fuzz b1#3";
   corpus.Offer(second, BitmapOf({1, 2}), 1, 8);
   corpus.set_batches_done(2);
-  ASSERT_TRUE(corpus.SaveToFile(path, fp).ok());
+  FuzzLoopState loop;
+  loop.execs = 16;
+  loop.quarantined_execs = 1;
+  loop.mutations = {1, 2, 3, 4, 5, 6};
+  Bug bug;
+  bug.type = BugType::kResourceLeak;
+  bug.title = "rx buffer leaked";
+  bug.driver = "toy";
+  loop.bugs = {bug};
+  loop.bug_origins = {"fuzz b1#3"};
+  ASSERT_TRUE(corpus.SaveToFile(path, fp, loop).ok());
 
   FuzzCorpus loaded;
+  FuzzLoopState restored;
   size_t load_errors = 0;
-  ASSERT_TRUE(loaded.LoadFromFile(path, fp, &load_errors).ok());
+  ASSERT_TRUE(loaded.LoadFromFile(path, fp, &load_errors, &restored).ok());
   EXPECT_EQ(load_errors, 0u);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.batches_done(), 2u);
   EXPECT_EQ(loaded.entries()[1].input.label, "fuzz b1#3");
   EXPECT_EQ(loaded.cumulative().Fingerprint(), corpus.cumulative().Fingerprint());
+  EXPECT_EQ(restored.execs, 16u);
+  EXPECT_EQ(restored.quarantined_execs, 1u);
+  EXPECT_EQ(restored.mutations, loop.mutations);
+  ASSERT_EQ(restored.bugs.size(), 1u);
+  EXPECT_EQ(restored.bugs[0].Row(), bug.Row());
+  EXPECT_EQ(restored.bug_origins, loop.bug_origins);
 
   // A different fuzz seed / driver must refuse the file, never silently
   // continue under the wrong mutation universe.
   FuzzCorpus wrong;
-  EXPECT_FALSE(wrong.LoadFromFile(path, fp + 1, &load_errors).ok());
+  EXPECT_FALSE(wrong.LoadFromFile(path, fp + 1, &load_errors, &restored).ok());
 
   // Chop bytes off the tail (death mid-save): the intact prefix loads, the
   // damaged record is dropped and counted.
@@ -175,10 +193,40 @@ TEST(FuzzCorpusTest, PersistsAndSurvivesTornTail) {
   std::fclose(f);
 
   FuzzCorpus torn;
-  ASSERT_TRUE(torn.LoadFromFile(path, fp, &load_errors).ok());
+  ASSERT_TRUE(torn.LoadFromFile(path, fp, &load_errors, &restored).ok());
   EXPECT_EQ(torn.size(), 1u);
   EXPECT_EQ(load_errors, 1u);
   EXPECT_EQ(torn.entries()[0].input.label, "seed#0");
+  std::remove(path);
+}
+
+// A corpus saved by a build before the record layout (these bytes, verbatim)
+// is refused with an error, and the corpus in memory is left as it was.
+TEST(FuzzCorpusTest, RefusesAFileInTheEarlierLayout) {
+  const char* path = "/tmp/ddt_fuzz_corpus_earlier.bin";
+  const std::string earlier =
+      "ddt-fuzz-corpus v1 000000001234abcd 1\n"
+      "entry c68f4627 61\n"
+      "meta 1 0 0000000000000002\n"
+      "ddt-fuzz-input v1\n"
+      "label seed#0\n"
+      "end\n";
+  std::FILE* f = std::fopen(path, "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(earlier.data(), 1, earlier.size(), f);
+  std::fclose(f);
+
+  FuzzCorpus corpus;
+  corpus.Offer(SampleInput(), BitmapOf({1, 5}), 0, 8);
+  corpus.set_batches_done(3);
+  FuzzLoopState loop;
+  loop.execs = 9;
+  size_t load_errors = 0;
+  EXPECT_FALSE(corpus.LoadFromFile(path, 0x1234ABCDull, &load_errors, &loop).ok());
+  EXPECT_EQ(loop.execs, 9u);
+  EXPECT_EQ(corpus.size(), 1u);
+  EXPECT_EQ(corpus.batches_done(), 3u);
+  EXPECT_EQ(corpus.cumulative().Popcount(), 2u);
   std::remove(path);
 }
 
@@ -387,6 +435,36 @@ TEST(FuzzCampaignTest, ReportByteIdenticalAcrossThreadAndWorkerCounts) {
   EXPECT_EQ(report1, r4.value().FormatReport(rtl.name, /*include_volatile=*/false));
   EXPECT_EQ(report1, rw.value().FormatReport(rtl.name, /*include_volatile=*/false));
   EXPECT_GT(rw.value().fuzz_workers_spawned, 0u);
+}
+
+// Killed after batch 2 and resumed to batch 4, the loop reports exactly what
+// an uninterrupted 4-batch loop reports: completed batches do not re-run, and
+// their tallies and fuzz-only bugs come back from the corpus file.
+TEST(FuzzCampaignTest, ResumedLoopReportsLikeAnUninterruptedOne) {
+  const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
+  FuzzCampaignConfig full = SmallConfig();
+  full.fuzz.batches = 4;
+  Result<FuzzCampaignResult> uninterrupted = RunFuzzCampaign(full, rtl.image, rtl.pci);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().message();
+  EXPECT_GT(uninterrupted.value().fuzz_bugs.size(), 0u);
+
+  std::string corpus_path = testing::TempDir() + "fuzz_resume_corpus.bin";
+  std::remove(corpus_path.c_str());
+  FuzzCampaignConfig killed = full;
+  killed.fuzz.batches = 2;
+  killed.fuzz.corpus_path = corpus_path;
+  Result<FuzzCampaignResult> first = RunFuzzCampaign(killed, rtl.image, rtl.pci);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+
+  FuzzCampaignConfig resume = full;
+  resume.fuzz.corpus_path = corpus_path;
+  resume.fuzz.resume = true;
+  Result<FuzzCampaignResult> resumed = RunFuzzCampaign(resume, rtl.image, rtl.pci);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_LT(first.value().execs, resumed.value().execs);
+  EXPECT_EQ(resumed.value().FormatReport(rtl.name, /*include_volatile=*/false),
+            uninterrupted.value().FormatReport(rtl.name, /*include_volatile=*/false));
+  std::remove(corpus_path.c_str());
 }
 
 // The loop's rate times the batch loop alone: its wall time and the symbolic

@@ -19,6 +19,7 @@
 #include "src/drivers/corpus.h"
 #include "src/expr/eval.h"
 #include "src/solver/solver.h"
+#include "src/support/record.h"
 #include "src/support/subprocess.h"
 
 namespace ddt {
@@ -298,12 +299,72 @@ TEST(SharedQueryCacheTest, CorruptPayloadIsIgnoredWithCounter) {
 TEST(SharedQueryCacheTest, VersionMismatchIsRejectedCleanly) {
   std::string path = TempPath("version.bin");
   std::string bytes = SavedCacheBytes(path);
-  bytes[6] = static_cast<char>(SharedQueryCache::kFormatVersion + 1);  // LSB of the version
-  WriteBytes(path, bytes);
+  // Re-seal the header record with the next version, so the file is intact
+  // and only its version is wrong. Header payload: [u32 6]["DDTSQC"][u32 version]...
+  size_t pos = 0;
+  std::string_view header_view;
+  ASSERT_EQ(ReadRecord(bytes, &pos, &header_view), RecordRead::kRecord);
+  std::string header(header_view);
+  header[10] = static_cast<char>(SharedQueryCache::kFormatVersion + 1);  // LSB of the version
+  std::string resealed;
+  ASSERT_TRUE(AppendRecord(&resealed, header).ok());
+  WriteBytes(path, resealed + bytes.substr(pos));
 
   SharedQueryCache cache;
   EXPECT_EQ(cache.LoadFromFile(path), 0u);
   EXPECT_EQ(cache.stats().load_errors, 1u);
+  std::remove(path.c_str());
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// A damaged or crafted warm-start file is "ignored and counted, never
+// fatal" — even one whose element count claims four billion model pairs.
+TEST(SharedQueryCacheTest, LyingModelCountIsRejectedNotAllocated) {
+  std::string path = TempPath("lying_count.bin");
+  // A file in the earlier magic + CRC-footer layout, valid CRC, whose one sat
+  // entry claims 0xFFFFFFFF model pairs.
+  WriteBytes(path, FromHex("444454535143010000000100000000000000010100000078ffffffff3c8de967"));
+  SharedQueryCache cache;
+  EXPECT_EQ(cache.LoadFromFile(path), 0u);
+  EXPECT_EQ(cache.stats().load_errors, 1u);
+
+  // The same lie in intact records of the current layout.
+  ByteWriter header;
+  header.Str("DDTSQC");
+  header.U32(SharedQueryCache::kFormatVersion);
+  header.U64(1);
+  ByteWriter entry;
+  entry.U8(1);
+  entry.Str("x");
+  entry.U32(0xFFFFFFFFu);
+  std::string file;
+  ASSERT_TRUE(AppendRecord(&file, header.bytes()).ok());
+  ASSERT_TRUE(AppendRecord(&file, entry.bytes()).ok());
+  WriteBytes(path, file);
+  EXPECT_EQ(cache.LoadFromFile(path), 0u);
+  EXPECT_EQ(cache.stats().load_errors, 2u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  std::remove(path.c_str());
+}
+
+// A file saved by a build before the record layout (its bytes, verbatim) is
+// refused cleanly, not misread.
+TEST(SharedQueryCacheTest, RefusesAFileInTheEarlierLayout) {
+  std::string path = TempPath("earlier_layout.bin");
+  WriteBytes(path, FromHex("4444545351430100000001000000000000000120000000230a74303d63383a330a"
+                           "74313d76303a380a74323d4571312874302c7431290a0100000000000000030000"
+                           "00000000000a477ab5"));
+  SharedQueryCache cache;
+  EXPECT_EQ(cache.LoadFromFile(path), 0u);
+  EXPECT_EQ(cache.stats().load_errors, 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
   std::remove(path.c_str());
 }
 

@@ -1,12 +1,15 @@
 // Unit tests for the support layer: string helpers, integer parsing, the
-// deterministic PRNG, Status/Result semantics, and the DDT_CHECK trap the
-// campaign supervisor uses to survive engine invariant failures.
+// deterministic PRNG, Status/Result semantics, the DDT_CHECK trap the
+// campaign supervisor uses to survive engine invariant failures, and the
+// CRC-framed record primitive with its byte codec and file helpers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 
 #include "src/support/check.h"
+#include "src/support/record.h"
 #include "src/support/rng.h"
 #include "src/support/status.h"
 #include "src/support/strings.h"
@@ -152,6 +155,119 @@ TEST(CheckTrapTest, TrapsNestAsADepthCounter) {
   // The inner trap's exit must not disarm the outer one (depth, not flag):
   // an untrapped DDT_CHECK failure here would abort the test binary.
   EXPECT_THROW(DDT_CHECK(false), CheckFailureError);
+}
+
+// --- Records ----------------------------------------------------------------
+
+TEST(RecordTest, ReadsBackEveryAppendedRecordThenReportsTheEnd) {
+  std::string bytes;
+  ASSERT_TRUE(AppendRecord(&bytes, "first").ok());
+  ASSERT_TRUE(AppendRecord(&bytes, "").ok());
+  ASSERT_TRUE(AppendRecord(&bytes, std::string("bin\0ary", 7)).ok());
+  size_t pos = 0;
+  std::string_view payload;
+  ASSERT_EQ(ReadRecord(bytes, &pos, &payload), RecordRead::kRecord);
+  EXPECT_EQ(payload, "first");
+  ASSERT_EQ(ReadRecord(bytes, &pos, &payload), RecordRead::kRecord);
+  EXPECT_EQ(payload, "");
+  ASSERT_EQ(ReadRecord(bytes, &pos, &payload), RecordRead::kRecord);
+  EXPECT_EQ(payload, std::string_view("bin\0ary", 7));
+  EXPECT_EQ(pos, bytes.size());
+  EXPECT_EQ(ReadRecord(bytes, &pos, &payload), RecordRead::kIncomplete);
+}
+
+TEST(RecordTest, EveryCutIsIncompleteAndEveryFlipIsCorrupt) {
+  std::string bytes;
+  ASSERT_TRUE(AppendRecord(&bytes, "payload bytes").ok());
+  std::string_view payload;
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    size_t pos = 0;
+    EXPECT_EQ(ReadRecord(std::string_view(bytes).substr(0, cut), &pos, &payload),
+              RecordRead::kIncomplete)
+        << cut;
+    EXPECT_EQ(pos, 0u);
+  }
+  // Flips in the CRC or the payload fail the CRC.
+  for (size_t i = 4; i < bytes.size(); ++i) {
+    std::string flipped = bytes;
+    flipped[i] ^= 0x10;
+    size_t pos = 0;
+    EXPECT_EQ(ReadRecord(flipped, &pos, &payload), RecordRead::kCorrupt) << i;
+    EXPECT_EQ(pos, 0u);
+  }
+  // A length over the cap is corrupt at once, before its bytes could arrive.
+  std::string huge(kRecordHeaderBytes, '\xFF');
+  size_t pos = 0;
+  EXPECT_EQ(ReadRecord(huge, &pos, &payload), RecordRead::kCorrupt);
+}
+
+// The writer keeps the reader's cap: a payload ReadRecord would call corrupt
+// is refused at append, and the bytes already framed stay as they were.
+TEST(RecordTest, AppendRefusesAPayloadOverTheCap) {
+  std::string bytes;
+  ASSERT_TRUE(AppendRecord(&bytes, "kept").ok());
+  std::string oversized(size_t{kMaxRecordBytes} + 1, 'x');
+  Status refused = AppendRecord(&bytes, oversized);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_NE(refused.message().find("cap"), std::string::npos) << refused.message();
+  size_t pos = 0;
+  std::string_view payload;
+  ASSERT_EQ(ReadRecord(bytes, &pos, &payload), RecordRead::kRecord);
+  EXPECT_EQ(payload, "kept");
+  EXPECT_EQ(pos, bytes.size());
+}
+
+TEST(ByteCodecTest, RoundTripsLittleEndianFields) {
+  ByteWriter w;
+  w.U8(0xAB);
+  w.U32(0x01020304u);
+  w.U64(0x1122334455667788ull);
+  w.Str("text");
+  EXPECT_EQ(w.bytes().substr(0, 5), std::string("\xAB\x04\x03\x02\x01", 5));
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.U8(), 0xAB);
+  EXPECT_EQ(r.U32(), 0x01020304u);
+  EXPECT_EQ(r.U64(), 0x1122334455667788ull);
+  EXPECT_EQ(r.Str(), "text");
+  EXPECT_TRUE(r.Done());
+  EXPECT_EQ(r.U8(), 0);  // past the end: poisoned, not an over-read
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteCodecTest, CountsMayNotClaimMoreThanTheBytesLeft) {
+  ByteWriter w;
+  w.U32(3);
+  w.U64(1);
+  w.U64(2);
+  w.U64(3);
+  ByteReader fits(w.bytes());
+  EXPECT_EQ(fits.Count(8), 3u);
+  EXPECT_TRUE(fits.ok());
+
+  ByteReader too_many(w.bytes());
+  EXPECT_EQ(too_many.Count(12), 0u);  // 3 x 12 bytes do not fit in 24
+  EXPECT_FALSE(too_many.ok());
+
+  ByteWriter lying;
+  lying.U32(0xFFFFFFFFu);
+  lying.U8('x');
+  ByteReader str(lying.bytes());
+  EXPECT_EQ(str.Str(), "");
+  EXPECT_FALSE(str.ok());
+}
+
+TEST(RecordFileTest, AtomicWriteThenWholeFileRead) {
+  std::string path = testing::TempDir() + "record_file_test.bin";
+  std::string bytes("a\0b\nc", 5);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  Result<std::string> read = ReadWholeFile(path);
+  ASSERT_TRUE(read.ok()) << read.error();
+  EXPECT_EQ(read.value(), bytes);
+  EXPECT_TRUE(WriteFileAtomic(path, "").ok());
+  EXPECT_EQ(ReadWholeFile(path).value(), "");
+  std::remove(path.c_str());
+  EXPECT_FALSE(ReadWholeFile(path).ok());
+  EXPECT_FALSE(WriteFileAtomic("/nonexistent-dir/x.bin", bytes).ok());
 }
 
 }  // namespace

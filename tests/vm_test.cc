@@ -12,6 +12,7 @@
 #include "src/expr/expr.h"
 #include "src/support/check.h"
 #include "src/support/rng.h"
+#include "src/support/strings.h"
 #include "src/vm/assembler.h"
 #include "src/vm/disasm.h"
 #include "src/vm/guest_memory.h"
@@ -256,6 +257,24 @@ TEST(ImageTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed.value().data, image.data);
   EXPECT_EQ(parsed.value().bss_size, image.bss_size);
   EXPECT_EQ(parsed.value().imports, image.imports);
+}
+
+// .ddf files written by earlier builds must keep loading: the literal pins
+// the serialized bytes of a small image.
+TEST(ImageTest, SerializeMatchesThePinnedBytes) {
+  DriverImage image;
+  image.name = "toy";
+  image.entry_offset = 1;
+  image.code = {0x10, 0x20, 0x30, 0x40};
+  image.data = {0xAA, 0xBB};
+  image.bss_size = 16;
+  image.imports = {"MosAllocatePool"};
+  std::vector<uint8_t> bytes = image.Serialize();
+  EXPECT_EQ(HexBytes(bytes.data(), bytes.size()),
+            "44 44 46 31 01 00 00 00 04 00 00 00 02 00 00 00 10 00 00 00 01 00 00 00 "
+            "74 6f 79 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 "
+            "00 00 00 00 00 00 00 00 4d 6f 73 41 6c 6c 6f 63 61 74 65 50 6f 6f 6c 00 "
+            "00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 10 20 30 40 aa bb");
 }
 
 TEST(ImageTest, ParseRejectsGarbage) {
