@@ -277,9 +277,7 @@ CampaignPassRecord MakePassRecord(uint64_t index, const FaultPlan& plan, const P
                                   const HwSiteProfile* hw_profile) {
   CampaignPassRecord rec;
   rec.index = index;
-  rec.label = plan.label;
-  rec.points = plan.points;
-  rec.hw_points = plan.hw_points;
+  rec.plan = plan;
   rec.retries = out.retries;
   rec.quarantined = out.quarantined;
   rec.failure = out.failure;
@@ -371,12 +369,12 @@ Result<CampaignSchedule::Passes> CampaignSchedule::Derive(const FaultSiteProfile
       passes.pending.push_back(index);
       continue;
     }
-    if (it->second.label != plans_[i].label) {
+    if (it->second.plan.label != plans_[i].label) {
       return Status::Error(StrFormat(
           "journal '%s' does not match the campaign schedule: pass %zu is '%s' in the "
           "journal but '%s' in the regenerated plan",
-          config_.journal_path.c_str(), static_cast<size_t>(index), it->second.label.c_str(),
-          plans_[i].label.c_str()));
+          config_.journal_path.c_str(), static_cast<size_t>(index),
+          it->second.plan.label.c_str(), plans_[i].label.c_str()));
     }
     passes.restored.push_back(std::move(it->second));
   }

@@ -2,12 +2,9 @@
 
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string_view>
 #include <utility>
 
@@ -20,395 +17,154 @@ namespace ddt {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Flat JSON: one object, string keys, values that are strings or numbers.
-// This is the whole grammar the journal needs; writer and parser live side by
-// side so they cannot drift.
+// Record encoding (src/support/record.h's ByteWriter/ByteReader)
 // ---------------------------------------------------------------------------
 
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04X", c);
-        } else {
-          out->push_back(c);
-        }
-    }
+// Header: [str format name][u32 version][str driver][u64 fingerprint].
+constexpr std::string_view kFormatName = "ddt-campaign-journal";
+constexpr uint32_t kFormatVersion = 3;
+// v2 journals open with a flat-JSON header; this prefix is all this build
+// reads of one, to refuse it by version.
+constexpr std::string_view kV2Header = R"({"format":"ddt-campaign-journal","v":2,)";
+
+// Counters travel keyed by metric name: [u32 n][n x (str name, u64 value)].
+// A row the record lacks reads 0; a name this build lacks is skipped.
+template <typename Stats, size_t N>
+void EncodeCounters(const obs::CounterRow<Stats> (&rows)[N], const Stats& stats, ByteWriter* w) {
+  w->U32(N);
+  for (const auto& row : rows) {
+    w->Str(row.metric);
+    w->U64(stats.*row.field);
   }
-  out->push_back('"');
 }
 
-class JsonWriter {
- public:
-  JsonWriter() : out_("{") {}
-
-  void Str(const char* key, std::string_view value) {
-    Key(key);
-    AppendJsonString(&out_, value);
-  }
-  void U64(const char* key, uint64_t value) {
-    Key(key);
-    out_ += StrFormat("%llu", static_cast<unsigned long long>(value));
-  }
-  // %.17g round-trips every double exactly through strtod.
-  void Dbl(const char* key, double value) {
-    Key(key);
-    out_ += StrFormat("%.17g", value);
-  }
-
-  std::string Finish() { return out_ + "}"; }
-
- private:
-  void Key(const char* key) {
-    if (out_.size() > 1) {
-      out_.push_back(',');
+template <typename Stats, size_t N>
+void DecodeCounters(const obs::CounterRow<Stats> (&rows)[N], ByteReader* r, Stats* stats) {
+  for (uint32_t n = r->Count(12); n > 0; --n) {  // a name's length and a value
+    std::string name = r->Str();
+    uint64_t value = r->U64();
+    for (const auto& row : rows) {
+      if (name == row.metric) {
+        stats->*row.field = value;
+      }
     }
-    AppendJsonString(&out_, key);
-    out_.push_back(':');
   }
-  std::string out_;
-};
+}
 
-// Parses one flat object into key -> decoded value. Strings are unescaped;
-// numbers kept as their raw token (callers strtoull/strtod them). Returns
-// false on any malformed input — the caller treats the record as a torn tail.
-bool ParseFlatJson(std::string_view text, std::map<std::string, std::string>* out) {
-  size_t pos = 0;
-  auto skip_ws = [&] {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) {
-      ++pos;
+// Fork-site table: [u32 n][n x (u32 pc, str label, u64 created, dropped,
+// evicted, sat calls, merged, kills)], in key order; Decode refuses keys out
+// of order or repeated.
+void EncodeForkSites(const ForkSiteTable& table, ByteWriter* w) {
+  w->U32(static_cast<uint32_t>(table.size()));
+  for (const auto& [key, s] : table) {
+    w->U32(key.first);
+    w->Str(key.second);
+    for (uint64_t v : {s.states_created, s.dropped_forks, s.states_evicted, s.sat_calls,
+                       s.states_merged, s.kills}) {
+      w->U64(v);
     }
-  };
-  auto parse_string = [&](std::string* value) -> bool {
-    if (pos >= text.size() || text[pos] != '"') {
+  }
+}
+
+bool DecodeForkSites(ByteReader* r, ForkSiteTable* table) {
+  for (uint32_t n = r->Count(56); n > 0; --n) {  // a row's fixed-size part
+    ForkSiteKey key;
+    key.first = r->U32();
+    key.second = r->Str();
+    ForkSiteStats s;
+    for (uint64_t* v : {&s.states_created, &s.dropped_forks, &s.states_evicted, &s.sat_calls,
+                        &s.states_merged, &s.kills}) {
+      *v = r->U64();
+    }
+    if (!r->ok() || (!table->empty() && !(table->rbegin()->first < key))) {
       return false;
     }
-    ++pos;
-    value->clear();
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        value->push_back(c);
-        continue;
-      }
-      if (pos >= text.size()) {
-        return false;
-      }
-      char esc = text[pos++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          value->push_back(esc);
-          break;
-        case 'n':
-          value->push_back('\n');
-          break;
-        case 'r':
-          value->push_back('\r');
-          break;
-        case 't':
-          value->push_back('\t');
-          break;
-        case 'b':
-          value->push_back('\b');
-          break;
-        case 'f':
-          value->push_back('\f');
-          break;
-        case 'u': {
-          if (pos + 4 > text.size()) {
-            return false;
-          }
-          char* end = nullptr;
-          char hex[5] = {text[pos], text[pos + 1], text[pos + 2], text[pos + 3], 0};
-          unsigned long code = std::strtoul(hex, &end, 16);
-          if (end != hex + 4 || code > 0xFF) {
-            return false;  // writer only emits control chars this way
-          }
-          value->push_back(static_cast<char>(code));
-          pos += 4;
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // unterminated
-  };
-
-  skip_ws();
-  if (pos >= text.size() || text[pos] != '{') {
-    return false;
+    table->emplace_hint(table->end(), std::move(key), s);
   }
-  ++pos;
-  skip_ws();
-  if (pos < text.size() && text[pos] == '}') {
-    ++pos;
-  } else {
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) {
-        return false;
-      }
-      skip_ws();
-      if (pos >= text.size() || text[pos] != ':') {
-        return false;
-      }
-      ++pos;
-      skip_ws();
-      std::string value;
-      if (pos < text.size() && text[pos] == '"') {
-        if (!parse_string(&value)) {
-          return false;
-        }
-      } else {
-        size_t start = pos;
-        while (pos < text.size() && (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-                                     text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-                                     text[pos] == 'e' || text[pos] == 'E')) {
-          ++pos;
-        }
-        if (pos == start) {
-          return false;
-        }
-        value.assign(text.substr(start, pos - start));
-      }
-      (*out)[key] = std::move(value);
-      skip_ws();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        break;
-      }
-      return false;
-    }
-  }
-  skip_ws();
-  return pos == text.size();
+  return r->ok();
 }
 
-uint64_t GetU64(const std::map<std::string, std::string>& m, const char* key) {
-  auto it = m.find(key);
-  return it == m.end() ? 0 : std::strtoull(it->second.c_str(), nullptr, 10);
-}
+}  // namespace
 
-double GetDbl(const std::map<std::string, std::string>& m, const char* key) {
-  auto it = m.find(key);
-  return it == m.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr);
-}
-
-std::string GetStr(const std::map<std::string, std::string>& m, const char* key) {
-  auto it = m.find(key);
-  return it == m.end() ? std::string() : it->second;
-}
-
-// ---------------------------------------------------------------------------
-// Record encoding
-// ---------------------------------------------------------------------------
-
-constexpr char kFormatName[] = "ddt-campaign-journal";
-constexpr int kFormatVersion = 2;
-
-std::string PointsToString(const std::vector<FaultPoint>& points) {
-  std::string out;
-  for (const FaultPoint& p : points) {
-    if (!out.empty()) {
-      out.push_back(' ');
-    }
-    out += StrFormat("%d#%u", static_cast<int>(p.cls), p.occurrence);
-  }
-  return out;
-}
-
-bool PointsFromString(const std::string& text, std::vector<FaultPoint>* out) {
-  for (std::string_view piece : SplitAny(text, " ")) {
-    size_t hash = piece.find('#');
-    if (hash == std::string_view::npos) {
-      return false;
-    }
-    int64_t cls = 0;
-    int64_t occurrence = 0;
-    if (!ParseInt(piece.substr(0, hash), &cls) || !ParseInt(piece.substr(hash + 1), &occurrence) ||
-        cls < 0 || cls >= static_cast<int64_t>(kNumFaultClasses) || occurrence < 0) {
-      return false;
-    }
-    out->push_back(FaultPoint{static_cast<FaultClass>(cls), static_cast<uint32_t>(occurrence)});
-  }
-  return true;
-}
-
-std::string HwPointsToString(const std::vector<HwFaultPoint>& points) {
-  std::string out;
-  for (const HwFaultPoint& p : points) {
-    if (!out.empty()) {
-      out.push_back(' ');
-    }
-    out += StrFormat("%d#%u", static_cast<int>(p.kind), p.index);
-  }
-  return out;
-}
-
-bool HwPointsFromString(const std::string& text, std::vector<HwFaultPoint>* out) {
-  for (std::string_view piece : SplitAny(text, " ")) {
-    size_t hash = piece.find('#');
-    if (hash == std::string_view::npos) {
-      return false;
-    }
-    int64_t kind = 0;
-    int64_t index = 0;
-    if (!ParseInt(piece.substr(0, hash), &kind) || !ParseInt(piece.substr(hash + 1), &index) ||
-        kind < 0 || kind >= static_cast<int64_t>(kNumHwFaultKinds) || index < 0) {
-      return false;
-    }
-    out->push_back(HwFaultPoint{static_cast<HwFaultKind>(kind), static_cast<uint32_t>(index)});
-  }
-  return true;
-}
-
-std::string EncodeRecord(const CampaignPassRecord& rec) {
-  JsonWriter w;
-  w.U64("i", rec.index);
-  w.Str("label", rec.label);
-  w.Str("points", PointsToString(rec.points));
-  w.Str("hw_points", HwPointsToString(rec.hw_points));
-  w.U64("retries", rec.retries);
-  w.U64("q", rec.quarantined ? 1 : 0);
-  w.Str("failure", rec.failure);
+// Pass record: [u64 index][plan][u32 retries][u8 quarantined][str failure]
+// [u8 has profile][if 1: the fault-site profile's u32 per class, then the
+// hardware profile's five u32 extents][engine counters][solver counters]
+// [u32 n][n x u64 per-rule kills][fork sites][f64 engine wall ms]
+// [f64 slowest query ms][str bug_io report].
+std::string EncodeCampaignPassRecord(const CampaignPassRecord& rec) {
+  ByteWriter w;
+  w.U64(rec.index);
+  EncodeFaultPlan(rec.plan, &w);
+  w.U32(rec.retries);
+  w.U8(rec.quarantined ? 1 : 0);
+  w.Str(rec.failure);
+  w.U8(rec.has_profile ? 1 : 0);
   if (rec.has_profile) {
-    std::string profile;
-    for (size_t i = 0; i < kNumFaultClasses; ++i) {
-      if (i != 0) {
-        profile.push_back(' ');
-      }
-      profile += StrFormat("%u", rec.profile.max_occurrences[i]);
+    for (uint32_t v : rec.profile.max_occurrences) {
+      w.U32(v);
     }
-    w.Str("profile", profile);
-    // Hardware-plane counterpart: the five extent counters hw plan
-    // generation derives from.
-    w.Str("hw_profile", StrFormat("%u %u %u %u %u", rec.hw_profile.max_mmio_accesses,
-                                  rec.hw_profile.max_mmio_reads, rec.hw_profile.max_mmio_writes,
-                                  rec.hw_profile.max_crossings, rec.hw_profile.max_interrupts));
+    const HwSiteProfile& hw = rec.hw_profile;
+    for (uint32_t v : {hw.max_mmio_accesses, hw.max_mmio_reads, hw.max_mmio_writes,
+                       hw.max_crossings, hw.max_interrupts}) {
+      w.U32(v);
+    }
   }
   const EngineStats& e = rec.stats;
-  // Counter keys are DDT_ENGINE_COUNTERS' journal column. Keys absent in
-  // older journals decode to 0; keys of retired counters are ignored.
-  for (const auto& row : kEngineCounters) {
-    w.U64(row.journal_key, e.*row.field);
+  EncodeCounters(kEngineCounters, e, &w);
+  EncodeCounters(kSolverCounters, rec.solver_stats, &w);
+  w.U32(static_cast<uint32_t>(e.edge_rule_kills.size()));
+  for (uint64_t kills : e.edge_rule_kills) {
+    w.U64(kills);
   }
-  {
-    std::string rule_kills;
-    for (size_t i = 0; i < e.edge_rule_kills.size(); ++i) {
-      if (i != 0) {
-        rule_kills.push_back(' ');
-      }
-      rule_kills += StrFormat("%llu", static_cast<unsigned long long>(e.edge_rule_kills[i]));
-    }
-    w.Str("e_edge_rule_kills", rule_kills);
-  }
-  w.Str("e_fork_sites", EncodeForkSiteTable(e.fork_sites));
-  w.Dbl("e_wall_ms", e.wall_ms);
-  const SolverStats& s = rec.solver_stats;
-  for (const auto& row : kSolverCounters) {
-    w.U64(row.journal_key, s.*row.field);
-  }
-  w.Dbl("s_max_query_wall_ms", s.max_query_wall_ms);
-  w.Str("bugs", SerializeBugs(rec.bugs));
-  return w.Finish();
+  EncodeForkSites(e.fork_sites, &w);
+  w.F64(e.wall_ms);
+  w.F64(rec.solver_stats.max_query_wall_ms);
+  w.Str(SerializeBugs(rec.bugs));
+  return w.Take();
 }
 
-bool DecodeRecord(const std::map<std::string, std::string>& m, CampaignPassRecord* rec) {
-  rec->index = GetU64(m, "i");
-  rec->label = GetStr(m, "label");
-  if (!PointsFromString(GetStr(m, "points"), &rec->points)) {
+bool DecodeCampaignPassRecord(std::string_view payload, CampaignPassRecord* rec) {
+  ByteReader r(payload);
+  rec->index = r.U64();
+  if (!DecodeFaultPlan(&r, &rec->plan)) {
     return false;
   }
-  if (!HwPointsFromString(GetStr(m, "hw_points"), &rec->hw_points)) {
+  rec->retries = r.U32();
+  uint8_t quarantined = r.U8();
+  rec->failure = r.Str();
+  uint8_t has_profile = r.U8();
+  if (quarantined > 1 || has_profile > 1) {
     return false;
   }
-  rec->retries = static_cast<uint32_t>(GetU64(m, "retries"));
-  rec->quarantined = GetU64(m, "q") != 0;
-  rec->failure = GetStr(m, "failure");
-  auto profile_it = m.find("profile");
-  if (profile_it != m.end()) {
-    std::vector<std::string_view> pieces = SplitAny(profile_it->second, " ");
-    if (pieces.size() != kNumFaultClasses) {
-      return false;
+  rec->quarantined = quarantined == 1;
+  rec->has_profile = has_profile == 1;
+  if (rec->has_profile) {
+    for (uint32_t& v : rec->profile.max_occurrences) {
+      v = r.U32();
     }
-    for (size_t i = 0; i < kNumFaultClasses; ++i) {
-      int64_t v = 0;
-      if (!ParseInt(pieces[i], &v) || v < 0) {
-        return false;
-      }
-      rec->profile.max_occurrences[i] = static_cast<uint32_t>(v);
-    }
-    rec->has_profile = true;
-    auto hw_it = m.find("hw_profile");
-    if (hw_it != m.end()) {
-      std::vector<std::string_view> hw_pieces = SplitAny(hw_it->second, " ");
-      if (hw_pieces.size() != 5) {
-        return false;
-      }
-      uint32_t* fields[5] = {&rec->hw_profile.max_mmio_accesses, &rec->hw_profile.max_mmio_reads,
-                             &rec->hw_profile.max_mmio_writes, &rec->hw_profile.max_crossings,
-                             &rec->hw_profile.max_interrupts};
-      for (size_t i = 0; i < 5; ++i) {
-        int64_t v = 0;
-        if (!ParseInt(hw_pieces[i], &v) || v < 0) {
-          return false;
-        }
-        *fields[i] = static_cast<uint32_t>(v);
-      }
+    HwSiteProfile& hw = rec->hw_profile;
+    for (uint32_t* v : {&hw.max_mmio_accesses, &hw.max_mmio_reads, &hw.max_mmio_writes,
+                        &hw.max_crossings, &hw.max_interrupts}) {
+      *v = r.U32();
     }
   }
   EngineStats& e = rec->stats;
-  for (const auto& row : kEngineCounters) {
-    e.*row.field = GetU64(m, row.journal_key);
+  DecodeCounters(kEngineCounters, &r, &e);
+  DecodeCounters(kSolverCounters, &r, &rec->solver_stats);
+  e.edge_rule_kills.resize(r.Count(8));
+  for (uint64_t& kills : e.edge_rule_kills) {
+    kills = r.U64();
   }
-  {
-    std::string rule_kills = GetStr(m, "e_edge_rule_kills");
-    if (!rule_kills.empty()) {
-      for (std::string_view piece : SplitAny(rule_kills, " ")) {
-        int64_t v = 0;
-        if (!ParseInt(piece, &v) || v < 0) {
-          return false;
-        }
-        e.edge_rule_kills.push_back(static_cast<uint64_t>(v));
-      }
-    }
+  if (!DecodeForkSites(&r, &e.fork_sites)) {
+    return false;
   }
-  e.fork_sites = DecodeForkSiteTable(GetStr(m, "e_fork_sites"));
-  e.wall_ms = GetDbl(m, "e_wall_ms");
-  SolverStats& s = rec->solver_stats;
-  for (const auto& row : kSolverCounters) {
-    s.*row.field = GetU64(m, row.journal_key);
+  e.wall_ms = r.F64();
+  rec->solver_stats.max_query_wall_ms = r.F64();
+  std::string bugs_text = r.Str();
+  if (!r.Done()) {
+    return false;
   }
-  s.max_query_wall_ms = GetDbl(m, "s_max_query_wall_ms");
-  Result<std::vector<Bug>> bugs = DeserializeBugs(GetStr(m, "bugs"));
+  Result<std::vector<Bug>> bugs = DeserializeBugs(bugs_text);
   if (!bugs.ok()) {
     return false;
   }
@@ -416,13 +172,15 @@ bool DecodeRecord(const std::map<std::string, std::string>& m, CampaignPassRecor
   return true;
 }
 
+namespace {
+
 std::string EncodeHeader(const std::string& driver, uint64_t fingerprint) {
-  JsonWriter w;
-  w.Str("format", kFormatName);
-  w.U64("v", kFormatVersion);
-  w.Str("driver", driver);
-  w.Str("fp", StrFormat("%016llX", static_cast<unsigned long long>(fingerprint)));
-  return w.Finish();
+  ByteWriter w;
+  w.Str(kFormatName);
+  w.U32(kFormatVersion);
+  w.Str(driver);
+  w.U64(fingerprint);
+  return w.Take();
 }
 
 // Validates a journal's header record against (driver, fingerprint). On
@@ -432,27 +190,39 @@ Status ValidateHeader(std::string_view bytes, const std::string& path, const std
   if (bytes.empty()) {
     return Status::Error(StrFormat("cannot resume: journal '%s' is empty", path.c_str()));
   }
+  Status not_journal =
+      Status::Error(StrFormat("'%s' is not a DDT campaign journal", path.c_str()));
   std::string_view payload;
-  std::map<std::string, std::string> header;
-  if (ReadRecord(bytes, pos, &payload) != RecordRead::kRecord ||
-      !ParseFlatJson(payload, &header) || GetStr(header, "format") != kFormatName) {
+  if (ReadRecord(bytes, pos, &payload) != RecordRead::kRecord) {
+    return not_journal;
+  }
+  ByteReader r(payload);
+  std::string format = r.Str();
+  uint32_t version = r.U32();
+  if (payload.starts_with(kV2Header)) {
+    version = 2;
+  } else if (!r.ok() || format != kFormatName) {
+    return not_journal;
+  }
+  if (version != kFormatVersion) {
     return Status::Error(
-        StrFormat("'%s' is not a DDT campaign journal", path.c_str()));
+        StrFormat("journal '%s' has unsupported version %u", path.c_str(), version));
   }
-  if (GetU64(header, "v") != kFormatVersion) {
-    return Status::Error(StrFormat("journal '%s' has unsupported version %llu", path.c_str(),
-                                   static_cast<unsigned long long>(GetU64(header, "v"))));
+  std::string journal_driver = r.Str();
+  uint64_t journal_fp = r.U64();
+  if (!r.Done()) {
+    return not_journal;
   }
-  if (GetStr(header, "driver") != driver) {
+  if (journal_driver != driver) {
     return Status::Error(StrFormat("journal '%s' belongs to driver '%s', not '%s'", path.c_str(),
-                                   GetStr(header, "driver").c_str(), driver.c_str()));
+                                   journal_driver.c_str(), driver.c_str()));
   }
-  std::string expected_fp = StrFormat("%016llX", static_cast<unsigned long long>(fingerprint));
-  if (GetStr(header, "fp") != expected_fp) {
+  if (journal_fp != fingerprint) {
     return Status::Error(StrFormat(
         "journal '%s' was written by a campaign with a different configuration or driver image "
-        "(fingerprint %s, expected %s)",
-        path.c_str(), GetStr(header, "fp").c_str(), expected_fp.c_str()));
+        "(fingerprint %016llX, expected %016llX)",
+        path.c_str(), static_cast<unsigned long long>(journal_fp),
+        static_cast<unsigned long long>(fingerprint)));
   }
   return Status::Ok();
 }
@@ -477,15 +247,6 @@ size_t ReadValidRecords(std::string_view bytes, size_t pos,
 }
 
 }  // namespace
-
-std::string EncodeCampaignPassRecord(const CampaignPassRecord& record) {
-  return EncodeRecord(record);
-}
-
-bool DecodeCampaignPassRecord(std::string_view payload, CampaignPassRecord* record) {
-  std::map<std::string, std::string> fields;
-  return ParseFlatJson(payload, &fields) && DecodeRecord(fields, record);
-}
 
 Result<std::vector<CampaignPassRecord>> LoadCampaignJournalRecords(const std::string& path,
                                                                    const std::string& driver,
@@ -582,7 +343,7 @@ void CampaignJournal::SetMetrics(obs::MetricsRegistry* metrics) {
 Status CampaignJournal::Append(const CampaignPassRecord& record) {
   obs::ScopedSpan obs_span("journal.append");
   std::string frame;
-  Status framed = AppendRecord(&frame, EncodeRecord(record));
+  Status framed = AppendRecord(&frame, EncodeCampaignPassRecord(record));
   if (!framed.ok()) {
     return Status::Error(StrFormat("cannot append to campaign journal '%s': %s", path_.c_str(),
                                    framed.message().c_str()));

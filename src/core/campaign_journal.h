@@ -11,17 +11,18 @@
 // the missing ones, and merges everything in plan order, so the deterministic
 // report is byte-identical to an uninterrupted run.
 //
-// Format: a sequence of CRC-framed records (src/support/record.h). The first
-// record is a flat-JSON header naming the format version, the driver, and a
-// fingerprint of every plan-determining config knob plus the driver image
-// bytes (so a journal cannot silently resume a *different* campaign; thread
-// count and supervisor budgets are deliberately excluded — resuming with more
-// workers or a longer watchdog is legitimate). Every later record is one
-// pass's flat-JSON payload (EncodeCampaignPassRecord). A process killed
-// mid-append leaves a torn or corrupt final record; resume discards the
-// invalid tail (truncating the file back to the valid prefix) rather than
-// failing, because losing one pass is recoverable and losing the journal is
-// not. A journal of another format version is refused.
+// Format (version 3): a sequence of CRC-framed records (src/support/record.h)
+// whose payloads are written with its ByteWriter. The first record is a
+// header naming the format version, the driver, and a fingerprint of every
+// plan-determining config knob plus the driver image bytes (so a journal
+// cannot silently resume a *different* campaign; thread count and supervisor
+// budgets are deliberately excluded — resuming with more workers or a longer
+// watchdog is legitimate). Every later record is one pass's binary payload
+// (EncodeCampaignPassRecord). A process killed mid-append leaves a torn or
+// corrupt final record; resume discards the invalid tail (truncating the file
+// back to the valid prefix) rather than failing, because losing one pass is
+// recoverable and losing the journal is not. A journal of another format
+// version, including the flat-JSON v2, is refused.
 #ifndef SRC_CORE_CAMPAIGN_JOURNAL_H_
 #define SRC_CORE_CAMPAIGN_JOURNAL_H_
 
@@ -47,9 +48,7 @@ namespace ddt {
 // parallel workers, so the index — not the record position — is the key.
 struct CampaignPassRecord {
   uint64_t index = 0;
-  std::string label;               // plan label ("" for the baseline)
-  std::vector<FaultPoint> points;  // plan injection points
-  std::vector<HwFaultPoint> hw_points;  // device-level injection points
+  FaultPlan plan;                  // empty for the baseline
   uint32_t retries = 0;            // supervisor retry attempts consumed
   bool quarantined = false;        // permanently failed; no stats/bugs
   std::string failure;             // failure reason (quarantined passes)
@@ -64,11 +63,14 @@ struct CampaignPassRecord {
   HwSiteProfile hw_profile;
 };
 
-// Flat-JSON payload codec for one pass record — the exact bytes the journal
+// Binary payload codec for one pass record — the exact bytes the journal
 // stores inside its record framing. Exposed because the fleet wire protocol
 // (src/fleet) ships RESULT payloads in this encoding, so a record produced
 // by a worker process, a record checkpointed to a shard journal, and a
 // record in the coordinator's main journal are interchangeable byte-for-byte.
+// Counters are keyed by their metric name (an absent one reads 0, an unknown
+// one is skipped); Decode refuses out-of-range enums, flags other than 0/1,
+// an unordered fork-site table, and trailing bytes.
 std::string EncodeCampaignPassRecord(const CampaignPassRecord& record);
 bool DecodeCampaignPassRecord(std::string_view payload, CampaignPassRecord* record);
 

@@ -282,7 +282,8 @@ Status Engine::LoadDriver(std::shared_ptr<const PreparedDriver> driver,
   initial->regs.fill(Value::Concrete(0));
   initial->SetReg(kRegSp, Value::Concrete(kDriverStackTop - 64));
   initial->rng = Rng(config_.seed ^ 0xABCDEF);
-  initial->trace.set_max_tail_events(config_.max_trace_tail_events);
+  constexpr size_t kMaxTraceTailEvents = 1 << 18;  // older events are elided
+  initial->trace.set_max_tail_events(kMaxTraceTailEvents);
   initial->device = device_proto_ != nullptr ? device_proto_->Clone()
                                              : std::make_unique<SymbolicDevice>(loaded.name);
   for (const auto& checker : checkers_) {
@@ -867,8 +868,11 @@ void Engine::CrossBoundary(ExecutionState& st) {
     return;
   }
 
+  // Per-path symbolic interrupt budget (§3.3: simplified model injects at
+  // boundary crossings; one injection usually suffices to expose races).
+  constexpr uint32_t kMaxInterruptsPerPath = 1;
   if (st.kernel.isr_registered && st.device->InterruptPossible() &&
-      st.kernel.interrupts_injected < config_.max_interrupts_per_path &&
+      st.kernel.interrupts_injected < kMaxInterruptsPerPath &&
       !st.InContext(ExecContextKind::kIsr) && states_.size() < config_.max_states &&
       st.depth < config_.max_fork_depth) {
     if (hw_silent) {
@@ -2315,7 +2319,8 @@ void Engine::HandleKCall(ExecutionState& st, const Instruction& insn) {
       snapshot->kcall_checkpoints.clear();
       checkpoint.snapshot = std::move(snapshot);
       st.kcall_checkpoints.push_back(std::move(checkpoint));
-      if (st.kcall_checkpoints.size() > config_.max_kcall_checkpoints_per_state) {
+      constexpr size_t kMaxKcallCheckpointsPerState = 4;  // newest kept
+      if (st.kcall_checkpoints.size() > kMaxKcallCheckpointsPerState) {
         st.kcall_checkpoints.erase(st.kcall_checkpoints.begin());
       }
     }

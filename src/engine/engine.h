@@ -64,22 +64,16 @@ struct EngineConfig {
   // evicts the largest states until back under the ceiling, always keeping
   // at least one state alive. 0 = unlimited.
   uint64_t max_state_bytes = 0;
-  // Per-path symbolic interrupt budget (§3.3: simplified model injects at
-  // boundary crossings; one injection usually suffices to expose races).
-  uint32_t max_interrupts_per_path = 1;
   // Concretization backtracking (§3.2): when a concretization performed
   // during a kernel call later blocks a branch direction, revive a snapshot
   // taken at the call boundary, constrain it toward the blocked direction,
   // and re-execute the call with a compatible concrete value.
   bool enable_concretization_backtracking = true;
-  uint32_t max_kcall_checkpoints_per_state = 4;
   uint32_t max_concretization_backtracks = 32;  // engine-wide budget
   bool enable_symbolic_interrupts = true;
   // Forced concrete interrupt schedule (replay / stress modes): deliver the
   // ISR at exactly these boundary-crossing indices.
   std::vector<uint32_t> forced_interrupt_schedule;
-  // Terminate a path when an entry point returns failure (§4.3).
-  bool terminate_on_entry_failure = true;
   SearchStrategy strategy = SearchStrategy::kCoverageGreedy;
   // Path-explosion control (src/engine/pathctl.h): loop/edge killers and
   // diamond state merging. Off by default; the fork profiler (per-fork-site
@@ -99,7 +93,6 @@ struct EngineConfig {
   // Stop the whole run at the first bug (Driver Verifier semantics; DDT's
   // default keeps going and finds multiple bugs in one run, §5.1).
   bool stop_after_first_bug = false;
-  size_t max_trace_tail_events = 1 << 18;
   SolverConfig solver;
 
   // Fault-injection plan for this pass (§3.4 campaigns). Empty = plain run.
@@ -182,70 +175,68 @@ Result<std::shared_ptr<const PreparedDriver>> PrepareDriver(const DriverImage& i
 std::string OriginKeyString(const VarOrigin& origin);
 
 // Every uint64_t counter of EngineStats, declared once as
-//   X(field, merge, journal_key, metric)
+//   X(field, merge, metric)
 // merge: kSum, or kMax for a high-water mark (published as a gauge).
-// journal_key: the counter's key in a campaign-journal record (never rename:
-// journals written by older builds must keep resuming). metric: its name in
-// the per-pass MetricsRegistry; hw.* rows publish only for passes whose plan
-// carries hardware fault points. The struct fields, Accumulate, the journal
-// codec and metric publishing are all generated from this list.
+// metric: its name in the per-pass MetricsRegistry, and its key in a
+// campaign-journal record (renaming one loses its value in journals written
+// before); hw.* rows publish only for passes whose plan carries hardware
+// fault points. The struct fields, Accumulate, the journal codec and metric
+// publishing are all generated from this list.
 #define DDT_ENGINE_COUNTERS(X)                                                           \
-  X(instructions, kSum, "e_instructions", "engine.instructions")                         \
-  X(forks, kSum, "e_forks", "engine.forks")                                              \
+  X(instructions, kSum, "engine.instructions")                                           \
+  X(forks, kSum, "engine.forks")                                                         \
   /* Suppressed by max_states. */                                                        \
-  X(dropped_forks, kSum, "e_dropped_forks", "engine.dropped_forks")                      \
-  X(states_created, kSum, "e_states_created", "engine.states_created")                   \
-  X(states_terminated, kSum, "e_states_terminated", "engine.states_terminated")          \
-  X(max_live_states, kMax, "e_max_live_states", "engine.max_live_states")                \
-  X(kernel_calls, kSum, "e_kernel_calls", "engine.kernel_calls")                         \
-  X(interrupts_injected, kSum, "e_interrupts_injected", "engine.interrupts_injected")    \
-  X(entry_invocations, kSum, "e_entry_invocations", "engine.entry_invocations")          \
-  X(concretizations, kSum, "e_concretizations", "engine.concretizations")                \
-  X(concretization_backtracks, kSum, "e_concretization_backtracks",                      \
-    "engine.concretization_backtracks")                                                  \
+  X(dropped_forks, kSum, "engine.dropped_forks")                                         \
+  X(states_created, kSum, "engine.states_created")                                       \
+  X(states_terminated, kSum, "engine.states_terminated")                                 \
+  X(max_live_states, kMax, "engine.max_live_states")                                     \
+  X(kernel_calls, kSum, "engine.kernel_calls")                                           \
+  X(interrupts_injected, kSum, "engine.interrupts_injected")                             \
+  X(entry_invocations, kSum, "engine.entry_invocations")                                 \
+  X(concretizations, kSum, "engine.concretizations")                                     \
+  X(concretization_backtracks, kSum, "engine.concretization_backtracks")                 \
   /* Deliberate kernel-API failures delivered by the active FaultPlan. */                \
-  X(faults_injected, kSum, "e_faults_injected", "engine.faults_injected")                \
+  X(faults_injected, kSum, "engine.faults_injected")                                     \
   /* Hardware fault plane (device-level schedules in the same FaultPlan): */             \
   /* total points triggered, plus per-behavior tallies. */                               \
-  X(hw_faults_injected, kSum, "e_hw_faults", "hw.faults_injected")                       \
+  X(hw_faults_injected, kSum, "hw.faults_injected")                                      \
   /* Surprise removals (MMIO- or IRQ-indexed). */                                        \
-  X(hw_removals, kSum, "e_hw_removals", "hw.removals")                                   \
+  X(hw_removals, kSum, "hw.removals")                                                    \
   /* Sticky all-ones error states latched. */                                            \
-  X(hw_sticky_faults, kSum, "e_hw_sticky", "hw.sticky_faults")                           \
+  X(hw_sticky_faults, kSum, "hw.sticky_faults")                                          \
   /* Interrupts forced past the path budget. */                                          \
-  X(hw_irq_storms, kSum, "e_hw_storms", "hw.irq_storms")                                 \
+  X(hw_irq_storms, kSum, "hw.irq_storms")                                                \
   /* Deliveries withheld (drought/removal). */                                           \
-  X(hw_irq_suppressed, kSum, "e_hw_suppressed", "hw.irq_suppressed")                     \
+  X(hw_irq_suppressed, kSum, "hw.irq_suppressed")                                        \
   /* Single writes silently dropped. */                                                  \
-  X(hw_doorbells_dropped, kSum, "e_hw_doorbells_dropped", "hw.doorbells_dropped")        \
+  X(hw_doorbells_dropped, kSum, "hw.doorbells_dropped")                                  \
   /* Reads served all-ones (removed/sticky). */                                          \
-  X(hw_reads_floated, kSum, "e_hw_reads_floated", "hw.reads_floated")                    \
+  X(hw_reads_floated, kSum, "hw.reads_floated")                                          \
   /* Writes dropped after removal. */                                                    \
-  X(hw_writes_dropped, kSum, "e_hw_writes_dropped", "hw.writes_dropped")                 \
+  X(hw_writes_dropped, kSum, "hw.writes_dropped")                                        \
   /* PnP removal deliveries to the exerciser. */                                         \
-  X(hw_removal_events, kSum, "e_hw_removal_events", "hw.removal_events")                 \
+  X(hw_removal_events, kSum, "hw.removal_events")                                        \
   /* States killed by the resource governor (per-state fuel or memory */                 \
   /* pressure), as opposed to normal termination. */                                     \
-  X(states_evicted, kSum, "e_states_evicted", "engine.states_evicted")                   \
+  X(states_evicted, kSum, "engine.states_evicted")                                       \
   /* Peak approximate working-set across live states: COW delta bytes plus */            \
   /* path-constraint counts (the §5.2 "DDT used at most 4 GB" accounting, */             \
   /* scaled to this reproduction). */                                                    \
-  X(peak_state_bytes, kMax, "e_peak_state_bytes", "engine.peak_state_bytes")             \
+  X(peak_state_bytes, kMax, "engine.peak_state_bytes")                                   \
   /* Translation-cache accounting: straight-line blocks decoded once, and */             \
   /* instruction fetches served from already-decoded slots. */                           \
-  X(blocks_decoded, kSum, "e_blocks_decoded", "vm.block_cache.blocks_decoded")           \
-  X(block_cache_hits, kSum, "e_block_cache_hits", "vm.block_cache.hits")                 \
+  X(blocks_decoded, kSum, "vm.block_cache.blocks_decoded")                               \
+  X(block_cache_hits, kSum, "vm.block_cache.hits")                                       \
   /* Probes the cache could not serve (misaligned pc or undecodable slot) */             \
   /* that fell back to byte-wise fetch. */                                               \
-  X(block_cache_fallback_fetches, kSum, "e_bc_fallback_fetches",                         \
-    "vm.block_cache.fallback_fetches")                                                   \
+  X(block_cache_fallback_fetches, kSum, "vm.block_cache.fallback_fetches")               \
   /* Path-explosion control (volatile: never in deterministic reports). */               \
   /* Diamond merges performed (one per pair). */                                         \
-  X(states_merged, kSum, "e_states_merged", "search.states_merged")                      \
+  X(states_merged, kSum, "search.states_merged")                                         \
   /* Back-edge-starvation kills. */                                                      \
-  X(loop_kills, kSum, "e_loop_kills", "search.loop_kills")                               \
+  X(loop_kills, kSum, "search.loop_kills")                                               \
   /* Explicit edge-rule kills (sum of per-rule). */                                      \
-  X(edge_kills, kSum, "e_edge_kills", "search.edge_kills")
+  X(edge_kills, kSum, "search.edge_kills")
 
 struct EngineStats {
   DDT_ENGINE_COUNTERS(DDT_COUNTER_FIELD)

@@ -34,6 +34,43 @@ std::string FaultPlan::ToString() const {
   return out;
 }
 
+void EncodeFaultPlan(const FaultPlan& plan, ByteWriter* w) {
+  w->Str(plan.label);
+  w->U32(static_cast<uint32_t>(plan.points.size()));
+  for (const FaultPoint& point : plan.points) {
+    w->U32(static_cast<uint32_t>(point.cls));
+    w->U32(point.occurrence);
+  }
+  w->U32(static_cast<uint32_t>(plan.hw_points.size()));
+  for (const HwFaultPoint& point : plan.hw_points) {
+    w->U32(static_cast<uint32_t>(point.kind));
+    w->U32(point.index);
+  }
+}
+
+bool DecodeFaultPlan(ByteReader* r, FaultPlan* plan) {
+  plan->label = r->Str();
+  plan->points.resize(r->Count(8));
+  for (FaultPoint& point : plan->points) {
+    uint32_t cls = r->U32();
+    point.occurrence = r->U32();
+    if (cls >= kNumFaultClasses) {
+      return false;
+    }
+    point.cls = static_cast<FaultClass>(cls);
+  }
+  plan->hw_points.resize(r->Count(8));
+  for (HwFaultPoint& point : plan->hw_points) {
+    uint32_t kind = r->U32();
+    point.index = r->U32();
+    if (kind >= kNumHwFaultKinds) {
+      return false;
+    }
+    point.kind = static_cast<HwFaultKind>(kind);
+  }
+  return r->ok();
+}
+
 bool FaultSiteProfile::Empty() const {
   for (uint32_t n : max_occurrences) {
     if (n != 0) return false;

@@ -19,6 +19,7 @@
 
 #include "src/hw/hw_fault.h"
 #include "src/kernel/api.h"
+#include "src/support/record.h"
 
 namespace ddt {
 
@@ -50,6 +51,13 @@ struct FaultPlan {
   bool ShouldTriggerHw(HwFaultKind kind, uint32_t index) const;
   std::string ToString() const;
 };
+
+// The one binary form of a plan, carried by fleet leases, journal pass
+// records and fuzz inputs: [str label][u32 n][n x (u32 class, u32
+// occurrence)][u32 m][m x (u32 kind, u32 index)]. Decode fails on a point
+// whose class or kind is out of range.
+void EncodeFaultPlan(const FaultPlan& plan, ByteWriter* w);
+bool DecodeFaultPlan(ByteReader* r, FaultPlan* plan);
 
 // Per-class count of fault-eligible call sites observed across all paths of
 // a pass (the max occurrence counter any path reached). The campaign uses

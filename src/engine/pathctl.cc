@@ -87,70 +87,4 @@ std::string FormatHotForkSites(const ForkSiteTable& table, size_t n) {
   return out;
 }
 
-std::string EncodeForkSiteTable(const ForkSiteTable& table) {
-  std::string out;
-  for (const auto& [key, s] : table) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%s%08x:%s:%llu:%llu:%llu:%llu:%llu:%llu",
-                  out.empty() ? "" : " ", key.first, key.second.c_str(),
-                  static_cast<unsigned long long>(s.states_created),
-                  static_cast<unsigned long long>(s.dropped_forks),
-                  static_cast<unsigned long long>(s.states_evicted),
-                  static_cast<unsigned long long>(s.sat_calls),
-                  static_cast<unsigned long long>(s.states_merged),
-                  static_cast<unsigned long long>(s.kills));
-    out += buf;
-  }
-  return out;
-}
-
-ForkSiteTable DecodeForkSiteTable(const std::string& text) {
-  ForkSiteTable table;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t space = text.find(' ', pos);
-    std::string token =
-        text.substr(pos, space == std::string::npos ? std::string::npos : space - pos);
-    pos = space == std::string::npos ? text.size() : space + 1;
-    if (token.empty()) {
-      continue;
-    }
-    // pc : label : 6 counters — split on ':' into exactly 8 fields.
-    std::vector<std::string> fields;
-    size_t start = 0;
-    while (true) {
-      size_t colon = token.find(':', start);
-      if (colon == std::string::npos) {
-        fields.push_back(token.substr(start));
-        break;
-      }
-      fields.push_back(token.substr(start, colon - start));
-      start = colon + 1;
-    }
-    if (fields.size() != 8) {
-      continue;
-    }
-    uint32_t pc = 0;
-    if (!ParsePc("0x" + fields[0], &pc)) {
-      continue;
-    }
-    ForkSiteStats s;
-    uint64_t* counters[6] = {&s.states_created, &s.dropped_forks, &s.states_evicted,
-                             &s.sat_calls,      &s.states_merged, &s.kills};
-    bool ok = true;
-    for (size_t i = 0; i < 6; ++i) {
-      char* end = nullptr;
-      *counters[i] = std::strtoull(fields[i + 2].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      table[{pc, fields[1]}] = s;
-    }
-  }
-  return table;
-}
-
 }  // namespace ddt

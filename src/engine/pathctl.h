@@ -86,7 +86,9 @@ struct ForkSiteStats {
 // (fork-site PC, fault-site label). The label is the last injected fault on
 // the spawning path as "class#occurrence" ("allocation#0"), or "-" when the
 // path had no injected fault yet — it ties path explosion back to the
-// campaign's fault schedule. Ordered map: deterministic iteration.
+// campaign's fault schedule. Ordered map: deterministic iteration. The table
+// is journaled and fleet-shipped inside the campaign pass record
+// (src/core/campaign_journal.h), in this key order.
 using ForkSiteKey = std::pair<uint32_t, std::string>;
 using ForkSiteTable = std::map<ForkSiteKey, ForkSiteStats>;
 
@@ -95,13 +97,6 @@ void AccumulateForkSites(ForkSiteTable* into, const ForkSiteTable& from);
 // Ranked hot-fork-sites text for the volatile report: top `n` keys by states
 // created (ties by key order), one line each.
 std::string FormatHotForkSites(const ForkSiteTable& table, size_t n);
-
-// Journal/fleet transport codec. Entries are space-joined
-// "pc:label:created:dropped:evicted:sat:merged:kills" tokens (labels are
-// "class#occurrence" names — never contain ':' or spaces). Empty table ↔
-// empty string. Decode ignores malformed tokens.
-std::string EncodeForkSiteTable(const ForkSiteTable& table);
-ForkSiteTable DecodeForkSiteTable(const std::string& text);
 
 }  // namespace ddt
 

@@ -49,11 +49,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string ShardJournalPath(const std::string& shard_dir, uint32_t slot, uint64_t generation) {
-  return StrFormat("%s/worker-%u-%llu.journal", shard_dir.c_str(), slot,
-                   static_cast<unsigned long long>(generation));
-}
-
 // How a pass record reached the coordinator; drives journaling and tallies.
 enum class RecordSource {
   kResume,   // restored from the main journal (counts into passes_loaded)
@@ -133,8 +128,9 @@ class Coordinator {
       // in-flight pass is still legitimately allowed to spend.
       return Status::Error(StrFormat(
           "fleet heartbeat/watchdog budget inversion: heartbeat_timeout_ms (%u) must exceed "
-          "max_pass_wall_ms (%u)",
-          fleet_.heartbeat_timeout_ms, config_.max_pass_wall_ms));
+          "max_pass_wall_ms (%llu)",
+          fleet_.heartbeat_timeout_ms,
+          static_cast<unsigned long long>(config_.max_pass_wall_ms)));
     }
     if (config_.collect_metrics) {
       metrics_ = std::make_shared<obs::MetricsRegistry>();
@@ -427,7 +423,9 @@ class Coordinator {
       }
       case FrameType::kBye: {
         ByeBody bye;
-        if (DecodeBye(frame.body, &bye) && !bye.detail.empty() && slot.helloed) {
+        // Only the delta this slot's worker was told to write is folded in.
+        if (DecodeBye(frame.body, &bye) && slot.helloed &&
+            bye.detail == CacheDeltaPath(fleet_.shard_dir, slot.id, slot.generation)) {
           slot.cache_delta_path = bye.detail;
         }
         slot.got_bye = true;
@@ -531,12 +529,9 @@ class Coordinator {
           // The pass kills whoever runs it. Quarantine it with a
           // deterministic failure string (no pids, no timing) so resumed or
           // re-run fleets produce the same record.
-          const FaultPlan& plan = schedule_.plans()[index - 1];
           CampaignPassRecord rec;
           rec.index = index;
-          rec.label = plan.label;
-          rec.points = plan.points;
-          rec.hw_points = plan.hw_points;
+          rec.plan = schedule_.plans()[index - 1];
           rec.quarantined = true;
           rec.failure =
               StrFormat("worker process lost %u times executing this pass", losses);

@@ -71,6 +71,12 @@ struct FleetWorkerOptions {
   bool duplicate_results = false;
 };
 
+// The files a worker of (slot, generation) leaves in shard_dir: its shard
+// journal, and the solver-cache delta it saves at drain. The worker writes
+// them and the coordinator reads them, both by these names.
+std::string ShardJournalPath(const std::string& shard_dir, uint32_t slot, uint64_t generation);
+std::string CacheDeltaPath(const std::string& shard_dir, uint32_t slot, uint64_t generation);
+
 // Worker entry point: speaks the wire protocol on in_fd/out_fd until BYE or
 // pipe close. Returns the process exit code (0 = drained cleanly). Never
 // throws; a CHECK trap inside a pass is handled by the executor (quarantined

@@ -109,47 +109,14 @@ bool DecodeHello(std::string_view body, HelloBody* hello) {
 std::string EncodeLease(const LeaseBody& lease) {
   ByteWriter w;
   w.U64(lease.index);
-  w.Str(lease.plan.label);
-  w.U32(static_cast<uint32_t>(lease.plan.points.size()));
-  for (const FaultPoint& point : lease.plan.points) {
-    w.U32(static_cast<uint32_t>(point.cls));
-    w.U32(point.occurrence);
-  }
-  w.U32(static_cast<uint32_t>(lease.plan.hw_points.size()));
-  for (const HwFaultPoint& point : lease.plan.hw_points) {
-    w.U32(static_cast<uint32_t>(point.kind));
-    w.U32(point.index);
-  }
+  EncodeFaultPlan(lease.plan, &w);
   return w.Take();
 }
 
 bool DecodeLease(std::string_view body, LeaseBody* lease) {
   ByteReader r(body);
   lease->index = r.U64();
-  lease->plan.label = r.Str();
-  uint32_t count = r.Count(8);
-  lease->plan.points.clear();
-  lease->plan.points.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t cls = r.U32();
-    uint32_t occurrence = r.U32();
-    if (!r.ok() || cls >= kNumFaultClasses) {
-      return false;
-    }
-    lease->plan.points.push_back(FaultPoint{static_cast<FaultClass>(cls), occurrence});
-  }
-  uint32_t hw_count = r.Count(8);
-  lease->plan.hw_points.clear();
-  lease->plan.hw_points.reserve(hw_count);
-  for (uint32_t i = 0; i < hw_count; ++i) {
-    uint32_t kind = r.U32();
-    uint32_t index = r.U32();
-    if (!r.ok() || kind >= kNumHwFaultKinds) {
-      return false;
-    }
-    lease->plan.hw_points.push_back(HwFaultPoint{static_cast<HwFaultKind>(kind), index});
-  }
-  return r.Done();
+  return DecodeFaultPlan(&r, &lease->plan) && r.Done();
 }
 
 std::string EncodeHeartbeat(uint64_t seq) {
@@ -181,14 +148,14 @@ bool DecodeBye(std::string_view body, ByeBody* bye) {
 std::string EncodeFuzzExecLease(const FuzzExecLease& lease) {
   ByteWriter w;
   w.U64(lease.index);
-  w.Str(lease.input_text);
+  w.Str(lease.input);
   return w.Take();
 }
 
 bool DecodeFuzzExecLease(std::string_view body, FuzzExecLease* lease) {
   ByteReader r(body);
   lease->index = r.U64();
-  lease->input_text = r.Str();
+  lease->input = r.Str();
   return r.Done();
 }
 
@@ -197,7 +164,7 @@ std::string EncodeFuzzExecResult(const FuzzExecResultBody& result) {
   w.U64(result.index);
   w.U8(result.ok);
   w.Str(result.failure);
-  w.Str(result.coverage_hex);
+  result.coverage.Encode(&w);
   w.U64(result.instructions);
   w.Str(result.bugs_text);
   return w.Take();
@@ -208,7 +175,9 @@ bool DecodeFuzzExecResult(std::string_view body, FuzzExecResultBody* result) {
   result->index = r.U64();
   result->ok = r.U8();
   result->failure = r.Str();
-  result->coverage_hex = r.Str();
+  if (!CoverageBitmap::Decode(&r, &result->coverage)) {
+    return false;
+  }
   result->instructions = r.U64();
   result->bugs_text = r.Str();
   return r.Done();

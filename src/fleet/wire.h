@@ -42,6 +42,7 @@
 
 #include "src/engine/fault_injection.h"
 #include "src/support/status.h"
+#include "src/vm/coverage_map.h"
 
 namespace ddt {
 namespace fleet {
@@ -113,6 +114,7 @@ struct HelloBody {
 std::string EncodeHello(const HelloBody& hello);
 bool DecodeHello(std::string_view body, HelloBody* hello);
 
+// LEASE: [u64 index][EncodeFaultPlan plan].
 struct LeaseBody {
   uint64_t index = 0;  // pass index; 0 = baseline (plan empty)
   FaultPlan plan;
@@ -137,24 +139,25 @@ constexpr uint8_t kByeRejected = 1;
 std::string EncodeBye(const ByeBody& bye);
 bool DecodeBye(std::string_view body, ByeBody* bye);
 
-// FUZZ_EXEC coordinator -> worker: replay this serialized fuzz input
-// (src/fuzz/input.h text form — already process-independent, so the wire
-// carries it verbatim like RESULT carries pass records).
+// FUZZ_EXEC coordinator -> worker: replay this encoded fuzz input (an
+// EncodeFuzzInput payload, src/fuzz/input.h — the fuzz loop sits above the
+// fleet, so the wire carries it verbatim like RESULT carries pass records).
 struct FuzzExecLease {
   uint64_t index = 0;  // exec index within the batch
-  std::string input_text;
+  std::string input;
 };
 std::string EncodeFuzzExecLease(const FuzzExecLease& lease);
 bool DecodeFuzzExecLease(std::string_view body, FuzzExecLease* lease);
 
 // FUZZ_EXEC worker -> coordinator: one execution's outcome. Coverage crosses
-// as the bitmap's hex form and bugs as a bug_io report, so a result merged
-// from a worker is byte-identical to one executed in-process.
+// as the bitmap's words (CoverageBitmap::Encode) and bugs as a bug_io report,
+// so a result merged from a worker is byte-identical to one executed
+// in-process.
 struct FuzzExecResultBody {
   uint64_t index = 0;
   uint8_t ok = 0;
   std::string failure;
-  std::string coverage_hex;
+  CoverageBitmap coverage;
   uint64_t instructions = 0;
   std::string bugs_text;
 };

@@ -32,16 +32,6 @@ namespace ddt {
 namespace fleet {
 namespace {
 
-std::string ShardJournalPath(const FleetWorkerOptions& options) {
-  return StrFormat("%s/worker-%u-%llu.journal", options.shard_dir.c_str(), options.slot,
-                   static_cast<unsigned long long>(options.generation));
-}
-
-std::string CacheDeltaPath(const FleetWorkerOptions& options) {
-  return StrFormat("%s/cache-%u-%llu.bin", options.shard_dir.c_str(), options.slot,
-                   static_cast<unsigned long long>(options.generation));
-}
-
 // Serializes the heartbeat thread and the lease loop onto one pipe: frames
 // must never interleave.
 class FrameWriter {
@@ -106,6 +96,16 @@ class HeartbeatThread {
 
 }  // namespace
 
+std::string ShardJournalPath(const std::string& shard_dir, uint32_t slot, uint64_t generation) {
+  return StrFormat("%s/worker-%u-%llu.journal", shard_dir.c_str(), slot,
+                   static_cast<unsigned long long>(generation));
+}
+
+std::string CacheDeltaPath(const std::string& shard_dir, uint32_t slot, uint64_t generation) {
+  return StrFormat("%s/cache-%u-%llu.bin", shard_dir.c_str(), slot,
+                   static_cast<unsigned long long>(generation));
+}
+
 int RunFleetWorker(const FaultCampaignConfig& config, const DriverImage& image,
                    const PciDescriptor& descriptor, const FleetWorkerOptions& options) {
   ::signal(SIGPIPE, SIG_IGN);
@@ -136,7 +136,7 @@ int RunFleetWorker(const FaultCampaignConfig& config, const DriverImage& image,
     }
   }
 
-  std::string journal_path = ShardJournalPath(options);
+  std::string journal_path = ShardJournalPath(options.shard_dir, options.slot, options.generation);
   Result<std::unique_ptr<CampaignJournal>> journal =
       CampaignJournal::Create(journal_path, image.name, fingerprint);
   if (!journal.ok()) {
@@ -207,7 +207,7 @@ int RunFleetWorker(const FaultCampaignConfig& config, const DriverImage& image,
       case FrameType::kBye: {
         std::string cache_path;
         if (cache != nullptr && !worker_config.shared_cache_path.empty()) {
-          cache_path = CacheDeltaPath(options);
+          cache_path = CacheDeltaPath(options.shard_dir, options.slot, options.generation);
           Status saved = cache->SaveToFile(cache_path);
           if (!saved.ok()) {
             DDT_LOG_WARN("fleet worker %u: %s", options.slot, saved.message().c_str());

@@ -14,16 +14,16 @@ namespace {
 // Header record: [str tag][u32 version][u64 fingerprint][u32 batches done]
 // [u64 execs][u64 quarantined][u32 n][n x u64 mutations][str bug_io report]
 // [u32 n][n x str bug origin]. Entry record: [u64 novel blocks][u32 batch]
-// [str coverage hex][str serialized input].
+// [coverage words (CoverageBitmap::Encode)][str EncodeFuzzInput bytes].
 constexpr std::string_view kTag = "ddt-fuzz-corpus";
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 
 std::string EncodeEntry(const CorpusEntry& entry) {
   ByteWriter w;
   w.U64(entry.novel_blocks);
   w.U32(entry.batch);
-  w.Str(entry.coverage.ToHex());
-  w.Str(SerializeFuzzInput(entry.input));
+  entry.coverage.Encode(&w);
+  w.Str(EncodeFuzzInput(entry.input));
   return w.Take();
 }
 
@@ -31,16 +31,10 @@ bool DecodeEntry(std::string_view payload, CorpusEntry* entry) {
   ByteReader r(payload);
   uint64_t novel = r.U64();
   entry->batch = r.U32();
-  std::string coverage_hex = r.Str();
-  std::string input_text = r.Str();
-  if (!r.Done() || !CoverageBitmap::FromHex(coverage_hex, &entry->coverage)) {
+  if (!CoverageBitmap::Decode(&r, &entry->coverage) ||
+      !DecodeFuzzInput(r.Str(), &entry->input) || !r.Done()) {
     return false;
   }
-  Result<FuzzInput> input = ParseFuzzInput(input_text);
-  if (!input.ok()) {
-    return false;
-  }
-  entry->input = std::move(input.value());
   entry->coverage_fingerprint = entry->coverage.Fingerprint();
   entry->novel_blocks = static_cast<size_t>(novel);
   return true;

@@ -70,17 +70,17 @@ int FuzzWorkerMain(const FuzzExecutor& executor, int in_fd, int out_fd) {
     }
     fleet::FuzzExecResultBody body;
     body.index = lease.index;
-    Result<FuzzInput> input = ParseFuzzInput(lease.input_text);
-    if (!input.ok()) {
+    FuzzInput input;
+    if (!DecodeFuzzInput(lease.input, &input)) {
       body.ok = 0;
-      body.failure = input.error();
+      body.failure = "fuzz input: undecodable lease";
     } else {
-      FuzzExecResult res = executor.Execute(input.value());
+      FuzzExecResult res = executor.Execute(input);
       body.ok = res.ok ? 1 : 0;
       body.failure = res.failure;
-      body.coverage_hex = res.coverage.ToHex();
+      body.coverage = std::move(res.coverage);
       body.instructions = res.instructions;
-      body.bugs_text = res.bugs_text;
+      body.bugs_text = std::move(res.bugs_text);
     }
     if (!fleet::WriteFrame(out_fd, fleet::FrameType::kFuzzExec, fleet::EncodeFuzzExecResult(body))
              .ok()) {
@@ -118,7 +118,7 @@ std::vector<FuzzExecResult> ExecuteBatchWorkers(const FuzzExecutor& executor,
     for (size_t idx : shard.indices) {
       fleet::FuzzExecLease lease;
       lease.index = idx;
-      lease.input_text = SerializeFuzzInput(inputs[idx]);
+      lease.input = EncodeFuzzInput(inputs[idx]);
       Result<std::string> frame =
           fleet::EncodeFrame(fleet::FrameType::kFuzzExec, fleet::EncodeFuzzExecLease(lease));
       if (!frame.ok()) {
@@ -166,16 +166,12 @@ std::vector<FuzzExecResult> ExecuteBatchWorkers(const FuzzExecutor& executor,
           lost = true;
           break;
         }
-        FuzzExecResult r;
+        FuzzExecResult& r = results[body.index];
         r.ok = body.ok != 0;
-        r.failure = body.failure;
+        r.failure = std::move(body.failure);
+        r.coverage = std::move(body.coverage);
         r.instructions = body.instructions;
-        r.bugs_text = body.bugs_text;
-        if (!CoverageBitmap::FromHex(body.coverage_hex, &r.coverage)) {
-          lost = true;
-          break;
-        }
-        results[body.index] = std::move(r);
+        r.bugs_text = std::move(body.bugs_text);
         have[body.index] = true;
       }
       if (lost) {

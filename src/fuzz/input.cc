@@ -1,45 +1,9 @@
 #include "src/fuzz/input.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "src/support/strings.h"
+#include "src/support/record.h"
 
 namespace ddt {
 namespace fuzz {
-
-namespace {
-
-// Same minimal escaping as bug_io: the only characters that would break the
-// line-oriented format.
-std::string Escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\\') {
-      out += "\\\\";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string Unescape(const std::string& s) {
-  std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      out.push_back(s[i] == 'n' ? '\n' : s[i]);
-    } else {
-      out.push_back(s[i]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 FuzzInput FromPathSeed(const PathSeed& seed, const FaultPlan& plan, const std::string& label) {
   FuzzInput input;
@@ -82,130 +46,59 @@ std::vector<SolvedInput> ToSolvedInputs(const FuzzInput& input) {
   return solved;
 }
 
-std::string SerializeFuzzInput(const FuzzInput& input) {
-  std::string out = "ddt-fuzz-input v1\n";
-  out += "label " + Escape(input.label) + "\n";
+std::string EncodeFuzzInput(const FuzzInput& input) {
+  ByteWriter w;
+  w.Str(input.label);
+  w.U32(static_cast<uint32_t>(input.fields.size()));
   for (const FuzzField& field : input.fields) {
-    out += StrFormat("field %d %llu %llu %u %llu %s %s\n",
-                     static_cast<int>(field.origin.source),
-                     static_cast<unsigned long long>(field.origin.aux),
-                     static_cast<unsigned long long>(field.origin.seq), field.width,
-                     static_cast<unsigned long long>(field.value), Escape(field.var_name).c_str(),
-                     Escape(field.origin.label).c_str());
+    w.U8(static_cast<uint8_t>(field.origin.source));
+    w.Str(field.origin.label);
+    w.U64(field.origin.aux);
+    w.U64(field.origin.seq);
+    w.U8(field.width);
+    w.U64(field.value);
+    w.Str(field.var_name);
   }
+  w.U32(static_cast<uint32_t>(input.interrupt_schedule.size()));
   for (uint32_t crossing : input.interrupt_schedule) {
-    out += StrFormat("interrupt %u\n", crossing);
+    w.U32(crossing);
   }
+  w.U32(static_cast<uint32_t>(input.alternatives.size()));
   for (const auto& [seq, label] : input.alternatives) {
-    out += StrFormat("alternative %u %s\n", seq, Escape(label).c_str());
+    w.U32(seq);
+    w.Str(label);
   }
-  if (!input.fault_plan.label.empty()) {
-    out += "fault-label " + Escape(input.fault_plan.label) + "\n";
-  }
-  for (const FaultPoint& point : input.fault_plan.points) {
-    out += StrFormat("fault-point %d %u\n", static_cast<int>(point.cls), point.occurrence);
-  }
-  for (const HwFaultPoint& point : input.fault_plan.hw_points) {
-    out += StrFormat("hw-fault-point %d %u\n", static_cast<int>(point.kind), point.index);
-  }
-  out += "end\n";
-  return out;
+  EncodeFaultPlan(input.fault_plan, &w);
+  return w.Take();
 }
 
-Result<FuzzInput> ParseFuzzInput(const std::string& text) {
-  FuzzInput input;
-  bool saw_header = false;
-  bool saw_end = false;
-  size_t pos = 0;
-
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
+bool DecodeFuzzInput(std::string_view bytes, FuzzInput* input) {
+  ByteReader r(bytes);
+  input->label = r.Str();
+  input->fields.resize(r.Count(34));  // a field's fixed-size part
+  for (FuzzField& field : input->fields) {
+    uint8_t source = r.U8();
+    if (source > static_cast<uint8_t>(VarOrigin::Source::kTest)) {
+      return false;
     }
-    std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() && pos > text.size()) {
-      break;
-    }
-    if (!saw_header) {
-      if (line != "ddt-fuzz-input v1") {
-        return Status::Error("fuzz input: bad header");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (saw_end || line.empty()) {
-      continue;
-    }
-    if (line == "end") {
-      saw_end = true;
-      continue;
-    }
-    size_t space = line.find(' ');
-    std::string key = line.substr(0, space);
-    std::string value = space == std::string::npos ? "" : line.substr(space + 1);
-    if (key == "label") {
-      input.label = Unescape(value);
-    } else if (key == "field") {
-      int source;
-      unsigned long long aux;
-      unsigned long long seq;
-      unsigned width;
-      unsigned long long val;
-      int consumed = 0;
-      if (std::sscanf(value.c_str(), "%d %llu %llu %u %llu %n", &source, &aux, &seq, &width, &val,
-                      &consumed) != 5) {
-        return Status::Error("fuzz input: bad field line: " + line);
-      }
-      FuzzField field;
-      field.origin.source = static_cast<VarOrigin::Source>(source);
-      field.origin.aux = aux;
-      field.origin.seq = seq;
-      field.width = static_cast<uint8_t>(width);
-      field.value = val;
-      std::string rest = value.substr(static_cast<size_t>(consumed));
-      size_t sep = rest.find(' ');
-      field.var_name = Unescape(rest.substr(0, sep));
-      field.origin.label = sep == std::string::npos ? "" : Unescape(rest.substr(sep + 1));
-      input.fields.push_back(std::move(field));
-    } else if (key == "interrupt") {
-      input.interrupt_schedule.push_back(
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10)));
-    } else if (key == "alternative") {
-      size_t sep = value.find(' ');
-      if (sep == std::string::npos) {
-        return Status::Error("fuzz input: bad alternative line");
-      }
-      input.alternatives.emplace_back(
-          static_cast<uint32_t>(std::strtoul(value.substr(0, sep).c_str(), nullptr, 10)),
-          Unescape(value.substr(sep + 1)));
-    } else if (key == "fault-label") {
-      input.fault_plan.label = Unescape(value);
-    } else if (key == "fault-point") {
-      int cls;
-      unsigned occurrence;
-      if (std::sscanf(value.c_str(), "%d %u", &cls, &occurrence) != 2 || cls < 0 ||
-          cls >= static_cast<int>(kNumFaultClasses)) {
-        return Status::Error("fuzz input: bad fault-point line");
-      }
-      input.fault_plan.points.push_back(FaultPoint{static_cast<FaultClass>(cls), occurrence});
-    } else if (key == "hw-fault-point") {
-      int kind;
-      unsigned index;
-      if (std::sscanf(value.c_str(), "%d %u", &kind, &index) != 2 || kind < 0 ||
-          kind >= static_cast<int>(kNumHwFaultKinds)) {
-        return Status::Error("fuzz input: bad hw-fault-point line");
-      }
-      input.fault_plan.hw_points.push_back(HwFaultPoint{static_cast<HwFaultKind>(kind), index});
-    } else {
-      return Status::Error("fuzz input: unknown key: " + key);
-    }
+    field.origin.source = static_cast<VarOrigin::Source>(source);
+    field.origin.label = r.Str();
+    field.origin.aux = r.U64();
+    field.origin.seq = r.U64();
+    field.width = r.U8();
+    field.value = r.U64();
+    field.var_name = r.Str();
   }
-  if (!saw_header || !saw_end) {
-    return Status::Error("fuzz input: truncated");
+  input->interrupt_schedule.resize(r.Count(4));
+  for (uint32_t& crossing : input->interrupt_schedule) {
+    crossing = r.U32();
   }
-  return input;
+  input->alternatives.resize(r.Count(8));
+  for (auto& [seq, label] : input->alternatives) {
+    seq = r.U32();
+    label = r.Str();
+  }
+  return DecodeFaultPlan(&r, &input->fault_plan) && r.Done();
 }
 
 }  // namespace fuzz

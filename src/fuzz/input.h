@@ -5,8 +5,9 @@
 // payloads, packet contents, entry arguments, hardware reads), the interrupt
 // timing schedule, the annotation-alternative schedule, and a complete
 // kernel+hardware fault schedule. It is exactly the information guided replay
-// (§3.5) consumes, packaged as a standalone text blob so a corpus on disk is
-// process- and machine-independent, like a bug report.
+// (§3.5) consumes, in one binary encoding (EncodeFuzzInput) that the corpus
+// file and the fuzz shard lease frames both carry, so a corpus on disk is
+// process- and machine-independent.
 //
 // Seeds come from the symbolic engine (EngineConfig::max_path_seeds derives a
 // PathSeed per explored path, solver-backed); mutants come from
@@ -18,11 +19,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/engine/engine.h"
-#include "src/support/status.h"
 
 namespace ddt {
 namespace fuzz {
@@ -57,10 +58,13 @@ std::map<std::string, uint64_t> GuidedInputs(const FuzzInput& input);
 // runs push no constraints, so the engine's own SolveInputs returns nothing).
 std::vector<SolvedInput> ToSolvedInputs(const FuzzInput& input);
 
-// Line-oriented text round-trip in the bug_io style. Serialize always ends
-// with "end\n"; Parse rejects truncated or malformed blobs.
-std::string SerializeFuzzInput(const FuzzInput& input);
-Result<FuzzInput> ParseFuzzInput(const std::string& text);
+// The binary form: [str label][u32 n][n x field: u8 origin source, str
+// origin label, u64 aux, u64 seq, u8 width, u64 value, str var name][u32 n]
+// [n x u32 interrupt crossing][u32 n][n x (u32 kcall seq, str alternative)]
+// [EncodeFaultPlan plan]. Decode fails on an out-of-range origin source or
+// fault point, a truncation, or trailing bytes.
+std::string EncodeFuzzInput(const FuzzInput& input);
+bool DecodeFuzzInput(std::string_view bytes, FuzzInput* input);
 
 }  // namespace fuzz
 }  // namespace ddt

@@ -5,11 +5,8 @@
 #include <cstdio>
 
 namespace ddt::obs {
-namespace {
 
-// Minimal JSON string escaping (metric names are ASCII identifiers, but a
-// hostile name must not corrupt the document).
-void AppendEscaped(std::string* out, const std::string& text) {
+void AppendEscaped(std::string* out, std::string_view text) {
   out->push_back('"');
   for (char c : text) {
     switch (c) {
@@ -34,6 +31,8 @@ void AppendEscaped(std::string* out, const std::string& text) {
   }
   out->push_back('"');
 }
+
+namespace {
 
 void AppendDouble(std::string* out, double value) {
   char buf[64];

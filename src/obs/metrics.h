@@ -28,6 +28,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ddt::obs {
@@ -149,6 +150,11 @@ class MetricsRegistry {
   std::map<std::string, Gauge*> gauges_;
   std::map<std::string, Histogram*> histograms_;
 };
+
+// Appends `text` as a quoted JSON string — the one escaper behind the
+// metrics snapshot and the trace export (names are ASCII identifiers, but a
+// hostile one must not corrupt the document).
+void AppendEscaped(std::string* out, std::string_view text);
 
 }  // namespace ddt::obs
 

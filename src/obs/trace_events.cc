@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/obs/metrics.h"
+
 namespace ddt::obs {
 
 std::atomic<bool> Tracer::enabled_{false};
@@ -14,33 +16,6 @@ int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void AppendEscaped(std::string* out, const char* text) {
-  out->push_back('"');
-  for (const char* p = text; *p != '\0'; ++p) {
-    char c = *p;
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04X", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 // One Chrome trace-event object. `ts`/`dur` are microseconds per the format.

@@ -100,10 +100,9 @@ bool Solver::RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& q
     }
     a.Set(query.local_vars[canon_id], value);
   }
-  // Mandatory concrete re-verification, independent of verify_models: a
-  // cached model (possibly loaded from disk) is only believed if it actually
-  // satisfies this query — so a wrong entry costs a SAT call, never a wrong
-  // verdict.
+  // Mandatory concrete re-verification: a cached model (possibly loaded from
+  // disk) is only believed if it actually satisfies this query — so a wrong
+  // entry costs a SAT call, never a wrong verdict.
   for (ExprRef e : exprs) {
     if (!EvalBool(e, a)) {
       ++stats_.shared_cache_verify_failures;
@@ -260,10 +259,9 @@ bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bo
   ++stats_.sat_results;
   obs_span.Tag("result", "sat");
   Assignment extracted = blaster.ExtractModel();
-  if (config_.verify_models) {
-    for (ExprRef e : exprs) {
-      DDT_CHECK_MSG(EvalBool(e, extracted), "SAT model fails to satisfy constraint");
-    }
+  // Safety check: every SAT model must satisfy the query it answers.
+  for (ExprRef e : exprs) {
+    DDT_CHECK_MSG(EvalBool(e, extracted), "SAT model fails to satisfy constraint");
   }
   if (model != nullptr) {
     *model = std::move(extracted);
@@ -296,16 +294,13 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
   }
 
   std::vector<ExprRef> query;
-  if (config_.enable_slicing && extra != nullptr) {
+  if (extra != nullptr) {
     std::vector<uint32_t> seed;
     CollectVars(extra, &seed);
     query = Slice(constraints, seed);
     query.push_back(extra);
   } else {
     query = constraints;
-    if (extra != nullptr) {
-      query.push_back(extra);
-    }
   }
   // Drop literal-true conjuncts; a literal-false conjunct decides it.
   std::vector<ExprRef> filtered;
@@ -443,10 +438,8 @@ std::optional<uint64_t> Solver::GetValue(const std::vector<ExprRef>& constraints
   // Slice to the constraints relevant to this expression, solve, evaluate.
   std::vector<uint32_t> seed;
   CollectVars(expr, &seed);
-  std::vector<ExprRef> relevant =
-      config_.enable_slicing ? Slice(constraints, seed) : constraints;
   Assignment model;
-  if (!IsSatisfiable(relevant, nullptr, &model)) {
+  if (!IsSatisfiable(Slice(constraints, seed), nullptr, &model)) {
     return std::nullopt;
   }
   return EvalExpr(expr, model);

@@ -38,9 +38,7 @@ struct SolverConfig {
   // branch exploration over-approximates, GetValue falls back to
   // concretization under a partial model.
   uint64_t max_query_ms = 0;
-  bool verify_models = true;
   bool enable_cache = true;
-  bool enable_slicing = true;
   // Before bit-blasting a satisfiability-only query, evaluate it under the
   // most recent satisfying model; consecutive queries on the same path often
   // share one. Only applies when the caller wants no model back, so the
@@ -70,47 +68,45 @@ struct SolverConfig {
 };
 
 // Every uint64_t counter of SolverStats, declared once as
-//   X(field, merge, journal_key, metric)
+//   X(field, merge, metric)
 // with the same columns as DDT_ENGINE_COUNTERS (src/engine/engine.h).
 // solver.shared_cache.* rows publish only for passes that ran against a
 // shared query cache.
 #define DDT_SOLVER_COUNTERS(X)                                                            \
-  X(queries, kSum, "s_queries", "solver.queries")                                         \
+  X(queries, kSum, "solver.queries")                                                      \
   /* Answered by interval analysis. */                                                    \
-  X(quick_decides, kSum, "s_quick_decides", "solver.quick_decides")                       \
-  X(cache_hits, kSum, "s_cache_hits", "solver.cache_hits")                                \
-  X(sat_calls, kSum, "s_sat_calls", "solver.sat_calls")                                   \
-  X(sat_results, kSum, "s_sat_results", "solver.sat_results")                             \
-  X(unsat_results, kSum, "s_unsat_results", "solver.unsat_results")                       \
-  X(unknown_results, kSum, "s_unknown_results", "solver.unknown_results")                 \
+  X(quick_decides, kSum, "solver.quick_decides")                                          \
+  X(cache_hits, kSum, "solver.cache_hits")                                                \
+  X(sat_calls, kSum, "solver.sat_calls")                                                  \
+  X(sat_results, kSum, "solver.sat_results")                                              \
+  X(unsat_results, kSum, "solver.unsat_results")                                          \
+  X(unknown_results, kSum, "solver.unknown_results")                                      \
   /* Queries abandoned because they hit SolverConfig::max_query_ms (a subset */           \
   /* of unknown_results). */                                                              \
-  X(query_timeouts, kSum, "s_query_timeouts", "solver.timeouts")                          \
+  X(query_timeouts, kSum, "solver.timeouts")                                              \
   /* Queries abandoned because the cooperative abort flag fired (also a */                \
   /* subset of unknown_results) — the supervisor cancelled this pass. */                  \
-  X(aborted_queries, kSum, "s_aborted_queries", "solver.aborted_queries")                 \
-  X(total_conflicts, kSum, "s_total_conflicts", "solver.total_conflicts")                 \
-  X(total_sat_vars, kSum, "s_total_sat_vars", "solver.total_sat_vars")                    \
-  X(total_sat_clauses, kSum, "s_total_sat_clauses", "solver.total_sat_clauses")           \
+  X(aborted_queries, kSum, "solver.aborted_queries")                                      \
+  X(total_conflicts, kSum, "solver.total_conflicts")                                      \
+  X(total_sat_vars, kSum, "solver.total_sat_vars")                                        \
+  X(total_sat_clauses, kSum, "solver.total_sat_clauses")                                  \
   /* Queries answered by re-evaluating under the last satisfying model */                 \
   /* (SolverConfig::enable_model_reuse), skipping bit-blasting entirely. */               \
-  X(model_reuse_hits, kSum, "s_model_reuse_hits", "solver.model_reuse_hits")              \
+  X(model_reuse_hits, kSum, "solver.model_reuse_hits")                                    \
   /* --- Shared cross-pass cache (SolverConfig::shared_cache) --- */                      \
   /* Exact canonical-fingerprint hits answered without a SAT call. */                     \
-  X(shared_cache_hits, kSum, "s_sc_hits", "solver.shared_cache.hits")                     \
+  X(shared_cache_hits, kSum, "solver.shared_cache.hits")                                  \
   /* Counterexample fast-path hits: the query was answered from a cached */               \
   /* verdict/model for its constraint-set prefix (subset → unsat */                       \
   /* propagation, or a cached model that re-verified against the superset). */            \
-  X(shared_cache_fastpath_hits, kSum, "s_sc_fastpath",                                    \
-    "solver.shared_cache.fastpath_hits")                                                  \
+  X(shared_cache_fastpath_hits, kSum, "solver.shared_cache.fastpath_hits")                \
   /* Lookups that found nothing usable and fell through to SAT. */                        \
-  X(shared_cache_misses, kSum, "s_sc_misses", "solver.shared_cache.misses")               \
+  X(shared_cache_misses, kSum, "solver.shared_cache.misses")                              \
   /* Verdicts this solver contributed to the shared store. */                             \
-  X(shared_cache_stores, kSum, "s_sc_stores", "solver.shared_cache.stores")               \
+  X(shared_cache_stores, kSum, "solver.shared_cache.stores")                              \
   /* Cached models that failed concrete re-verification (stale or remapped */             \
   /* against the wrong width set) — treated as misses, never trusted. */                  \
-  X(shared_cache_verify_failures, kSum, "s_sc_verify_failures",                           \
-    "solver.shared_cache.verify_failures")
+  X(shared_cache_verify_failures, kSum, "solver.shared_cache.verify_failures")
 
 struct SolverStats {
   DDT_SOLVER_COUNTERS(DDT_COUNTER_FIELD)

@@ -10,12 +10,14 @@
 // incomplete (a torn tail, or a stream still in flight) or corrupt (length
 // over the cap, or CRC mismatch). What happens then — keep the valid prefix,
 // refuse the whole file, drop the connection — is each format's own policy.
-// Binary payloads use ByteWriter/ByteReader: every read is bounds checked, and
-// an element count may not claim more elements than the bytes left can hold,
-// so a lying count can neither over-read nor drive an allocation.
+// Every payload is written with ByteWriter and read back with ByteReader:
+// every read is bounds checked, and an element count may not claim more
+// elements than the bytes left can hold, so a lying count can neither
+// over-read nor drive an allocation.
 #ifndef SRC_SUPPORT_RECORD_H_
 #define SRC_SUPPORT_RECORD_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -43,12 +45,14 @@ enum class RecordRead {
 // Reads the record at `*pos` in `bytes`; `*pos` moves only on kRecord.
 RecordRead ReadRecord(std::string_view bytes, size_t* pos, std::string_view* payload);
 
-// Little-endian writer; Str is a u32 length followed by the bytes.
+// Little-endian writer; Str is a u32 length followed by the bytes, F64 a
+// double's IEEE bits.
 class ByteWriter {
  public:
   void U8(uint8_t v) { Put(v, 1); }
   void U32(uint32_t v) { Put(v, 4); }
   void U64(uint64_t v) { Put(v, 8); }
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
   void Str(std::string_view s);
 
   const std::string& bytes() const { return out_; }
@@ -68,6 +72,7 @@ class ByteReader {
   uint8_t U8() { return static_cast<uint8_t>(Get(1)); }
   uint32_t U32() { return static_cast<uint32_t>(Get(4)); }
   uint64_t U64() { return Get(8); }
+  double F64() { return std::bit_cast<double>(U64()); }
   std::string Str();
   // A u32 count of elements of at least `min_element_bytes` each; a count the
   // bytes left cannot hold poisons the reader and reads as 0.

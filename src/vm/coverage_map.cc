@@ -100,43 +100,24 @@ uint64_t CoverageBitmap::Fingerprint() const {
   return h;
 }
 
-std::string CoverageBitmap::ToHex() const {
-  static const char kDigits[] = "0123456789abcdef";
+void CoverageBitmap::Encode(ByteWriter* w) const {
   size_t n = SignificantWords();
-  std::string out;
-  out.reserve(n * 16);
+  w->U32(static_cast<uint32_t>(n));
   for (size_t i = 0; i < n; ++i) {
-    uint64_t w = words_[i];
-    for (int nib = 15; nib >= 0; --nib) {
-      out.push_back(kDigits[(w >> (nib * 4)) & 0xF]);
-    }
+    w->U64(words_[i]);
   }
-  return out;
 }
 
-bool CoverageBitmap::FromHex(const std::string& hex, CoverageBitmap* out) {
-  if (hex.size() % 16 != 0) {
-    return false;
-  }
+bool CoverageBitmap::Decode(ByteReader* r, CoverageBitmap* out) {
   CoverageBitmap bm;
-  bm.words_.resize(hex.size() / 16, 0);
-  bm.num_slots_ = bm.words_.size() * 64;
-  for (size_t i = 0; i < bm.words_.size(); ++i) {
-    uint64_t w = 0;
-    for (size_t j = 0; j < 16; ++j) {
-      char c = hex[i * 16 + j];
-      uint64_t nibble;
-      if (c >= '0' && c <= '9') {
-        nibble = static_cast<uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        nibble = static_cast<uint64_t>(c - 'a' + 10);
-      } else {
-        return false;
-      }
-      w = (w << 4) | nibble;
-    }
-    bm.words_[i] = w;
+  bm.words_.resize(r->Count(8));
+  for (uint64_t& w : bm.words_) {
+    w = r->U64();
   }
+  if (!r->ok() || (!bm.words_.empty() && bm.words_.back() == 0)) {
+    return false;  // Encode never writes a trailing zero word
+  }
+  bm.num_slots_ = bm.words_.size() * 64;
   *out = std::move(bm);
   return true;
 }

@@ -6,16 +6,17 @@
 // coverage tests — need set algebra over those bitmaps, not access to
 // BlockCache or Engine internals. CoverageBitmap is that boundary: a dense
 // bitset keyed by instruction slot, with the snapshot/diff/popcount/
-// fingerprint operations novelty decisions are made from, plus a hex
-// serialization so bitmaps cross process boundaries (fuzz fleet result
-// frames) and land in corpus files byte-reproducibly.
+// fingerprint operations novelty decisions are made from, plus a binary
+// codec so bitmaps cross process boundaries (fuzz fleet result frames) and
+// land in corpus files byte-reproducibly.
 #ifndef SRC_VM_COVERAGE_MAP_H_
 #define SRC_VM_COVERAGE_MAP_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "src/support/record.h"
 
 namespace ddt {
 
@@ -49,10 +50,11 @@ class CoverageBitmap {
   // logically-equal bitmaps of different allocated sizes fingerprint alike).
   uint64_t Fingerprint() const;
 
-  // Lowercase hex of the significant words, little-endian word order — the
-  // wire/corpus form. FromHex accepts exactly what ToHex produces.
-  std::string ToHex() const;
-  static bool FromHex(const std::string& hex, CoverageBitmap* out);
+  // The wire/corpus form: [u32 n][n x u64 significant words], low slots
+  // first. Decode accepts exactly what Encode produces, so it refuses a
+  // trailing zero word.
+  void Encode(ByteWriter* w) const;
+  static bool Decode(ByteReader* r, CoverageBitmap* out);
 
   bool operator==(const CoverageBitmap& other) const {
     return Fingerprint() == other.Fingerprint() && Popcount() == other.Popcount();

@@ -1,6 +1,6 @@
 // CoverageBitmap: the stable novelty API the fuzz corpus and promotion
 // scoring are built on. Units for the set algebra (snapshot, diff, popcount,
-// fingerprint, hex round-trip), plus an engine-level check that bitmaps
+// fingerprint, word codec round-trip), plus an engine-level check that bitmaps
 // snapshotted from forked symbolic exploration and from a single guided
 // replay of one of its paths diff the way a corpus manager relies on: the
 // replayed path is a strict subset of the exploration that derived it.
@@ -88,31 +88,59 @@ TEST(CoverageBitmapTest, FingerprintIgnoresAllocatedSize) {
   EXPECT_EQ(CoverageBitmap().Fingerprint(), CoverageBitmap(512).Fingerprint());
 }
 
-TEST(CoverageBitmapTest, HexRoundTrip) {
+TEST(CoverageBitmapTest, WordsRoundTrip) {
   CoverageBitmap map(200);
   map.Set(0);
   map.Set(65);
   map.Set(199);
-  std::string hex = map.ToHex();
-  EXPECT_EQ(hex.size() % 16, 0u);  // whole little-endian words
+  ByteWriter w;
+  map.Encode(&w);
+  EXPECT_EQ(w.bytes().size(), 4u + 4 * 8);  // a count, then whole words
 
+  ByteReader r(w.bytes());
   CoverageBitmap back;
-  ASSERT_TRUE(CoverageBitmap::FromHex(hex, &back));
+  ASSERT_TRUE(CoverageBitmap::Decode(&r, &back));
+  EXPECT_TRUE(r.Done());
   EXPECT_TRUE(back == map);
   EXPECT_TRUE(back.Test(0));
   EXPECT_TRUE(back.Test(65));
   EXPECT_TRUE(back.Test(199));
 
+  // Trailing zero words are not significant: a grown bitmap encodes alike.
+  CoverageBitmap grown = map;
+  grown.Resize(4096);
+  ByteWriter grown_w;
+  grown.Encode(&grown_w);
+  EXPECT_EQ(grown_w.bytes(), w.bytes());
+
+  ByteWriter empty_w;
+  CoverageBitmap().Encode(&empty_w);
+  ByteReader empty_r(empty_w.bytes());
   CoverageBitmap empty_back;
-  ASSERT_TRUE(CoverageBitmap::FromHex(CoverageBitmap().ToHex(), &empty_back));
+  ASSERT_TRUE(CoverageBitmap::Decode(&empty_r, &empty_back));
   EXPECT_TRUE(empty_back.empty());
 }
 
-TEST(CoverageBitmapTest, FromHexRejectsMalformedInput) {
-  CoverageBitmap out;
-  EXPECT_FALSE(CoverageBitmap::FromHex("zz", &out));                 // not hex
-  EXPECT_FALSE(CoverageBitmap::FromHex("0123456789abcde", &out));    // torn word
-  EXPECT_FALSE(CoverageBitmap::FromHex("0123456789ABCDEF", &out));   // uppercase
+TEST(CoverageBitmapTest, DecodeRejectsMalformedWords) {
+  auto decodes = [](const std::string& bytes) {
+    ByteReader r(bytes);
+    CoverageBitmap out;
+    return CoverageBitmap::Decode(&r, &out);
+  };
+  ByteWriter torn;  // claims two words, holds one and a half
+  torn.U32(2);
+  torn.U64(1);
+  torn.U32(1);
+  EXPECT_FALSE(decodes(torn.bytes()));
+  ByteWriter lying;  // a count far past the bytes
+  lying.U32(0xFFFFFFFFu);
+  lying.U64(1);
+  EXPECT_FALSE(decodes(lying.bytes()));
+  ByteWriter zero_tail;  // Encode never writes a trailing zero word
+  zero_tail.U32(2);
+  zero_tail.U64(1);
+  zero_tail.U64(0);
+  EXPECT_FALSE(decodes(zero_tail.bytes()));
 }
 
 // Forked-path diffing: a full symbolic exploration of rtl8029 forks into many

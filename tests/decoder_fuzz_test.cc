@@ -1,8 +1,10 @@
 // One deterministic mutation harness over every decoder of untrusted bytes:
-// the record reader; the campaign journal (resume and read-only load) and its
-// pass payload; the shared solver cache file; the fuzz corpus file; the fleet
-// frame decoder and its six body decoders; bug reports; fuzz inputs; driver
-// images.
+// the record reader; the campaign journal (its header, resume and read-only
+// load) and its pass payload; the shared solver cache file; the fuzz corpus
+// file (its fuzz inputs and coverage words); the fleet frame decoder and its
+// six body decoders (fault plans via the lease, fuzz inputs and coverage
+// words via the two FuzzExec bodies); bug reports; fuzz inputs; coverage
+// words; driver images.
 //
 // Mutants are SplitMix64-seeded bit flips, truncations, splices of two valid
 // inputs, and length or count fields overwritten with huge or off-by-one
@@ -12,7 +14,8 @@
 //   - a raw mutant of a journal or corpus loads only a prefix of records,
 //     each equal to the original's (or, for a splice, to one of its two
 //     sources' records);
-//   - a body the wire decoders accept re-encodes to the same bytes;
+//   - a body the wire decoders accept re-encodes to the same bytes, and so
+//     does an accepted fuzz input or coverage bitmap;
 //   - accepted bug text is a round-trip fixed point.
 #include <gtest/gtest.h>
 
@@ -151,19 +154,31 @@ void ForEachMutant(uint64_t seed, const std::string& a, const std::string& b,
   }
 }
 
-// The length field of every record, plus every offset inside a payload that
-// holds a small u32 — where binary payloads keep their lengths and counts.
+// Every offset in bytes[from, to) that holds a small u32 — where binary
+// payloads keep their lengths and counts.
+void AddPayloadFields(const std::string& bytes, size_t from, size_t to,
+                      std::vector<size_t>* fields) {
+  for (size_t at = from; at + 4 <= to; ++at) {
+    if (LoadU32(bytes, at) < (1u << 16)) {
+      fields->push_back(at);
+    }
+  }
+}
+
+// The length field of every record, plus the payload fields inside each.
 std::vector<size_t> RecordFields(const std::string& bytes) {
   std::vector<size_t> fields = RecordOffsets(bytes);
   size_t headers = fields.size();
   for (size_t r = 0; r < headers; ++r) {
     size_t end = r + 1 < headers ? fields[r + 1] : bytes.size();
-    for (size_t at = fields[r] + kRecordHeaderBytes; at + 4 <= end; ++at) {
-      if (LoadU32(bytes, at) < (1u << 16)) {
-        fields.push_back(at);
-      }
-    }
+    AddPayloadFields(bytes, fields[r] + kRecordHeaderBytes, end, &fields);
   }
+  return fields;
+}
+
+std::vector<size_t> PayloadFields(const std::string& bytes) {
+  std::vector<size_t> fields;
+  AddPayloadFields(bytes, 0, bytes.size(), &fields);
   return fields;
 }
 
@@ -215,13 +230,13 @@ TEST(DecoderFuzzTest, RecordReaderStaysInBounds) {
 CampaignPassRecord JournalRecord(uint64_t index, const std::vector<Bug>& bugs) {
   CampaignPassRecord rec;
   rec.index = index;
-  rec.label =
-      index == 0 ? "" : StrFormat("allocation#%llu", static_cast<unsigned long long>(index));
   if (index == 0) {
     rec.has_profile = true;
     rec.profile.max_occurrences = {3, 1, 0, 2};
   } else {
-    rec.points.push_back(FaultPoint{FaultClass::kAllocation, static_cast<uint32_t>(index)});
+    rec.plan.label = StrFormat("allocation#%llu", static_cast<unsigned long long>(index));
+    rec.plan.points.push_back(
+        FaultPoint{FaultClass::kAllocation, static_cast<uint32_t>(index)});
   }
   rec.stats.instructions = 1000 + index;
   rec.solver_stats.queries = 10 + index;
@@ -315,7 +330,7 @@ TEST(DecoderFuzzTest, JournalLoadsOnlyAnOriginalPrefix) {
 TEST(DecoderFuzzTest, PassPayloadDecoderNeverMisbehaves) {
   std::string a = EncodeCampaignPassRecord(JournalRecord(0, LiveBugs()));
   std::string b = EncodeCampaignPassRecord(JournalRecord(5, {}));
-  ForEachMutant(3, a, b, {}, /*records=*/false, [](const Mutant& m, bool) {
+  ForEachMutant(3, a, b, PayloadFields(a), /*records=*/false, [](const Mutant& m, bool) {
     CampaignPassRecord rec;
     if (DecodeCampaignPassRecord(m.bytes, &rec)) {
       CampaignPassRecord again;
@@ -406,9 +421,15 @@ std::string CorpusBytes(const std::string& name, uint64_t salt, const std::vecto
   return bytes.take();
 }
 
+std::string CoverageBytes(const CoverageBitmap& coverage) {
+  ByteWriter w;
+  coverage.Encode(&w);
+  return w.Take();
+}
+
 std::string EntryKey(const fuzz::CorpusEntry& entry) {
-  return StrFormat("%zu %u %s\n", entry.novel_blocks, entry.batch, entry.coverage.ToHex().c_str()) +
-         fuzz::SerializeFuzzInput(entry.input);
+  return StrFormat("%zu %u ", entry.novel_blocks, entry.batch) + CoverageBytes(entry.coverage) +
+         fuzz::EncodeFuzzInput(entry.input);
 }
 
 TEST(DecoderFuzzTest, CorpusLoadsOnlyAnOriginalPrefix) {
@@ -512,7 +533,9 @@ TEST(DecoderFuzzTest, FrameDecoderAndBodyDecodersNeverMisbehave) {
   FuzzExecResultBody result;
   result.index = 2;
   result.ok = 1;
-  result.coverage_hex = "ff00ff";
+  for (size_t slot : {0, 7, 70, 200}) {
+    result.coverage.Set(slot);
+  }
   result.instructions = 777;
   result.bugs_text = SerializeBugs({LiveBugs()[0]});
   std::vector<std::string> frames = {
@@ -520,7 +543,9 @@ TEST(DecoderFuzzTest, FrameDecoderAndBodyDecodersNeverMisbehave) {
       EncodeFrame(FrameType::kLease, EncodeLease(lease)).value(),
       EncodeFrame(FrameType::kHeartbeat, EncodeHeartbeat(9)).value(),
       EncodeFrame(FrameType::kResult, EncodeCampaignPassRecord(JournalRecord(1, {}))).value(),
-      EncodeFrame(FrameType::kFuzzExec, EncodeFuzzExecLease(FuzzExecLease{5, "label x\nend\n"}))
+      EncodeFrame(FrameType::kFuzzExec,
+                  EncodeFuzzExecLease(
+                      FuzzExecLease{5, fuzz::EncodeFuzzInput(CorpusInput("fuzz b1#5", 5))}))
           .value(),
       EncodeFrame(FrameType::kFuzzExec, EncodeFuzzExecResult(result)).value(),
       EncodeFrame(FrameType::kBye, EncodeBye(ByeBody{kByeDrain, "cache-0-1.bin"})).value(),
@@ -588,17 +613,38 @@ TEST(DecoderFuzzTest, AcceptedBugTextIsARoundTripFixedPoint) {
   EXPECT_GT(accepted, 0u);
 }
 
-TEST(DecoderFuzzTest, FuzzInputParserNeverMisbehaves) {
+TEST(DecoderFuzzTest, FuzzInputDecoderNeverMisbehaves) {
   fuzz::FuzzInput rich = CorpusInput("seed#0", 0xC0FFEE);
   rich.alternatives = {{4, "fail-once"}};
   rich.fault_plan.label = "alloc#0";
   rich.fault_plan.hw_points.push_back(HwFaultPoint{HwFaultKind::kDoorbellDrop, 2});
-  std::string a = fuzz::SerializeFuzzInput(rich);
-  std::string b = fuzz::SerializeFuzzInput(CorpusInput("fuzz b2#17", 7));
-  ForEachMutant(8, a, b, {}, /*records=*/false, [](const Mutant& m, bool) {
-    Result<fuzz::FuzzInput> parsed = fuzz::ParseFuzzInput(m.bytes);
-    if (parsed.ok()) {
-      EXPECT_TRUE(fuzz::ParseFuzzInput(fuzz::SerializeFuzzInput(parsed.value())).ok());
+  std::string a = fuzz::EncodeFuzzInput(rich);
+  std::string b = fuzz::EncodeFuzzInput(CorpusInput("fuzz b2#17", 7));
+  size_t accepted = 0;
+  ForEachMutant(8, a, b, PayloadFields(a), /*records=*/false, [&](const Mutant& m, bool) {
+    fuzz::FuzzInput decoded;
+    if (fuzz::DecodeFuzzInput(m.bytes, &decoded)) {
+      ++accepted;
+      EXPECT_EQ(fuzz::EncodeFuzzInput(decoded), m.bytes);
+    }
+  });
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(DecoderFuzzTest, CoverageDecoderNeverMisbehaves) {
+  CoverageBitmap wide(640);
+  CoverageBitmap narrow(64);
+  for (size_t slot : {1, 64, 130, 639}) {
+    wide.Set(slot);
+  }
+  narrow.Set(5);
+  std::string a = CoverageBytes(wide);
+  std::string b = CoverageBytes(narrow);
+  ForEachMutant(10, a, b, PayloadFields(a), /*records=*/false, [](const Mutant& m, bool) {
+    ByteReader r(m.bytes);
+    CoverageBitmap decoded;
+    if (CoverageBitmap::Decode(&r, &decoded) && r.Done()) {
+      EXPECT_EQ(CoverageBytes(decoded), m.bytes);
     }
   });
 }

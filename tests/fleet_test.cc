@@ -25,6 +25,7 @@
 #include "src/core/campaign_exec.h"
 #include "src/drivers/corpus.h"
 #include "src/fleet/wire.h"
+#include "src/fuzz/input.h"
 #include "src/solver/shared_cache.h"
 #include "src/support/record.h"
 #include "src/support/strings.h"
@@ -131,10 +132,25 @@ TEST(FleetWireTest, FramesMatchThePinnedBytes) {
                        FaultPoint{FaultClass::kMapIoSpace, 0}};
   lease.plan.hw_points = {HwFaultPoint{HwFaultKind::kSurpriseRemoval, 12},
                           HwFaultPoint{HwFaultKind::kIrqStorm, 3}};
+  fuzz::FuzzInput input;
+  input.label = "seed#0";
+  fuzz::FuzzField field;
+  field.origin.source = VarOrigin::Source::kRegistry;
+  field.origin.label = "mac";
+  field.origin.seq = 1;
+  field.width = 8;
+  field.value = 0x2A;
+  field.var_name = "r:mac";
+  input.fields.push_back(field);
+  input.interrupt_schedule = {2};
+  input.alternatives = {{4, "x"}};
+  input.fault_plan.points = {FaultPoint{FaultClass::kAllocation, 1}};
   FuzzExecResultBody result;
   result.index = 5;
   result.ok = 1;
-  result.coverage_hex = "ff00";
+  for (size_t slot : {0, 1, 2, 3, 4, 5, 6, 7, 65}) {
+    result.coverage.Set(slot);
+  }
   result.instructions = 1234;
   result.bugs_text = "ddt-bug-report v1\n";
   const std::pair<std::string, const char*> cases[] = {
@@ -153,11 +169,13 @@ TEST(FleetWireTest, FramesMatchThePinnedBytes) {
        "23000000908ef2d505011d00000063616d706169676"
        "e2066696e6765727072696e74206d69736d61746368"},
       {EncodeFrame(FrameType::kFuzzExec,
-                   EncodeFuzzExecLease(FuzzExecLease{3, "label x\nend\n"})).value(),
-       "19000000dddd01480603000000000000000c0000006c6162656c20780a656e640a"},
+                   EncodeFuzzExecLease(FuzzExecLease{3, fuzz::EncodeFuzzInput(input)})).value(),
+       "6e000000f2a7f4b006030000000000000061000000060000007365656423300100000002030000006d6163"
+       "00000000000000000100000000000000082a0000000000000005000000723a6d6163010000000200000001"
+       "0000000400000001000000780000000001000000000000000100000000000000"},
       {EncodeFrame(FrameType::kFuzzExec, EncodeFuzzExecResult(result)).value(),
-       "34000000225654fc06050000000000000001000000000400000066663030"
-       "d204000000000000120000006464742d6275672d7265706f72742076310a"},
+       "40000000facf32f4060500000000000000010000000002000000ff000000000000000200000000000000d2"
+       "04000000000000120000006464742d6275672d7265706f72742076310a"},
   };
   for (const auto& [frame, pinned] : cases) {
     EXPECT_EQ(Unspaced(Hex(frame)), pinned);
@@ -290,7 +308,17 @@ TEST(FleetCampaignTest, RejectsHeartbeatTimeoutInsideWatchdogBudget) {
       << r.status().message();
   EXPECT_NE(r.status().message().find("heartbeat_timeout_ms"), std::string::npos);
 
+  // A budget past 32 bits prints whole.
+  config.max_pass_wall_ms = 5'000'000'000;
+  fleet = TestFleet("inversion_wide", 1);
+  fleet.heartbeat_timeout_ms = 4'000'000'000;
+  r = RunFleetCampaign(config, driver.image, driver.pci, fleet);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("5000000000"), std::string::npos)
+      << r.status().message();
+
   // Strictly larger is fine again.
+  config.max_pass_wall_ms = 10'000;
   fleet = TestFleet("inversion_ok", 1);
   fleet.heartbeat_timeout_ms = 10'001;
   Result<FaultCampaignResult> ok = RunFleetCampaign(config, driver.image, driver.pci, fleet);
@@ -492,7 +520,7 @@ TEST(FleetCampaignTest, BothSchedulersRefuseAJournalFromAnotherSchedule) {
     ASSERT_TRUE(journal.ok()) << journal.status().message();
     for (CampaignPassRecord& rec : records.value()) {
       if (rec.index == 1) {
-        rec.label = "relabelled";
+        rec.plan.label = "relabelled";
       }
       ASSERT_TRUE(journal.value()->Append(rec).ok());
     }

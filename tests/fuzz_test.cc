@@ -1,4 +1,4 @@
-// The hybrid concolic fuzz loop (src/fuzz): input serialization, deterministic
+// The hybrid concolic fuzz loop (src/fuzz): the input codec, deterministic
 // mutation, coverage-novelty corpus admission and persistence, the concrete
 // executor's seed round-trip and isolation between execs that share one
 // prepared driver, report determinism across thread and worker counts and
@@ -58,35 +58,51 @@ FuzzInput SampleInput() {
   return input;
 }
 
-TEST(FuzzInputTest, SerializationRoundTrips) {
+TEST(FuzzInputTest, EncodingRoundTrips) {
   FuzzInput input = SampleInput();
-  std::string text = SerializeFuzzInput(input);
-  Result<FuzzInput> parsed = ParseFuzzInput(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.error();
-  // The round-trip fixed point is the serialized form itself.
-  EXPECT_EQ(SerializeFuzzInput(parsed.value()), text);
-  EXPECT_EQ(parsed.value().label, "seed#0");
-  ASSERT_EQ(parsed.value().fields.size(), 2u);
-  EXPECT_EQ(parsed.value().fields[0].value, 0xC0FFEEu);
-  EXPECT_EQ(parsed.value().fields[0].origin.label, "NetworkAddress");
-  EXPECT_EQ(parsed.value().fields[1].origin.aux, 0x10u);
-  EXPECT_EQ(parsed.value().interrupt_schedule, (std::vector<uint32_t>{2, 9}));
-  ASSERT_EQ(parsed.value().alternatives.size(), 1u);
-  EXPECT_EQ(parsed.value().alternatives[0].second, "fail-once");
-  ASSERT_EQ(parsed.value().fault_plan.points.size(), 1u);
-  ASSERT_EQ(parsed.value().fault_plan.hw_points.size(), 1u);
+  std::string bytes = EncodeFuzzInput(input);
+  FuzzInput decoded;
+  ASSERT_TRUE(DecodeFuzzInput(bytes, &decoded));
+  // The round-trip fixed point is the encoded form itself.
+  EXPECT_EQ(EncodeFuzzInput(decoded), bytes);
+  EXPECT_EQ(decoded.label, "seed#0");
+  ASSERT_EQ(decoded.fields.size(), 2u);
+  EXPECT_EQ(decoded.fields[0].value, 0xC0FFEEu);
+  EXPECT_EQ(decoded.fields[0].origin.label, "NetworkAddress");
+  EXPECT_EQ(decoded.fields[1].origin.aux, 0x10u);
+  EXPECT_EQ(decoded.interrupt_schedule, (std::vector<uint32_t>{2, 9}));
+  ASSERT_EQ(decoded.alternatives.size(), 1u);
+  EXPECT_EQ(decoded.alternatives[0].second, "fail-once");
+  ASSERT_EQ(decoded.fault_plan.points.size(), 1u);
+  ASSERT_EQ(decoded.fault_plan.hw_points.size(), 1u);
+
+  // Names with spaces and newlines travel as they are.
+  input.fields[0].var_name = "registry: Network\nAddress";
+  input.fields[0].origin.label = "Network Address";
+  ASSERT_TRUE(DecodeFuzzInput(EncodeFuzzInput(input), &decoded));
+  EXPECT_EQ(decoded.fields[0].var_name, input.fields[0].var_name);
+  EXPECT_EQ(decoded.fields[0].origin.label, input.fields[0].origin.label);
 }
 
-TEST(FuzzInputTest, ParseRejectsMalformedBlobs) {
-  std::string text = SerializeFuzzInput(SampleInput());
-  EXPECT_FALSE(ParseFuzzInput("").ok());
-  EXPECT_FALSE(ParseFuzzInput("not-a-fuzz-input\nend\n").ok());
-  // Truncation (missing the end marker) must be detected, not half-loaded.
-  EXPECT_FALSE(ParseFuzzInput(text.substr(0, text.size() - 5)).ok());
-  // Unknown keys are corruption, not extensions.
-  std::string bad = text;
-  bad.insert(bad.find("end\n"), "mystery 1 2 3\n");
-  EXPECT_FALSE(ParseFuzzInput(bad).ok());
+TEST(FuzzInputTest, DecodeRejectsMalformedBytes) {
+  std::string bytes = EncodeFuzzInput(SampleInput());
+  FuzzInput out;
+  EXPECT_FALSE(DecodeFuzzInput("", &out));
+  // Truncation anywhere must be detected, not half-loaded.
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_FALSE(DecodeFuzzInput(std::string_view(bytes).substr(0, n), &out)) << n;
+  }
+  // Trailing bytes are corruption, not extensions.
+  EXPECT_FALSE(DecodeFuzzInput(bytes + '\0', &out));
+  // An origin source past the enum. The first field's source byte follows
+  // the label ([u32 len]["seed#0"]) and the field count.
+  std::string bad = bytes;
+  bad[4 + 6 + 4] = 7;
+  EXPECT_FALSE(DecodeFuzzInput(bad, &out));
+  // A fault point whose class is past the enum.
+  FuzzInput input = SampleInput();
+  input.fault_plan.points[0].cls = static_cast<FaultClass>(kNumFaultClasses);
+  EXPECT_FALSE(DecodeFuzzInput(EncodeFuzzInput(input), &out));
 }
 
 TEST(FuzzMutatorTest, SameStreamSameMutantDifferentStreamsDiverge) {
@@ -97,14 +113,14 @@ TEST(FuzzMutatorTest, SameStreamSameMutantDifferentStreamsDiverge) {
   SplitMix64 b = SplitMix64(42).Fork(1).Fork(7);
   FuzzInput ma = MutateInput(base, a, &counts);
   FuzzInput mb = MutateInput(base, b, &counts);
-  EXPECT_EQ(SerializeFuzzInput(ma), SerializeFuzzInput(mb));
+  EXPECT_EQ(EncodeFuzzInput(ma), EncodeFuzzInput(mb));
 
   // Across exec indices the streams decorrelate: with stacked mutations over
   // 16 execs, at least one mutant must differ from the first.
   bool diverged = false;
   for (uint64_t e = 0; e < 16 && !diverged; ++e) {
     SplitMix64 stream = SplitMix64(42).Fork(1).Fork(e + 8);
-    diverged = SerializeFuzzInput(MutateInput(base, stream, &counts)) != SerializeFuzzInput(ma);
+    diverged = EncodeFuzzInput(MutateInput(base, stream, &counts)) != EncodeFuzzInput(ma);
   }
   EXPECT_TRUE(diverged);
   uint64_t total = 0;
@@ -112,6 +128,14 @@ TEST(FuzzMutatorTest, SameStreamSameMutantDifferentStreamsDiverge) {
     total += c;
   }
   EXPECT_GT(total, 0u);  // every application is tallied per mutator kind
+}
+
+std::string HexToBytes(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
 }
 
 CoverageBitmap BitmapOf(std::initializer_list<size_t> slots) {
@@ -200,17 +224,18 @@ TEST(FuzzCorpusTest, PersistsAndSurvivesTornTail) {
   std::remove(path);
 }
 
-// A corpus saved by a build before the record layout (these bytes, verbatim)
-// is refused with an error, and the corpus in memory is left as it was.
+// A corpus saved by a format-v2 build (whose entries held hex coverage and a
+// text fuzz input; these bytes, verbatim) is refused with a version error,
+// and the corpus in memory is left as it was.
 TEST(FuzzCorpusTest, RefusesAFileInTheEarlierLayout) {
   const char* path = "/tmp/ddt_fuzz_corpus_earlier.bin";
-  const std::string earlier =
-      "ddt-fuzz-corpus v1 000000001234abcd 1\n"
-      "entry c68f4627 61\n"
-      "meta 1 0 0000000000000002\n"
-      "ddt-fuzz-input v1\n"
-      "label seed#0\n"
-      "end\n";
+  const std::string earlier = HexToBytes(
+      "81000000a07af9100f0000006464742d66757a7a2d636f7270757302000000cdab341200000000010000"
+      "000200000000000000000000000000000006000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000000000000000120000006464742d6275672d726570"
+      "6f72742076310a00000000470000001a9077e00100000000000000000000001000000030303030303030"
+      "303030303030303032230000006464742d66757a7a2d696e7075742076310a6c6162656c207365656423"
+      "300a656e640a");
   std::FILE* f = std::fopen(path, "wb");
   ASSERT_NE(f, nullptr);
   std::fwrite(earlier.data(), 1, earlier.size(), f);
@@ -222,7 +247,10 @@ TEST(FuzzCorpusTest, RefusesAFileInTheEarlierLayout) {
   FuzzLoopState loop;
   loop.execs = 9;
   size_t load_errors = 0;
-  EXPECT_FALSE(corpus.LoadFromFile(path, 0x1234ABCDull, &load_errors, &loop).ok());
+  Status loaded = corpus.LoadFromFile(path, 0x1234ABCDull, &load_errors, &loop);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.message().find("unsupported version 2"), std::string::npos)
+      << loaded.message();
   EXPECT_EQ(loop.execs, 9u);
   EXPECT_EQ(corpus.size(), 1u);
   EXPECT_EQ(corpus.batches_done(), 3u);
@@ -261,12 +289,12 @@ TEST(FuzzExecutorTest, SerializedSeedRoundTripReplaysIdentically) {
 
   FuzzInput seed =
       FromPathSeed(run.value().path_seeds.front(), seed_config.engine.fault_plan, "seed#0");
-  Result<FuzzInput> reloaded = ParseFuzzInput(SerializeFuzzInput(seed));
-  ASSERT_TRUE(reloaded.ok()) << reloaded.error();
+  FuzzInput reloaded;
+  ASSERT_TRUE(DecodeFuzzInput(EncodeFuzzInput(seed), &reloaded));
 
   FuzzExecutor executor(campaign, rtl.image, rtl.pci);
-  FuzzExecResult first = executor.Execute(reloaded.value());
-  FuzzExecResult second = executor.Execute(reloaded.value());
+  FuzzExecResult first = executor.Execute(reloaded);
+  FuzzExecResult second = executor.Execute(reloaded);
   ASSERT_TRUE(first.ok) << first.failure;
   ASSERT_TRUE(second.ok) << second.failure;
   EXPECT_GT(first.coverage.Popcount(), 0u);

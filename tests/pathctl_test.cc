@@ -1,5 +1,5 @@
 // Path-explosion control (src/engine/pathctl.h): kill-rule parsing and the
-// fork-site table codec; the loop/edge killer terminating redundant loops a
+// hot-fork-site ranking; the loop/edge killer terminating redundant loops a
 // checker-less (or checker-blind) run would grind through; diamond state
 // merging engaging on reconvergent branches without changing any verdict;
 // and the campaign-level determinism contract — with the controls on, the
@@ -43,35 +43,6 @@ TEST(PathCtlTest, ParseEdgeKillRuleAcceptsHexAndDecimal) {
   EXPECT_FALSE(ParseEdgeKillRule(":0x10", &rule));
   EXPECT_FALSE(ParseEdgeKillRule("a:b", &rule));
   EXPECT_FALSE(ParseEdgeKillRule("1:2:3", &rule));
-}
-
-TEST(PathCtlTest, ForkSiteTableCodecRoundTrips) {
-  ForkSiteTable table;
-  ForkSiteStats& a = table[{0x10020, "-"}];
-  a.states_created = 7;
-  a.sat_calls = 3;
-  ForkSiteStats& b = table[{0x10040, "alloc#1"}];
-  b.states_created = 2;
-  b.dropped_forks = 5;
-  b.states_evicted = 1;
-  b.states_merged = 4;
-  b.kills = 6;
-
-  ForkSiteTable decoded = DecodeForkSiteTable(EncodeForkSiteTable(table));
-  ASSERT_EQ(decoded.size(), 2u);
-  const ForkSiteStats& da = decoded[{0x10020, "-"}];
-  EXPECT_EQ(da.states_created, 7u);
-  EXPECT_EQ(da.sat_calls, 3u);
-  const ForkSiteStats& db = decoded[{0x10040, "alloc#1"}];
-  EXPECT_EQ(db.states_created, 2u);
-  EXPECT_EQ(db.dropped_forks, 5u);
-  EXPECT_EQ(db.states_evicted, 1u);
-  EXPECT_EQ(db.states_merged, 4u);
-  EXPECT_EQ(db.kills, 6u);
-
-  EXPECT_TRUE(DecodeForkSiteTable("").empty());
-  // Malformed tokens are dropped, never crash the decode.
-  EXPECT_TRUE(DecodeForkSiteTable("garbage not:enough:fields").empty());
 }
 
 TEST(PathCtlTest, FormatHotForkSitesRanksByStatesCreated) {

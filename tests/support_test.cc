@@ -4,7 +4,9 @@
 // CRC-framed record primitive with its byte codec and file helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -232,6 +234,27 @@ TEST(ByteCodecTest, RoundTripsLittleEndianFields) {
   EXPECT_TRUE(r.Done());
   EXPECT_EQ(r.U8(), 0);  // past the end: poisoned, not an over-read
   EXPECT_FALSE(r.ok());
+}
+
+// Doubles travel as their IEEE bits: every value, the sign of zero and a
+// NaN's payload come back exactly.
+TEST(ByteCodecTest, DoublesRoundTripBitForBit) {
+  const double values[] = {0.0, -0.0, 123.45678901234567, 4.9e-324,
+                           std::numeric_limits<double>::infinity(),
+                           std::bit_cast<double>(0x7FF8000000000123ull)};
+  ByteWriter w;
+  for (double v : values) {
+    w.F64(v);
+  }
+  w.F64(1.0);
+  EXPECT_EQ(w.bytes().substr(8 * std::size(values)),
+            std::string("\x00\x00\x00\x00\x00\x00\xF0\x3F", 8));
+  ByteReader r(w.bytes());
+  for (double v : values) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.F64()), std::bit_cast<uint64_t>(v));
+  }
+  EXPECT_EQ(r.F64(), 1.0);
+  EXPECT_TRUE(r.Done());
 }
 
 TEST(ByteCodecTest, CountsMayNotClaimMoreThanTheBytesLeft) {
