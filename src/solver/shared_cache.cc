@@ -63,16 +63,26 @@ uint64_t Fnv1a64(const std::string& data) {
   return h;
 }
 
+// LEB128: seven bits a byte, low group first, high bit set on all but the
+// last byte — self-delimiting, and one byte for values below 128.
+void PutVarint(std::string* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
 // File layout (src/support/record.h framing): a header record
 // [str "DDTSQC"][u32 version][u64 entry count], then one record per entry
-// [u8 sat][str canonical text][u32 n][n x (u32 canonical var, u64 value)].
+// [u8 sat][str canonical key][u32 n][n x (u32 canonical var, u64 value)].
 constexpr std::string_view kMagic = "DDTSQC";
 constexpr size_t kModelPairBytes = 12;
 
-uint64_t EntryFootprint(const std::string& text, size_t model_size) {
-  // Approximate heap footprint: the key text, the model pairs, and fixed
+uint64_t EntryFootprint(const std::string& key, size_t model_size) {
+  // Approximate heap footprint: the key, the model pairs, and fixed
   // per-entry bookkeeping (chain slot, map node amortization).
-  return text.size() + model_size * (sizeof(uint32_t) + sizeof(uint64_t)) + 64;
+  return key.size() + model_size * (sizeof(uint32_t) + sizeof(uint64_t)) + 64;
 }
 
 }  // namespace
@@ -86,13 +96,13 @@ const QueryCanonicalizer::RootTemplate& QueryCanonicalizer::TemplateFor(ExprRef 
   if (it != templates_.end()) {
     return it->second;
   }
-  RootTemplate tmpl;
-  // DAG-aware bottom-up serialization with per-root node numbering (like the
-  // SMT-LIB emitter's define-fun sharing): each distinct node appears once as
-  // a `t<n>=` line, and the last line is the root. Node numbers restart at
-  // every root, so the template depends only on the root's structure.
+  // DAG-aware bottom-up serialization with per-root node numbering: each
+  // distinct node appears once, after its operands, and the last node is the
+  // root. Node numbers restart at every root, so the template depends only
+  // on the root's structure.
+  std::string body;
+  std::vector<std::pair<uint32_t, uint32_t>> slots;
   std::unordered_map<ExprRef, uint32_t> node_ids;
-  std::unordered_map<uint32_t, uint32_t> var_index;  // local var id -> @k
   // Explicit stack: guest-built expressions (long add/mul chains from loops)
   // can be deep enough to worry plain recursion.
   struct Frame {
@@ -115,39 +125,38 @@ const QueryCanonicalizer::RootTemplate& QueryCanonicalizer::TemplateFor(ExprRef 
       }
       continue;
     }
-    uint32_t id = static_cast<uint32_t>(node_ids.size());
-    node_ids.emplace(f.e, id);
-    tmpl.text += StrFormat("t%u=", id);
-    switch (f.e->kind()) {
-      case ExprKind::kConst:
-        tmpl.text += StrFormat("c%u:%llx", f.e->width(),
-                               static_cast<unsigned long long>(f.e->const_value()));
-        break;
-      case ExprKind::kVar: {
-        uint32_t local = f.e->var_id();
-        auto [vit, inserted] = var_index.emplace(local, static_cast<uint32_t>(tmpl.vars.size()));
-        if (inserted) {
-          tmpl.vars.push_back(local);
-        }
-        tmpl.text += StrFormat("@%u:%u", vit->second, f.e->width());
-        break;
-      }
-      case ExprKind::kExtract:
-        tmpl.text += StrFormat("Extract%u[%u](t%u)", f.e->width(), f.e->extract_low(),
-                               node_ids.at(f.e->op(0)));
-        break;
-      default: {
-        tmpl.text += StrFormat("%s%u(", ExprKindName(f.e->kind()), f.e->width());
-        for (int i = 0; i < f.e->num_ops(); ++i) {
-          tmpl.text += StrFormat("%st%u", i == 0 ? "" : ",", node_ids.at(f.e->op(i)));
-        }
-        tmpl.text += ")";
-        break;
-      }
-    }
-    tmpl.text += "\n";
+    ExprRef e = f.e;
     stack.pop_back();
+    uint32_t id = static_cast<uint32_t>(node_ids.size());
+    node_ids.emplace(e, id);
+    body.push_back(static_cast<char>(e->kind()));
+    body.push_back(static_cast<char>(e->width()));
+    body.push_back(static_cast<char>(e->num_ops()));
+    for (int i = 0; i < e->num_ops(); ++i) {
+      PutVarint(&body, id - node_ids.at(e->op(i)));  // operands come first: >= 1
+    }
+    switch (e->kind()) {
+      case ExprKind::kConst:
+        PutVarint(&body, e->const_value());
+        break;
+      case ExprKind::kVar:
+        slots.emplace_back(static_cast<uint32_t>(body.size()), e->var_id());
+        break;
+      case ExprKind::kExtract:
+        PutVarint(&body, e->extract_low());
+        break;
+      default:
+        break;
+    }
   }
+  RootTemplate tmpl;
+  PutVarint(&tmpl.bytes, node_ids.size());
+  uint32_t shift = static_cast<uint32_t>(tmpl.bytes.size());
+  tmpl.bytes += body;
+  for (auto& slot : slots) {
+    slot.first += shift;
+  }
+  tmpl.slots = std::move(slots);
   return templates_.emplace(root, std::move(tmpl)).first->second;
 }
 
@@ -159,32 +168,22 @@ CanonicalQuery QueryCanonicalizer::Canonicalize(const std::vector<ExprRef>& expr
     if (!seen.insert(e).second) {
       continue;
     }
+    // Splice the template in, writing each variable's canonical id (assigned
+    // in first-visit order over the list) at its slot.
     const RootTemplate& tmpl = TemplateFor(e);
-    q.text += "#\n";  // constraint separator (keeps per-root t-numbering unambiguous)
-    // Splice the template in, rewriting each `@k` placeholder to the global
-    // canonical variable id, assigned in first-visit order over the list.
-    const std::string& t = tmpl.text;
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (t[i] != '@') {
-        q.text.push_back(t[i]);
-        continue;
-      }
-      size_t j = i + 1;
-      uint32_t k = 0;
-      while (j < t.size() && t[j] >= '0' && t[j] <= '9') {
-        k = k * 10 + static_cast<uint32_t>(t[j] - '0');
-        ++j;
-      }
-      uint32_t local = tmpl.vars[k];
+    size_t from = 0;
+    for (const auto& [offset, local] : tmpl.slots) {
+      q.key.append(tmpl.bytes, from, offset - from);
       auto [vit, inserted] = canon.emplace(local, static_cast<uint32_t>(q.local_vars.size()));
       if (inserted) {
         q.local_vars.push_back(local);
       }
-      q.text += StrFormat("v%u", vit->second);
-      i = j - 1;  // loop ++ lands on the ':' after the placeholder index
+      PutVarint(&q.key, vit->second);
+      from = offset;
     }
+    q.key.append(tmpl.bytes, from, std::string::npos);
   }
-  q.fingerprint = Fnv1a64(q.text);
+  q.fingerprint = Fnv1a64(q.key);
   return q;
 }
 
@@ -211,7 +210,7 @@ SharedQueryCache::LookupResult SharedQueryCache::Lookup(const CanonicalQuery& qu
     return r;
   }
   for (Entry& e : it->second) {
-    if (e.text == query.text) {
+    if (e.key == query.key) {
       e.last_used = ++shard.tick;
       r.hit = true;
       r.sat = e.sat;
@@ -231,22 +230,22 @@ void SharedQueryCache::Store(const CanonicalQuery& query, bool sat, CanonicalMod
   std::lock_guard<std::mutex> lock(shard.mu);
   std::vector<Entry>& chain = shard.map[query.fingerprint];
   for (Entry& e : chain) {
-    if (e.text == query.text) {
+    if (e.key == query.key) {
       shard.bytes -= e.bytes;
       e.sat = sat;
       e.model = std::move(model);
-      e.bytes = EntryFootprint(e.text, e.model.size());
+      e.bytes = EntryFootprint(e.key, e.model.size());
       e.last_used = ++shard.tick;
       shard.bytes += e.bytes;
       return;
     }
   }
   Entry e;
-  e.text = query.text;
+  e.key = query.key;
   e.sat = sat;
   e.model = std::move(model);
   e.last_used = ++shard.tick;
-  e.bytes = EntryFootprint(e.text, e.model.size());
+  e.bytes = EntryFootprint(e.key, e.model.size());
   shard.bytes += e.bytes;
   ++shard.entries;
   chain.push_back(std::move(e));
@@ -308,7 +307,7 @@ Status SharedQueryCache::SaveToFile(const std::string& path) const {
     for (const auto& [fp, chain] : shard->map) {
       (void)fp;
       for (const Entry& e : chain) {
-        snapshot.emplace_back(e.text, std::make_pair(e.sat, e.model));
+        snapshot.emplace_back(e.key, std::make_pair(e.sat, e.model));
       }
     }
   }
@@ -323,10 +322,10 @@ Status SharedQueryCache::SaveToFile(const std::string& path) const {
   header.U64(snapshot.size());
   Status framed = AppendRecord(&file, header.bytes());
   for (size_t i = 0; framed.ok() && i < snapshot.size(); ++i) {
-    const auto& [text, verdict] = snapshot[i];
+    const auto& [key, verdict] = snapshot[i];
     ByteWriter entry;
     entry.U8(verdict.first ? 1 : 0);
-    entry.Str(text);
+    entry.Str(key);
     entry.U32(static_cast<uint32_t>(verdict.second.size()));
     for (const auto& [id, value] : verdict.second) {
       entry.U32(id);
@@ -393,7 +392,7 @@ size_t SharedQueryCache::LoadFromFile(const std::string& path) {
     }
     ByteReader r(payload);
     bool sat = r.U8() != 0;
-    std::string text = r.Str();
+    std::string key = r.Str();
     uint32_t model_n = r.Count(kModelPairBytes);
     CanonicalModel model;
     model.reserve(model_n);
@@ -405,15 +404,15 @@ size_t SharedQueryCache::LoadFromFile(const std::string& path) {
     if (!r.Done() || (!sat && model_n != 0)) {
       return reject("malformed entry");
     }
-    parsed.emplace_back(std::move(text), std::make_pair(sat, std::move(model)));
+    parsed.emplace_back(std::move(key), std::make_pair(sat, std::move(model)));
   }
   if (pos != bytes.size()) {
     return reject("trailing bytes after the last entry");
   }
-  for (auto& [text, verdict] : parsed) {
+  for (auto& [key, verdict] : parsed) {
     CanonicalQuery q;
-    q.fingerprint = Fnv1a64(text);
-    q.text = std::move(text);
+    q.fingerprint = Fnv1a64(key);
+    q.key = std::move(key);
     Store(q, verdict.first, std::move(verdict.second));
   }
   std::lock_guard<std::mutex> lock(io_stats_mu_);

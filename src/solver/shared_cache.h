@@ -1,27 +1,29 @@
-// Process-wide shared solver query cache (KLEE-style counterexample cache).
+// The solver's query store: a canonical verdict cache (KLEE-style
+// counterexample cache) that answers each distinct query once.
 //
-// Every fault-campaign pass re-executes the same driver entry points under a
-// slightly different fault schedule, so the sliced constraint sets the passes
-// send to SAT are overwhelmingly identical — but each pass owns a private
-// ExprContext, so the same logical query arrives with different ExprRef
-// pointers and different variable ids. The per-solver cache (keyed on
-// pointers) cannot see across passes; this layer can:
+// A symbolic run asks the same logical query over and over with different
+// ExprRef pointers and different variable ids: sibling paths rebuild the
+// same constraint over fresh variables, and every fault-campaign pass owns a
+// private ExprContext. A key on pointers cannot see that; this layer can:
 //
-//   1. QueryCanonicalizer renders a sliced constraint set into a *canonical*
-//      textual form that is independent of pointer identity and of the order
-//      in which variable ids were handed out: every expression DAG is
-//      serialized bottom-up with per-root node numbering, and variables are
-//      renumbered v0, v1, ... in first-visit order over the constraint list.
-//      Two passes (or two threads, or a run last week) that build the same
-//      logical query get byte-identical canonical text — and its FNV-1a hash
-//      is the cache fingerprint.
+//   1. QueryCanonicalizer renders a sliced constraint set into a compact,
+//      self-delimiting binary form that is independent of pointer identity
+//      and of the order in which variable ids were handed out. Each root is
+//      a varint node count followed by its DAG nodes bottom-up: kind, width
+//      and arity bytes, varint back-references to operands, then a varint
+//      constant, a varint canonical variable id (variables are renumbered
+//      0, 1, ... in first-visit order over the constraint list) or the
+//      extract low bit. Equal bytes mean equal structure, so two solvers
+//      (or two threads, or a run last week) that build the same logical
+//      query get the same key — and its FNV-1a hash is the fingerprint.
 //
 //   2. SharedQueryCache is a sharded, mutex-per-shard store from fingerprint
 //      to {verdict, satisfying model over canonical variable ids}. Colliding
 //      fingerprints chain within a bucket and are disambiguated by comparing
-//      the full canonical text, so a hash collision can never return the
-//      wrong verdict. Each shard is bounded (entries and bytes) with
-//      LRU-ish eviction.
+//      the full key, so a hash collision can never return the wrong
+//      verdict. Each shard is bounded (entries and bytes) with LRU-ish
+//      eviction. Every Solver answers through one: a campaign's shared store
+//      when it configures one, else the solver's own.
 //
 //   3. The store persists to a file of CRC-framed records
 //      (src/support/record.h) — a version-tagged header naming the entry
@@ -32,10 +34,10 @@
 //      save is atomic (tmp + rename) under a lock file.
 //
 // Determinism contract (the reason the integration in solver.cc is shaped
-// the way it is): the shared cache may change *how fast* a verdict is found,
-// never *which* verdict or which model the engine concretizes from. Cached
-// models are only ever used after re-verification by the concrete evaluator,
-// and only to answer verdict-only (MayBe*/MustBe*) queries; any caller that
+// the way it is): the store may change *how fast* a verdict is found, never
+// *which* verdict or which model the engine concretizes from. Cached models
+// are only ever used after re-verification by the concrete evaluator, and
+// only to answer verdict-only (MayBe*/MustBe*) queries; any caller that
 // wants a model back always gets a fresh SAT solve. See DESIGN.md §7d.
 #ifndef SRC_SOLVER_SHARED_CACHE_H_
 #define SRC_SOLVER_SHARED_CACHE_H_
@@ -53,12 +55,12 @@
 
 namespace ddt {
 
-// A constraint-set query in canonical form. `text` is the full serialized
-// query (the collision-proof key); `fingerprint` is FNV-1a over `text`;
+// A constraint-set query in canonical form. `key` is the full binary form
+// (the collision-proof key); `fingerprint` is FNV-1a over `key`;
 // `local_vars[i]` is the querying context's variable id for canonical
-// variable vi (the remap table for models).
+// variable i (the remap table for models).
 struct CanonicalQuery {
-  std::string text;
+  std::string key;
   uint64_t fingerprint = 0;
   std::vector<uint32_t> local_vars;  // canonical id -> local var id
 };
@@ -82,13 +84,14 @@ class QueryCanonicalizer {
   size_t memo_size() const { return templates_.size(); }
 
  private:
-  // A root expression serialized with placeholder variables `@k` (k = index
-  // into `vars`, the root's distinct variables in first-visit order). The
-  // template depends only on structure, so it is valid for the lifetime of
-  // the ExprRef and memoizable across queries.
+  // A root's binary form with every variable id left out: `slots` names,
+  // in order, the offset in `bytes` where a variable node's canonical id is
+  // spliced in and that variable's local id. The template depends only on
+  // structure, so it is valid for the lifetime of the ExprRef and
+  // memoizable across queries.
   struct RootTemplate {
-    std::string text;
-    std::vector<uint32_t> vars;
+    std::string bytes;
+    std::vector<std::pair<uint32_t, uint32_t>> slots;  // (offset, local var id)
   };
 
   const RootTemplate& TemplateFor(ExprRef root);
@@ -103,8 +106,8 @@ struct SharedCacheConfig {
   uint64_t max_entries = 1u << 20;
 };
 
-// Thread-safe verdict + counterexample store, shared by every solver in a
-// campaign (all passes, all worker threads).
+// Thread-safe verdict + counterexample store: one solver's own, or shared by
+// every solver in a campaign (all passes, all worker threads).
 class SharedQueryCache {
  public:
   explicit SharedQueryCache(const SharedCacheConfig& config = SharedCacheConfig());
@@ -115,10 +118,10 @@ class SharedQueryCache {
     CanonicalModel model;  // valid iff hit && sat
   };
 
-  // Exact lookup by fingerprint + full canonical-text compare.
+  // Exact lookup by fingerprint + full key compare.
   LookupResult Lookup(const CanonicalQuery& query);
 
-  // Stores a verdict (idempotent; an existing entry for the same text is
+  // Stores a verdict (idempotent; an existing entry for the same key is
   // refreshed, not duplicated). `model` must be empty for unsat entries.
   void Store(const CanonicalQuery& query, bool sat, CanonicalModel model);
 
@@ -145,11 +148,11 @@ class SharedQueryCache {
 
   // On-disk format version; bumped whenever the canonical encoding or the
   // file layout changes so a stale cache can never be misread.
-  static constexpr uint32_t kFormatVersion = 2;
+  static constexpr uint32_t kFormatVersion = 3;
 
  private:
   struct Entry {
-    std::string text;  // full canonical key (collision disambiguation)
+    std::string key;  // full canonical key (collision disambiguation)
     bool sat = false;
     CanonicalModel model;
     uint64_t last_used = 0;  // shard tick, for LRU-ish eviction

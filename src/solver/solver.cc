@@ -69,23 +69,27 @@ std::vector<ExprRef> Solver::Slice(const std::vector<ExprRef>& constraints,
   return out;
 }
 
-std::vector<ExprRef> Solver::SortedUnique(const std::vector<ExprRef>& exprs) {
-  std::vector<ExprRef> sorted = exprs;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted;
+SharedQueryCache* Solver::QueryStore() {
+  if (config_.shared_cache != nullptr) {
+    return config_.shared_cache;
+  }
+  if (own_store_ == nullptr) {
+    own_store_ = std::make_unique<SharedQueryCache>();
+  }
+  return own_store_.get();
 }
 
-uint64_t Solver::CacheKey(const std::vector<ExprRef>& sorted_exprs) const {
-  if (config_.testing_collide_cache_keys) {
-    return 0xC0111DEull;  // every query lands in one bucket: full-key compare or bust
+void Solver::CountStoreHit(bool fastpath) {
+  if (config_.shared_cache == nullptr) {
+    ++stats_.cache_hits;
+    obs::TraceInstant("solver.query", "result", "cached");
+  } else if (fastpath) {
+    ++stats_.shared_cache_fastpath_hits;
+    obs::TraceInstant("solver.query", "result", "shared_fastpath");
+  } else {
+    ++stats_.shared_cache_hits;
+    obs::TraceInstant("solver.query", "result", "shared_hit");
   }
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (ExprRef e : sorted_exprs) {
-    h ^= reinterpret_cast<uint64_t>(e);
-    h *= 0x100000001B3ull;
-  }
-  return h;
 }
 
 bool Solver::RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& query,
@@ -95,7 +99,7 @@ bool Solver::RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& q
     if (canon_id >= query.local_vars.size()) {
       // The stored model mentions a variable the query doesn't have — stale
       // or foreign entry. Never trust it.
-      ++stats_.shared_cache_verify_failures;
+      stats_.shared_cache_verify_failures += config_.shared_cache != nullptr;
       return false;
     }
     a.Set(query.local_vars[canon_id], value);
@@ -105,7 +109,7 @@ bool Solver::RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& q
   // entry costs a SAT call, never a wrong verdict.
   for (ExprRef e : exprs) {
     if (!EvalBool(e, a)) {
-      ++stats_.shared_cache_verify_failures;
+      stats_.shared_cache_verify_failures += config_.shared_cache != nullptr;
       return false;
     }
   }
@@ -113,28 +117,27 @@ bool Solver::RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& q
   return true;
 }
 
-bool Solver::SharedCacheDecide(const std::vector<ExprRef>& filtered, bool want_model,
-                               bool extra_at_back, CanonicalQuery* out_query, bool* sat) {
+bool Solver::StoreDecide(const std::vector<ExprRef>& filtered, bool want_model,
+                         bool extra_at_back, CanonicalQuery* out_query, bool* sat) {
+  SharedQueryCache* store = QueryStore();
   *out_query = canonicalizer_.Canonicalize(filtered);
   if (config_.testing_collide_cache_keys) {
     out_query->fingerprint = 0xC0111DEull;
   }
-  SharedQueryCache::LookupResult r = config_.shared_cache->Lookup(*out_query);
+  SharedQueryCache::LookupResult r = store->Lookup(*out_query);
   if (r.hit) {
     if (!r.sat) {
       // Exact canonical match, unsat. Unsat is a pure verdict (no model to
       // diverge on), so this short-circuit is safe for every caller,
       // including model-requesting ones.
-      ++stats_.shared_cache_hits;
-      obs::TraceInstant("solver.query", "result", "shared_hit");
+      CountStoreHit(/*fastpath=*/false);
       *sat = false;
       return true;
     }
     if (!want_model) {
       Assignment remapped;
       if (RemapAndVerify(r.model, *out_query, filtered, &remapped)) {
-        ++stats_.shared_cache_hits;
-        obs::TraceInstant("solver.query", "result", "shared_hit");
+        CountStoreHit(/*fastpath=*/false);
         last_model_ = std::move(remapped);
         have_last_model_ = true;
         *sat = true;
@@ -144,8 +147,8 @@ bool Solver::SharedCacheDecide(const std::vector<ExprRef>& filtered, bool want_m
     }
     // want_model with a sat entry: deliberately fall through. Serving the
     // cached model would hand the engine concretization values that depend
-    // on cache contents; a fresh solve of the identical expression list
-    // returns exactly the model a cache-off run would.
+    // on store contents; a fresh solve of the identical expression list
+    // returns exactly the model a store miss would.
   } else if (extra_at_back && filtered.size() >= 2) {
     // Counterexample fast path (KLEE-style): the query is `prefix AND cond`
     // where `prefix` was itself a recent query on this path. If the prefix
@@ -157,27 +160,18 @@ bool Solver::SharedCacheDecide(const std::vector<ExprRef>& filtered, bool want_m
     if (config_.testing_collide_cache_keys) {
       prefix_query.fingerprint = 0xC0111DEull;
     }
-    SharedQueryCache::LookupResult pr = config_.shared_cache->Lookup(prefix_query);
+    SharedQueryCache::LookupResult pr = store->Lookup(prefix_query);
     if (pr.hit && !pr.sat) {
-      ++stats_.shared_cache_fastpath_hits;
-      obs::TraceInstant("solver.query", "result", "shared_fastpath");
-      config_.shared_cache->Store(*out_query, false, CanonicalModel());
-      ++stats_.shared_cache_stores;
+      CountStoreHit(/*fastpath=*/true);
+      Publish(*out_query, nullptr);
       *sat = false;
       return true;
     }
     if (pr.hit && pr.sat && !want_model) {
       Assignment remapped;
       if (RemapAndVerify(pr.model, prefix_query, filtered, &remapped)) {
-        ++stats_.shared_cache_fastpath_hits;
-        obs::TraceInstant("solver.query", "result", "shared_fastpath");
-        CanonicalModel promoted;
-        promoted.reserve(out_query->local_vars.size());
-        for (uint32_t i = 0; i < out_query->local_vars.size(); ++i) {
-          promoted.emplace_back(i, remapped.Get(out_query->local_vars[i]));
-        }
-        config_.shared_cache->Store(*out_query, true, std::move(promoted));
-        ++stats_.shared_cache_stores;
+        CountStoreHit(/*fastpath=*/true);
+        Publish(*out_query, &remapped);
         last_model_ = std::move(remapped);
         have_last_model_ = true;
         *sat = true;
@@ -185,8 +179,23 @@ bool Solver::SharedCacheDecide(const std::vector<ExprRef>& filtered, bool want_m
       }
     }
   }
-  ++stats_.shared_cache_misses;
+  stats_.shared_cache_misses += config_.shared_cache != nullptr;
   return false;
+}
+
+void Solver::Publish(const CanonicalQuery& query, const Assignment* model) {
+  // The model is stored against canonical variable ids (complete over the
+  // query's variables; solver-undecided ones are zero, exactly what
+  // verification assumed).
+  CanonicalModel canonical;
+  if (model != nullptr) {
+    canonical.reserve(query.local_vars.size());
+    for (uint32_t i = 0; i < static_cast<uint32_t>(query.local_vars.size()); ++i) {
+      canonical.emplace_back(i, model->Get(query.local_vars[i]));
+    }
+  }
+  QueryStore()->Store(query, model != nullptr, std::move(canonical));
+  stats_.shared_cache_stores += config_.shared_cache != nullptr;
 }
 
 bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bool* unknown) {
@@ -322,31 +331,6 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
     return true;
   }
 
-  uint64_t key = 0;
-  std::vector<ExprRef> sorted;
-  if (config_.enable_cache) {
-    sorted = SortedUnique(filtered);
-    key = CacheKey(sorted);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      for (const CacheEntry& entry : it->second) {
-        if (entry.exprs != sorted) {
-          continue;  // hash collision: keep scanning the chain
-        }
-        ++stats_.cache_hits;
-        obs::TraceInstant("solver.query", "result", "cached");
-        if (entry.sat) {
-          last_model_ = entry.model;
-          have_last_model_ = true;
-          if (model != nullptr) {
-            *model = entry.model;
-          }
-        }
-        return entry.sat;
-      }
-    }
-  }
-
   // Model-reuse fast path: consecutive queries on one path usually extend the
   // same constraint set, so the previous satisfying model often still works.
   // Evaluating is linear in expression size — far cheaper than bit-blasting.
@@ -368,42 +352,24 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
     }
   }
 
-  // Cross-pass shared cache: canonical-fingerprint lookup plus the
-  // counterexample fast path. Answers only verdicts it can prove locally
-  // (exact unsat, or a cached model re-verified by the concrete evaluator);
-  // model-requesting callers always fall through to a fresh solve.
-  CanonicalQuery shared_query;
-  bool have_shared_query = false;
-  if (config_.shared_cache != nullptr) {
-    bool extra_at_back = extra != nullptr && !filtered.empty() && filtered.back() == extra;
-    bool shared_sat = false;
-    if (SharedCacheDecide(filtered, model != nullptr, extra_at_back, &shared_query,
-                          &shared_sat)) {
-      return shared_sat;
-    }
-    have_shared_query = true;
+  // Query store: canonical-fingerprint lookup plus the counterexample fast
+  // path. Answers only verdicts it can prove locally (exact unsat, or a
+  // cached model re-verified by the concrete evaluator); model-requesting
+  // callers always fall through to a fresh solve.
+  CanonicalQuery canonical;
+  bool extra_at_back = extra != nullptr && filtered.back() == extra;
+  bool stored_sat = false;
+  if (StoreDecide(filtered, model != nullptr, extra_at_back, &canonical, &stored_sat)) {
+    return stored_sat;
   }
 
   Assignment local_model;
   bool unknown = false;
   bool sat = SolveExprs(filtered, &local_model, &unknown);
-  if (config_.enable_cache && !unknown) {
-    cache_[key].push_back(CacheEntry{sorted, sat, local_model});
-  }
-  if (have_shared_query && !unknown) {
-    // Publish the fresh verdict for other passes/threads/runs. The model is
-    // stored against canonical variable ids (complete over the query's
-    // variables; solver-undecided ones are zero, exactly what verification
-    // assumed).
-    CanonicalModel canonical_model;
-    if (sat) {
-      canonical_model.reserve(shared_query.local_vars.size());
-      for (uint32_t i = 0; i < static_cast<uint32_t>(shared_query.local_vars.size()); ++i) {
-        canonical_model.emplace_back(i, local_model.Get(shared_query.local_vars[i]));
-      }
-    }
-    config_.shared_cache->Store(shared_query, sat, std::move(canonical_model));
-    ++stats_.shared_cache_stores;
+  if (!unknown) {
+    // Publish the fresh verdict for later paths (and, through a shared
+    // store, other passes/threads/runs).
+    Publish(canonical, sat ? &local_model : nullptr);
   }
   if (sat && !unknown) {
     last_model_ = local_model;

@@ -5,7 +5,10 @@
 //   2. interval quick checks (solver/intervals.h),
 //   3. independent-constraint slicing: only constraints transitively sharing
 //      variables with the query are sent to SAT,
-//   4. query cache keyed on the sliced constraint set,
+//   4. the query store (solver/shared_cache.h), keyed on the canonical form
+//      of the sliced constraint set, so a query that recurs over fresh
+//      variables is answered once per run: the campaign's shared store when
+//      one is configured, else the solver's own,
 //   5. bit-blasting + CDCL SAT.
 //
 // Every SAT model is re-verified with the concrete evaluator before being
@@ -15,8 +18,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/expr/eval.h"
@@ -38,26 +41,27 @@ struct SolverConfig {
   // branch exploration over-approximates, GetValue falls back to
   // concretization under a partial model.
   uint64_t max_query_ms = 0;
-  bool enable_cache = true;
   // Before bit-blasting a satisfiability-only query, evaluate it under the
   // most recent satisfying model; consecutive queries on the same path often
   // share one. Only applies when the caller wants no model back, so the
   // values the engine concretizes with are unaffected.
   bool enable_model_reuse = true;
 
-  // Optional process-wide query cache shared across solver instances (one per
-  // fault campaign; non-owning, must outlive the solver). Queries are keyed
-  // on a canonical form independent of ExprContext identity, so identical
-  // logical queries hit across passes, threads, and — via its on-disk
-  // persistence — across runs. Verdict-only queries can be answered from it
+  // Optional process-wide query store shared across solver instances (one
+  // per fault campaign; non-owning, must outlive the solver). When null, the
+  // solver answers through its own store, made on the first query that
+  // reaches it. Queries are keyed on a canonical form independent of
+  // ExprContext identity, so identical logical queries hit across paths
+  // and — through a shared store — across passes, threads, and (via its
+  // on-disk persistence) runs. Verdict-only queries can be answered from it
   // (cached models are re-verified by the concrete evaluator first);
   // model-requesting queries always fall through to a fresh SAT solve so the
-  // values the engine concretizes with are byte-identical cache on or off.
+  // values the engine concretizes with are byte-identical store hit or miss.
   SharedQueryCache* shared_cache = nullptr;
 
-  // Test hook: collapse every cache fingerprint to one value, forcing hash
-  // collisions so the full-key compare paths (per-solver cache entry list,
-  // shared-cache chain) are exercised. Never set outside tests.
+  // Test hook: collapse every store fingerprint to one value, forcing hash
+  // collisions so the full-key compare path (the store's chain) is
+  // exercised. Never set outside tests.
   bool testing_collide_cache_keys = false;
 
   // --- Observability (src/obs) — both null by default (kill switch) ---
@@ -76,6 +80,7 @@ struct SolverConfig {
   X(queries, kSum, "solver.queries")                                                      \
   /* Answered by interval analysis. */                                                    \
   X(quick_decides, kSum, "solver.quick_decides")                                          \
+  /* Answered by the solver's own query store: exact and fast-path hits. */               \
   X(cache_hits, kSum, "solver.cache_hits")                                                \
   X(sat_calls, kSum, "solver.sat_calls")                                                  \
   X(sat_results, kSum, "solver.sat_results")                                              \
@@ -93,7 +98,7 @@ struct SolverConfig {
   /* Queries answered by re-evaluating under the last satisfying model */                 \
   /* (SolverConfig::enable_model_reuse), skipping bit-blasting entirely. */               \
   X(model_reuse_hits, kSum, "solver.model_reuse_hits")                                    \
-  /* --- Shared cross-pass cache (SolverConfig::shared_cache) --- */                      \
+  /* --- Shared cross-pass store (SolverConfig::shared_cache only) --- */                  \
   /* Exact canonical-fingerprint hits answered without a SAT call. */                     \
   X(shared_cache_hits, kSum, "solver.shared_cache.hits")                                  \
   /* Counterexample fast-path hits: the query was answered from a cached */               \
@@ -164,17 +169,6 @@ class Solver {
   void SetAbortFlag(const std::atomic<bool>* flag) { abort_flag_ = flag; }
 
  private:
-  // Per-solver cache entry. `exprs` is the sorted, deduplicated constraint
-  // set the verdict was computed for — the full key. The map is keyed on a
-  // hash of that set; entries chain within a bucket and are only trusted
-  // after an exact set compare, so a hash collision can never serve a wrong
-  // verdict.
-  struct CacheEntry {
-    std::vector<ExprRef> exprs;
-    bool sat = false;
-    Assignment model;
-  };
-
   // Returns the subset of constraints transitively sharing variables with
   // `seed_vars`.
   std::vector<ExprRef> Slice(const std::vector<ExprRef>& constraints,
@@ -183,17 +177,23 @@ class Solver {
   // Uncached SAT query over an explicit expression list.
   bool SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bool* unknown);
 
-  // Sorted + deduplicated copy of `exprs` (the per-solver cache's full key).
-  static std::vector<ExprRef> SortedUnique(const std::vector<ExprRef>& exprs);
-  uint64_t CacheKey(const std::vector<ExprRef>& sorted_exprs) const;
+  // The store this solver answers through: the configured shared one, else
+  // its own, made on first use.
+  SharedQueryCache* QueryStore();
 
-  // Shared-cache consultation for the filtered query; returns true when the
-  // query was answered (verdict in *sat). `extra_at_back` marks that the last
+  // Store consultation for the filtered query; returns true when the query
+  // was answered (verdict in *sat). `extra_at_back` marks that the last
   // element of `filtered` is the branch condition appended to a sliced prefix
   // (enables the counterexample fast path). `out_query` receives the
   // canonical form for a later Store on miss.
-  bool SharedCacheDecide(const std::vector<ExprRef>& filtered, bool want_model,
-                         bool extra_at_back, CanonicalQuery* out_query, bool* sat);
+  bool StoreDecide(const std::vector<ExprRef>& filtered, bool want_model, bool extra_at_back,
+                   CanonicalQuery* out_query, bool* sat);
+  // Counts a store answer: cache_hits on the solver's own store, the
+  // shared_cache_* rows on a configured shared one.
+  void CountStoreHit(bool fastpath);
+  // Stores a verdict for `query`: sat with `model` (over local variable
+  // ids), or unsat when `model` is null.
+  void Publish(const CanonicalQuery& query, const Assignment* model);
   // Remaps a canonical model into this context's variable ids and re-verifies
   // it against `exprs` with the concrete evaluator. False = do not trust.
   bool RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& query,
@@ -206,9 +206,11 @@ class Solver {
   // metrics are off, which skips the observe in one branch.
   obs::Histogram* obs_query_ms_ = nullptr;
   const std::atomic<bool>* abort_flag_ = nullptr;
-  std::unordered_map<uint64_t, std::vector<CacheEntry>> cache_;
-  // Canonical-form renderer for the shared cache (memoizes per-root
-  // templates, so it lives with the solver).
+  // This solver's own store when no shared one is configured; null until a
+  // query reaches it.
+  std::unique_ptr<SharedQueryCache> own_store_;
+  // Canonical-form renderer for the store (memoizes per-root templates, so
+  // it lives with the solver).
   QueryCanonicalizer canonicalizer_;
   Assignment last_model_;         // most recent satisfying assignment
   bool have_last_model_ = false;

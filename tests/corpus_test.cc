@@ -8,8 +8,10 @@
 
 #include <set>
 
+#include "src/core/bug_io.h"
 #include "src/core/ddt.h"
 #include "src/core/replay.h"
+#include "src/support/crc32.h"
 
 namespace ddt {
 namespace {
@@ -48,6 +50,24 @@ std::vector<const ExpectedBug*> MatchBugs(const std::vector<ExpectedBug>& expect
   return missing;
 }
 
+// Each driver's evidence at CorpusConfig(), pinned so that a change to the
+// solver or the engine that alters a single saved trace, solved input,
+// covered block or executed instruction fails here, not only in a diff of
+// two runs of the same build. `bugs_crc` is the CRC32 of SerializeBugs over
+// the run's bugs (the bytes `ddt_cli test` saves).
+struct PinnedEvidence {
+  const char* driver;
+  uint32_t bugs_crc;
+  size_t covered_blocks;
+  uint64_t instructions;
+};
+
+constexpr PinnedEvidence kPinnedEvidence[] = {
+    {"rtl8029", 0xdf781fb9u, 178, 22692},   {"pcnet", 0x8813f04bu, 371, 29816},
+    {"pro1000", 0x26e15eaeu, 4218, 33787},  {"pro100", 0x320a6e69u, 1322, 42734},
+    {"audiopci", 0x340f70d2u, 1062, 14707}, {"ac97", 0xe9f70a98u, 1223, 19573},
+};
+
 class CorpusTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CorpusTest, FindsExactlyTheSeededBugs) {
@@ -75,6 +95,19 @@ TEST_P(CorpusTest, FindsExactlyTheSeededBugs) {
                     << r.bugs[i].Format(12);
     }
   }
+
+  const PinnedEvidence* pinned = nullptr;
+  for (const PinnedEvidence& p : kPinnedEvidence) {
+    if (driver.name == p.driver) {
+      pinned = &p;
+    }
+  }
+  ASSERT_NE(pinned, nullptr) << driver.name << ": no pinned evidence";
+  uint32_t bugs_crc = Crc32(SerializeBugs(r.bugs));
+  EXPECT_EQ(bugs_crc, pinned->bugs_crc)
+      << driver.name << ": saved bug evidence changed (crc 0x" << std::hex << bugs_crc << ")";
+  EXPECT_EQ(r.covered_blocks, pinned->covered_blocks) << driver.name;
+  EXPECT_EQ(r.stats.instructions, pinned->instructions) << driver.name;
 }
 
 TEST_P(CorpusTest, EveryBugReplays) {

@@ -363,6 +363,13 @@ std::string CacheBytes(const std::string& name, uint64_t salt) {
 TEST(DecoderFuzzTest, CacheFileLoadsAllOrNothing) {
   std::string a = CacheBytes("decoder_fuzz_a.cache", 0);
   std::string b = CacheBytes("decoder_fuzz_b.cache", 100);
+  // The mutants start from a v3 file (binary canonical keys).
+  size_t header_end = 0;
+  std::string_view header;
+  ASSERT_EQ(ReadRecord(a, &header_end, &header), RecordRead::kRecord);
+  ByteReader header_reader(header);
+  EXPECT_EQ(header_reader.Str(), "DDTSQC");
+  EXPECT_EQ(header_reader.U32(), 3u);
   std::string path = TempPath("decoder_fuzz_mutant.cache");
   LogLevel log_level = GetLogLevel();
   SetLogLevel(LogLevel::kError);  // every rejected file warns

@@ -1,9 +1,10 @@
-// Tests for the cross-pass shared solver cache (src/solver/shared_cache):
-// canonical query fingerprints (pointer- and var-id-independent), the
-// sharded collision-safe store, on-disk persistence, solver integration
-// (verdict hits, the counterexample fast path, model-path determinism), and
-// the campaign-level contract that the deterministic report is byte-identical
-// shared cache off vs cold vs warm-from-disk at any thread count.
+// Tests for the solver's query store (src/solver/shared_cache): the binary
+// canonical form (pointer- and var-id-independent, and distinct for near-miss
+// structures), the sharded collision-safe store, on-disk persistence, solver
+// integration (verdict hits, the counterexample fast path, model-path
+// determinism), and the campaign-level contract that the deterministic
+// report is byte-identical shared cache off vs cold vs warm-from-disk at any
+// thread count.
 #include "src/solver/shared_cache.h"
 
 #include <gtest/gtest.h>
@@ -54,7 +55,7 @@ TEST(CanonicalizerTest, SameQueryInDifferentContextsFingerprintsIdentically) {
   QueryCanonicalizer canon2;
   CanonicalQuery c1 = canon1.Canonicalize(q1);
   CanonicalQuery c2 = canon2.Canonicalize(q2);
-  EXPECT_EQ(c1.text, c2.text);
+  EXPECT_EQ(c1.key, c2.key);
   EXPECT_EQ(c1.fingerprint, c2.fingerprint);
   // The remap tables point back at each context's own variable ids, in the
   // same canonical (first-visit) order.
@@ -73,9 +74,59 @@ TEST(CanonicalizerTest, StructurallyDifferentQueriesDiffer) {
   CanonicalQuery ult = canon.Canonicalize({ctx.Ult(x, ctx.Const(10, 32))});
   CanonicalQuery ule = canon.Canonicalize({ctx.Ule(x, ctx.Const(10, 32))});
   CanonicalQuery other_const = canon.Canonicalize({ctx.Ult(x, ctx.Const(11, 32))});
-  EXPECT_NE(ult.text, ule.text);
+  EXPECT_NE(ult.key, ule.key);
   EXPECT_NE(ult.fingerprint, ule.fingerprint);
-  EXPECT_NE(ult.text, other_const.text);
+  EXPECT_NE(ult.key, other_const.key);
+}
+
+// Pairs that differ in one detail each — an operator, operand order, a
+// width, an extract position, variable sharing, a constant on either side of
+// a varint length boundary — must get different keys.
+TEST(CanonicalizerTest, NearMissPairsGetDifferentKeys) {
+  ExprContext ctx;
+  ExprRef x = ctx.Var(8, "x");
+  ExprRef y = ctx.Var(8, "y");
+  ExprRef x16 = ctx.Var(16, "x16");
+  ExprRef x32 = ctx.Var(32, "x32");
+  ExprRef x64 = ctx.Var(64, "x64");
+  auto c8 = [&](uint64_t v) { return ctx.Const(v, 8); };
+  auto c64 = [&](uint64_t v) { return ctx.Const(v, 64); };
+  struct Pair {
+    const char* what;
+    std::vector<ExprRef> a;
+    std::vector<ExprRef> b;
+  };
+  std::vector<Pair> pairs = {
+      {"ult/ule", {ctx.Ult(x, y)}, {ctx.Ule(x, y)}},
+      {"slt/ult", {ctx.Slt(x, y)}, {ctx.Ult(x, y)}},
+      // The first root pins x as variable 0, so a-b and b-a are not
+      // renamings of each other.
+      {"a-b/b-a",
+       {ctx.Ult(x, y), ctx.Eq(ctx.Sub(x, y), c8(1))},
+       {ctx.Ult(x, y), ctx.Eq(ctx.Sub(y, x), c8(1))}},
+      {"shl/lshr", {ctx.Eq(ctx.Shl(x, y), c8(4))}, {ctx.Eq(ctx.LShr(x, y), c8(4))}},
+      {"width 8/16",
+       {ctx.Eq(ctx.Mul(x, x), c8(9))},
+       {ctx.Eq(ctx.Mul(x16, x16), ctx.Const(9, 16))}},
+      {"extract low 0/1",
+       {ctx.Eq(ctx.Extract(x32, 0, 8), c8(1))},
+       {ctx.Eq(ctx.Extract(x32, 1, 8), c8(1))}},
+      {"x+x/x+y", {ctx.Eq(ctx.Add(x, x), c8(4))}, {ctx.Eq(ctx.Add(x, y), c8(4))}},
+      {"const 127/128", {ctx.Ult(x64, c64(127))}, {ctx.Ult(x64, c64(128))}},
+      {"const 2^63/2^63+1",
+       {ctx.Ult(x64, c64(1ull << 63))},
+       {ctx.Ult(x64, c64((1ull << 63) + 1))}},
+      {"shared/distinct variable",
+       {ctx.Ult(x, c8(5)), ctx.Ult(c8(3), x)},
+       {ctx.Ult(x, c8(5)), ctx.Ult(c8(3), y)}},
+  };
+  QueryCanonicalizer canon;
+  for (const Pair& pair : pairs) {
+    CanonicalQuery a = canon.Canonicalize(pair.a);
+    CanonicalQuery b = canon.Canonicalize(pair.b);
+    EXPECT_NE(a.key, b.key) << pair.what;
+    EXPECT_NE(a.fingerprint, b.fingerprint) << pair.what;
+  }
 }
 
 TEST(CanonicalizerTest, ConstraintListOrderMattersButDuplicatesDrop) {
@@ -88,7 +139,7 @@ TEST(CanonicalizerTest, ConstraintListOrderMattersButDuplicatesDrop) {
   QueryCanonicalizer canon;
   CanonicalQuery with_dup = canon.Canonicalize({c1, c2, c1});
   CanonicalQuery without = canon.Canonicalize({c1, c2});
-  EXPECT_EQ(with_dup.text, without.text);
+  EXPECT_EQ(with_dup.key, without.key);
 }
 
 TEST(CanonicalizerTest, VariableNamesDoNotAffectTheFingerprint) {
@@ -111,7 +162,7 @@ TEST(SharedQueryCacheTest, CollidingFingerprintsAreDisambiguatedByFullKey) {
   CanonicalQuery sat_query = canon.Canonicalize({ctx.Eq(x, ctx.Const(1, 32))});
   CanonicalQuery unsat_query = canon.Canonicalize(
       {ctx.Eq(x, ctx.Const(1, 32)), ctx.Eq(x, ctx.Const(2, 32))});
-  ASSERT_NE(sat_query.text, unsat_query.text);
+  ASSERT_NE(sat_query.key, unsat_query.key);
   // Force the collision the FNV hash makes astronomically unlikely.
   sat_query.fingerprint = 42;
   unsat_query.fingerprint = 42;
@@ -368,6 +419,21 @@ TEST(SharedQueryCacheTest, RefusesAFileInTheEarlierLayout) {
   std::remove(path.c_str());
 }
 
+// A file saved by the build before binary keys (format v2: text canonical
+// keys, its bytes verbatim — one sat entry for 8-bit x == 3) is ignored and
+// counted, as any version mismatch is.
+TEST(SharedQueryCacheTest, RefusesAVersion2FileWithTextKeys) {
+  std::string path = TempPath("v2_text_keys.bin");
+  WriteBytes(path, FromHex("160000001a4ded5c06000000444454535143020000000100000000000000350000"
+                           "000d08c50d0120000000230a74303d63383a330a74313d76303a380a74323d4571"
+                           "312874302c7431290a01000000000000000300000000000000"));
+  SharedQueryCache cache;
+  EXPECT_EQ(cache.LoadFromFile(path), 0u);
+  EXPECT_EQ(cache.stats().load_errors, 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  std::remove(path.c_str());
+}
+
 // --- Solver integration -----------------------------------------------------
 
 SolverConfig SharedConfig(SharedQueryCache* cache) {
@@ -527,8 +593,8 @@ TEST(SolverSharedCacheTest, BogusCachedModelFailsVerificationAndFallsBackToSat) 
 }
 
 TEST(SolverSharedCacheTest, ForcedCollisionsStillYieldCorrectVerdicts) {
-  // With every fingerprint collapsed to one value, both the shared cache and
-  // the per-solver cache must disambiguate by full key.
+  // With every fingerprint collapsed to one value, the shared store must
+  // disambiguate by full key.
   SharedQueryCache cache;
   ExprContext ctx;
   SolverConfig config = SharedConfig(&cache);

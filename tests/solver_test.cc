@@ -1,11 +1,13 @@
 // Tests for the constraint solver stack: raw SAT, bit-blasting, intervals,
-// slicing/caching in the facade, plus a randomized end-to-end property suite
-// (solve a random constraint system, then check the model with the
-// evaluator — and check UNSAT answers against brute force on small widths).
+// slicing and the query store in the facade, plus randomized end-to-end
+// property suites (solve a random constraint system, then check the model
+// with the evaluator — and check every verdict against brute force on small
+// widths).
 #include "src/solver/solver.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "src/expr/eval.h"
@@ -385,14 +387,22 @@ TEST_F(SolverTest, GetInitialValuesSolvesIndependentComponents) {
 }
 
 TEST_F(SolverTest, CacheHitsOnRepeatedQuery) {
+  // The solver's own store keys queries on their canonical structure, so a
+  // query that recurs over fresh variables (a sibling path's) is answered
+  // without SAT, and the hit counts as "cached", not as a shared-store hit.
   ExprRef x = ctx_.Var(32, "x");
-  std::vector<ExprRef> constraints = {ctx_.Ult(x, ctx_.Const(10, 32))};
-  ExprRef cond = ctx_.Eq(x, ctx_.Const(5, 32));
-  EXPECT_TRUE(solver_.MayBeTrue(constraints, cond));
+  EXPECT_TRUE(solver_.MayBeTrue({ctx_.Ult(x, ctx_.Const(10, 32))}, ctx_.Eq(x, ctx_.Const(5, 32))));
+  EXPECT_FALSE(solver_.MayBeTrue({ctx_.Ult(x, ctx_.Const(3, 32))}, ctx_.Eq(x, ctx_.Const(7, 32))));
   uint64_t sat_calls = solver_.stats().sat_calls;
-  EXPECT_TRUE(solver_.MayBeTrue(constraints, cond));
+  ExprRef y = ctx_.Var(32, "y");
+  // y = 0 under the last model fails y == 5, so model reuse cannot answer.
+  EXPECT_TRUE(solver_.MayBeTrue({ctx_.Ult(y, ctx_.Const(10, 32))}, ctx_.Eq(y, ctx_.Const(5, 32))));
+  EXPECT_FALSE(solver_.MayBeTrue({ctx_.Ult(y, ctx_.Const(3, 32))}, ctx_.Eq(y, ctx_.Const(7, 32))));
   EXPECT_EQ(solver_.stats().sat_calls, sat_calls);
-  EXPECT_GT(solver_.stats().cache_hits, 0u);
+  EXPECT_EQ(solver_.stats().cache_hits, 2u);
+  EXPECT_EQ(solver_.stats().shared_cache_hits, 0u);
+  EXPECT_EQ(solver_.stats().shared_cache_misses, 0u);
+  EXPECT_EQ(solver_.stats().shared_cache_stores, 0u);
 }
 
 TEST_F(SolverTest, SlicingIgnoresUnrelatedConstraints) {
@@ -484,6 +494,225 @@ TEST(SolverPropertyTest, RandomSystemsAgainstBruteForce) {
   }
 }
 
+
+// --- Deep solver oracle ------------------------------------------------------
+
+// Random nested DAGs over two 8-bit variables: mul, udiv, urem, the three
+// shifts, ite, extract, concat and the extensions, all at widths <= 8, with
+// subterms shared across the system. The generator takes the variables as
+// parameters, so the same draws rebuild a system over fresh variables.
+class DeepSystemGen {
+ public:
+  DeepSystemGen(ExprContext* ctx, uint64_t seed, ExprRef x, ExprRef y)
+      : ctx_(ctx), rng_(seed), x_(x), y_(y) {}
+
+  // A comparison whose first operand reaches depth `depth - 1`.
+  ExprRef Bool(int depth) {
+    uint8_t w = rng_.NextBelow(3) == 0 ? static_cast<uint8_t>(1 + rng_.NextBelow(8)) : 8;
+    ExprRef a = Term(depth - 1, w);
+    ExprRef b = Term(Shallower(depth - 1), w);
+    switch (rng_.NextBelow(8)) {
+      case 0:
+      case 1:
+      case 2:  // equalities make unsat systems common enough to test
+        return ctx_->Eq(a, b);
+      case 3:
+        return ctx_->Ne(a, b);
+      case 4:
+        return ctx_->Ult(a, b);
+      case 5:
+        return ctx_->Ule(a, b);
+      case 6:
+        return ctx_->Slt(a, b);
+      default:
+        return ctx_->Sle(a, b);
+    }
+  }
+
+  // A term of the given width whose first operand chain reaches `depth`;
+  // the other operands are shallower, which keeps systems small.
+  ExprRef Term(int depth, uint8_t w) {
+    if (depth <= 0) {
+      return Leaf(w);
+    }
+    if (!shared_[w].empty() && rng_.NextBelow(5) == 0) {
+      return shared_[w][rng_.NextBelow(shared_[w].size())];
+    }
+    ExprRef a = nullptr;
+    switch (rng_.NextBelow(12)) {
+      case 0:
+        a = ctx_->Mul(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+      case 1:
+        a = ctx_->UDiv(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+      case 2:
+        a = ctx_->URem(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+      case 3:
+        a = ctx_->Shl(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+      case 4:
+        a = ctx_->LShr(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+      case 5:
+        a = ctx_->AShr(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+      case 6:
+        a = ctx_->Ite(Bool(depth), Term(Shallower(depth - 1), w), Term(Shallower(depth - 1), w));
+        break;
+      case 7:
+        if (w < 8) {
+          uint8_t wide = static_cast<uint8_t>(w + 1 + rng_.NextBelow(8 - w));
+          uint32_t low = static_cast<uint32_t>(rng_.NextBelow(wide - w + 1));
+          a = ctx_->Extract(Term(depth - 1, wide), low, w);
+          break;
+        }
+        [[fallthrough]];
+      case 8:
+        if (w >= 2) {
+          uint8_t high = static_cast<uint8_t>(1 + rng_.NextBelow(w - 1));
+          a = ctx_->Concat(Term(depth - 1, high),
+                           Term(Shallower(depth - 1), static_cast<uint8_t>(w - high)));
+          break;
+        }
+        [[fallthrough]];
+      case 9:
+        if (w >= 2) {
+          uint8_t narrow = static_cast<uint8_t>(1 + rng_.NextBelow(w - 1));
+          a = rng_.NextBelow(2) == 0 ? ctx_->ZExt(Term(depth - 1, narrow), w)
+                                     : ctx_->SExt(Term(depth - 1, narrow), w);
+          break;
+        }
+        [[fallthrough]];
+      case 10:
+        a = ctx_->Add(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+      default:
+        a = ctx_->Xor(Term(depth - 1, w), Term(Shallower(depth - 1), w));
+        break;
+    }
+    shared_[w].push_back(a);
+    return a;
+  }
+
+ private:
+  int Shallower(int depth) { return static_cast<int>(rng_.NextBelow(depth + 1)) / 2; }
+
+  ExprRef Leaf(uint8_t w) {
+    if (rng_.NextBelow(3) == 0) {
+      return ctx_->Const(rng_.NextBelow(1ull << w), w);
+    }
+    ExprRef v = rng_.NextBelow(2) == 0 ? x_ : y_;
+    return w == 8 ? v : ctx_->Extract(v, static_cast<uint32_t>(rng_.NextBelow(9 - w)), w);
+  }
+
+  ExprContext* ctx_;
+  SplitMix64 rng_;
+  ExprRef x_;
+  ExprRef y_;
+  std::vector<ExprRef> shared_[9];  // built terms by width
+};
+
+int ExprDepth(ExprRef e) {
+  int deepest = 0;
+  for (int i = 0; i < e->num_ops(); ++i) {
+    deepest = std::max(deepest, 1 + ExprDepth(e->op(i)));
+  }
+  return deepest;
+}
+
+// Ground truth by brute force over all 65,536 (x, y) assignments.
+bool BruteForceSat(const std::vector<ExprRef>& system, ExprRef x, ExprRef y) {
+  Assignment a;
+  for (uint32_t xv = 0; xv < 256; ++xv) {
+    for (uint32_t yv = 0; yv < 256; ++yv) {
+      a.Set(x->var_id(), xv);
+      a.Set(y->var_id(), yv);
+      bool all = true;
+      for (ExprRef c : system) {
+        if (!EvalBool(c, a)) {
+          all = false;
+          break;
+        }
+      }
+      if (all) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// Every verdict on a deep system is checked against brute force, and each
+// system is asked three more ways: over fresh renamed variables (the solver's
+// own store must answer, with no SAT call), with its constraints reversed,
+// and through GetValue (whose value must satisfy the system, and which must
+// solve fresh rather than take the stored model).
+TEST(SolverOracleTest, DeepDagsAgainstBruteForce) {
+  constexpr uint64_t kSeeds[] = {0x5EED0001, 0x5EED0002, 0x5EED0003, 0x5EED0004};
+  constexpr int kSystemsPerSeed = 8;
+  int sat_systems = 0;
+  int unsat_systems = 0;
+  for (uint64_t seed : kSeeds) {
+    ExprContext ctx;
+    SolverConfig config;
+    config.enable_model_reuse = false;  // isolate the store
+    Solver solver(&ctx, config);
+    for (int n = 0; n < kSystemsPerSeed; ++n) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " system " << n);
+      uint64_t system_seed = SplitMix64(seed).Fork(static_cast<uint64_t>(n)).Next();
+      ExprRef x = ctx.Var(8, "x");
+      ExprRef y = ctx.Var(8, "y");
+      ExprRef fresh_x = ctx.Var(8, "x'");
+      ExprRef fresh_y = ctx.Var(8, "y'");
+      DeepSystemGen gen(&ctx, system_seed, x, y);
+      DeepSystemGen renamed_gen(&ctx, system_seed, fresh_x, fresh_y);
+      std::vector<ExprRef> system;
+      std::vector<ExprRef> renamed;
+      for (int attempts = 0; system.size() < 3 && attempts < 64; ++attempts) {
+        ExprRef c = gen.Bool(5);
+        ExprRef rc = renamed_gen.Bool(5);
+        // Keep roots that survived simplification at depth >= 4; a constant
+        // root would drop out of every slice.
+        if (!c->IsConst() && ExprDepth(c) >= 4) {
+          system.push_back(c);
+          renamed.push_back(rc);
+        }
+      }
+      ASSERT_EQ(system.size(), 3u);
+
+      bool truth = BruteForceSat(system, x, y);
+      (truth ? sat_systems : unsat_systems) += 1;
+      EXPECT_EQ(solver.IsSatisfiable(system, nullptr), truth);
+
+      uint64_t sat_calls = solver.stats().sat_calls;
+      uint64_t hits = solver.stats().cache_hits;
+      EXPECT_EQ(solver.IsSatisfiable(renamed, nullptr), truth);
+      EXPECT_EQ(solver.stats().sat_calls, sat_calls) << "renamed system reached SAT";
+      EXPECT_EQ(solver.stats().cache_hits, hits + 1);
+
+      std::vector<ExprRef> reversed(system.rbegin(), system.rend());
+      EXPECT_EQ(solver.IsSatisfiable(reversed, nullptr), truth);
+
+      sat_calls = solver.stats().sat_calls;
+      std::optional<uint64_t> xy = solver.GetValue(system, ctx.Concat(x, y));
+      ASSERT_EQ(xy.has_value(), truth);
+      if (truth) {
+        EXPECT_GT(solver.stats().sat_calls, sat_calls) << "GetValue took a stored model";
+        Assignment a;
+        a.Set(x->var_id(), *xy >> 8);
+        a.Set(y->var_id(), *xy & 0xFF);
+        for (ExprRef c : system) {
+          EXPECT_TRUE(EvalBool(c, a));
+        }
+      }
+    }
+  }
+  // Both verdicts are exercised.
+  EXPECT_GE(sat_systems, 8);
+  EXPECT_GE(unsat_systems, 8);
+}
 
 // --- known-bits analysis ----------------------------------------------------------
 
@@ -606,7 +835,6 @@ TEST(SolverDeadlineTest, TimedOutQueryDegradesToConservativeSat) {
   SolverConfig config;
   config.max_query_ms = 1;
   config.conflict_budget = 0;  // only the deadline can stop it
-  config.enable_cache = false;
   Solver solver(&ctx, config);
   // Conservative degradation: timeout answers "satisfiable" (never drops a
   // feasible path) and is counted.
@@ -620,7 +848,6 @@ TEST(SolverDeadlineTest, GetValueStillProducesAValueOnTimeout) {
   SolverConfig config;
   config.max_query_ms = 1;
   config.conflict_budget = 0;
-  config.enable_cache = false;
   Solver solver(&ctx, config);
   std::vector<ExprRef> constraints = HostileConstraints(&ctx, 24);
   // GetValue degrades to evaluation under the partial/empty model: still a
@@ -712,16 +939,16 @@ TEST(SolverStatsTest, AccumulateSumsCountersAndMaxesQueryTime) {
   EXPECT_DOUBLE_EQ(total.max_query_wall_ms, 9.25);  // max, not sum
 }
 
-// --- Per-solver cache collision safety ---------------------------------------
+// --- Query-store collision safety -------------------------------------------
 
 TEST(SolverCacheCollisionTest, CollidingKeysNeverServeAnotherQuerysVerdict) {
-  // testing_collide_cache_keys collapses every cache key to one bucket, so
-  // every query after the first is a hash collision. Entries must be trusted
-  // only after the full sorted-constraint-set compare.
+  // testing_collide_cache_keys collapses every fingerprint to one bucket of
+  // the solver's own store, so every query after the first is a hash
+  // collision. Entries must be trusted only after the full key compare.
   ExprContext ctx;
   SolverConfig config;
   config.testing_collide_cache_keys = true;
-  config.enable_model_reuse = false;  // isolate the cache
+  config.enable_model_reuse = false;  // isolate the store
   Solver solver(&ctx, config);
   ExprRef x = ctx.Var(32, "x");
   std::vector<ExprRef> sat_set = {ctx.Eq(x, ctx.Const(1, 32))};
@@ -729,14 +956,23 @@ TEST(SolverCacheCollisionTest, CollidingKeysNeverServeAnotherQuerysVerdict) {
                                     ctx.Eq(ctx.Add(x, x), ctx.Const(7, 32))};
 
   EXPECT_TRUE(solver.IsSatisfiable(sat_set, nullptr));
-  // Collides with the cached sat entry; a key-only cache would answer "sat".
+  // Collides with the stored sat entry; a key-only store would answer "sat".
   EXPECT_FALSE(solver.IsSatisfiable(unsat_set, nullptr));
-  // Both verdicts are now cached under the same key and still distinguishable.
+  // Both verdicts are now stored under the same fingerprint and still
+  // distinguishable — also when the repeat comes over a fresh variable.
   uint64_t sat_calls = solver.stats().sat_calls;
+  ExprRef y = ctx.Var(32, "y");
   EXPECT_TRUE(solver.IsSatisfiable(sat_set, nullptr));
   EXPECT_FALSE(solver.IsSatisfiable(unsat_set, nullptr));
+  EXPECT_TRUE(solver.IsSatisfiable({ctx.Eq(y, ctx.Const(1, 32))}, nullptr));
+  EXPECT_FALSE(solver.IsSatisfiable(
+      {ctx.Eq(y, ctx.Const(1, 32)), ctx.Eq(ctx.Add(y, y), ctx.Const(7, 32))}, nullptr));
   EXPECT_EQ(solver.stats().sat_calls, sat_calls);
-  EXPECT_GE(solver.stats().cache_hits, 2u);
+  EXPECT_EQ(solver.stats().cache_hits, 4u);
+  // A third structure in the same bucket still misses and solves.
+  EXPECT_FALSE(solver.IsSatisfiable({ctx.Eq(x, ctx.Const(1, 32)), ctx.Eq(x, ctx.Const(2, 32))},
+                                    nullptr));
+  EXPECT_EQ(solver.stats().sat_calls, sat_calls + 1);
 }
 
 // --- Cooperative cancellation (campaign watchdog path) ----------------------
