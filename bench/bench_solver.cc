@@ -42,19 +42,6 @@ void BM_BranchQueryCached(benchmark::State& state) {
 }
 BENCHMARK(BM_BranchQueryCached);
 
-// Interval fast path: tautologies decided without SAT.
-void BM_QuickDecide(benchmark::State& state) {
-  ExprContext ctx;
-  Solver solver(&ctx);
-  ExprRef x = ctx.Var(8, "x");
-  ExprRef cond = ctx.Ult(ctx.ZExt(x, 32), ctx.Const(0x1000, 32));
-  std::vector<ExprRef> constraints;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.MayBeTrue(constraints, cond));
-  }
-}
-BENCHMARK(BM_QuickDecide);
-
 // Bit-blasting cost by operation: multiply is the expensive gate network.
 void BM_SolveMultiply(benchmark::State& state) {
   uint8_t width = static_cast<uint8_t>(state.range(0));

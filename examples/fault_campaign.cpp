@@ -135,6 +135,43 @@ bool ParseUintFlag(const std::string& arg, const char* name, uint64_t* out) {
   return true;
 }
 
+// Applies one campaign-shaping flag to `config`. Each of these enters the
+// campaign fingerprint (or, for --shared-cache, the worker's solver setup),
+// so main() forwards every accepted one verbatim to exec-mode fleet workers,
+// which rebuild their config from MakeCampaignConfig() and parse it here
+// too. Returns false when `arg` is not such a flag; a bad value exits 2.
+bool ApplyCampaignFlag(const std::string& arg, ddt::FaultCampaignConfig* config) {
+  uint64_t v = 0;
+  if (arg.rfind("--shared-cache=", 0) == 0) {
+    config->shared_cache_path = arg.substr(std::strlen("--shared-cache="));
+  } else if (ParseUintFlag(arg, "--hw-faults=", &v)) {
+    config->hw_faults = v != 0;
+  } else if (ParseUintFlag(arg, "--dma-checker=", &v)) {
+    config->base.dma_checker = v != 0;
+  } else if (ParseUintFlag(arg, "--pathctl=", &v)) {
+    config->base.engine.pathctl.enabled = v != 0;
+  } else if (arg.rfind("--kill-edge=", 0) == 0) {
+    ddt::EdgeKillRule rule;
+    if (!ddt::ParseEdgeKillRule(arg.substr(std::strlen("--kill-edge=")), &rule)) {
+      std::fprintf(stderr, "bad --kill-edge value (want FROM:TO): %s\n", arg.c_str());
+      std::exit(2);
+    }
+    config->base.engine.pathctl.kill_edges.push_back(rule);
+  } else if (arg.rfind("--searcher=", 0) == 0) {
+    if (!ddt::ParseSearchStrategy(arg.substr(std::strlen("--searcher=")),
+                                  &config->base.engine.strategy)) {
+      std::fprintf(stderr,
+                   "unknown --searcher value: %s (want coverage-greedy, dfs, bfs, "
+                   "random, or coverage-starved)\n",
+                   arg.c_str());
+      std::exit(2);
+    }
+  } else {
+    return false;
+  }
+  return true;
+}
+
 int RunAsFleetWorker(int argc, char** argv) {
   const ddt::CorpusDriver& driver = ddt::CorpusDriverByName("rtl8029");
   ddt::FaultCampaignConfig config = MakeCampaignConfig();
@@ -142,7 +179,7 @@ int RunAsFleetWorker(int argc, char** argv) {
   uint64_t v = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--fleet-worker") {
+    if (arg == "--fleet-worker" || ApplyCampaignFlag(arg, &config)) {
       continue;
     } else if (ParseUintFlag(arg, "--fleet-slot=", &v)) {
       options.slot = static_cast<uint32_t>(v);
@@ -152,27 +189,6 @@ int RunAsFleetWorker(int argc, char** argv) {
       options.heartbeat_interval_ms = static_cast<uint32_t>(v);
     } else if (arg.rfind("--fleet-shard-dir=", 0) == 0) {
       options.shard_dir = arg.substr(std::strlen("--fleet-shard-dir="));
-    } else if (arg.rfind("--shared-cache=", 0) == 0) {
-      config.shared_cache_path = arg.substr(std::strlen("--shared-cache="));
-    } else if (ParseUintFlag(arg, "--hw-faults=", &v)) {
-      config.hw_faults = v != 0;
-    } else if (ParseUintFlag(arg, "--dma-checker=", &v)) {
-      config.base.dma_checker = v != 0;
-    } else if (ParseUintFlag(arg, "--pathctl=", &v)) {
-      config.base.engine.pathctl.enabled = v != 0;
-    } else if (arg.rfind("--kill-edge=", 0) == 0) {
-      ddt::EdgeKillRule rule;
-      if (!ddt::ParseEdgeKillRule(arg.substr(std::strlen("--kill-edge=")), &rule)) {
-        std::fprintf(stderr, "fleet worker: bad --kill-edge value: %s\n", arg.c_str());
-        return 2;
-      }
-      config.base.engine.pathctl.kill_edges.push_back(rule);
-    } else if (arg.rfind("--searcher=", 0) == 0) {
-      if (!ddt::ParseSearchStrategy(arg.substr(std::strlen("--searcher=")),
-                                    &config.base.engine.strategy)) {
-        std::fprintf(stderr, "fleet worker: unknown --searcher value: %s\n", arg.c_str());
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "fleet worker: unknown flag: %s\n", arg.c_str());
       return 2;
@@ -190,44 +206,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string journal_path;
+  ddt::FaultCampaignConfig config = MakeCampaignConfig();
+  std::vector<std::string> campaign_flags;  // forwarded verbatim to workers
   std::string report_out;
   std::string trace_out;
   std::string metrics_out;
-  std::string shared_cache_path;
-  bool resume = false;
-  bool hw_faults = false;
-  bool dma_checker = false;
-  uint32_t threads = 0;
   uint32_t workers = 0;
   int64_t kill_lease = -1;
   bool fuzz = false;
-  bool pathctl = false;
-  std::vector<std::string> kill_edge_args;  // raw, re-forwarded to workers
-  std::vector<ddt::EdgeKillRule> kill_edges;
-  std::string searcher;
   ddt::fuzz::FuzzConfig fuzz_knobs;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     uint64_t v = 0;
-    if (arg.rfind("--journal=", 0) == 0) {
-      journal_path = arg.substr(std::strlen("--journal="));
+    if (ApplyCampaignFlag(arg, &config)) {
+      campaign_flags.push_back(arg);
+    } else if (arg.rfind("--journal=", 0) == 0) {
+      config.journal_path = arg.substr(std::strlen("--journal="));
     } else if (arg == "--resume") {
-      resume = true;
+      config.resume = true;
     } else if (arg.rfind("--report-out=", 0) == 0) {
       report_out = arg.substr(std::strlen("--report-out="));
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out = arg.substr(std::strlen("--trace-out="));
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = arg.substr(std::strlen("--metrics-out="));
-    } else if (arg.rfind("--shared-cache=", 0) == 0) {
-      shared_cache_path = arg.substr(std::strlen("--shared-cache="));
-    } else if (ParseUintFlag(arg, "--hw-faults=", &v)) {
-      hw_faults = v != 0;
-    } else if (ParseUintFlag(arg, "--dma-checker=", &v)) {
-      dma_checker = v != 0;
     } else if (ParseUintFlag(arg, "--threads=", &v)) {
-      threads = static_cast<uint32_t>(v);
+      config.threads = static_cast<uint32_t>(v);
     } else if (ParseUintFlag(arg, "--workers=", &v)) {
       workers = static_cast<uint32_t>(v);
     } else if (ParseUintFlag(arg, "--fleet-kill-lease=", &v)) {
@@ -242,19 +246,6 @@ int main(int argc, char** argv) {
       fuzz_knobs.execs_per_batch = static_cast<uint32_t>(v);
     } else if (arg.rfind("--fuzz-corpus=", 0) == 0) {
       fuzz_knobs.corpus_path = arg.substr(std::strlen("--fuzz-corpus="));
-    } else if (ParseUintFlag(arg, "--pathctl=", &v)) {
-      pathctl = v != 0;
-    } else if (arg.rfind("--kill-edge=", 0) == 0) {
-      std::string spec = arg.substr(std::strlen("--kill-edge="));
-      ddt::EdgeKillRule rule;
-      if (!ddt::ParseEdgeKillRule(spec, &rule)) {
-        std::fprintf(stderr, "bad --kill-edge value (want FROM:TO): %s\n", arg.c_str());
-        return 2;
-      }
-      kill_edge_args.push_back(spec);
-      kill_edges.push_back(rule);
-    } else if (arg.rfind("--searcher=", 0) == 0) {
-      searcher = arg.substr(std::strlen("--searcher="));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -262,24 +253,6 @@ int main(int argc, char** argv) {
   }
 
   const ddt::CorpusDriver& driver = ddt::CorpusDriverByName("rtl8029");
-
-  ddt::FaultCampaignConfig config = MakeCampaignConfig();
-  config.threads = threads;
-  config.journal_path = journal_path;
-  config.resume = resume;
-  config.shared_cache_path = shared_cache_path;
-  config.hw_faults = hw_faults;
-  config.base.dma_checker = dma_checker;
-  config.base.engine.pathctl.enabled = pathctl;
-  config.base.engine.pathctl.kill_edges = kill_edges;
-  if (!searcher.empty() &&
-      !ddt::ParseSearchStrategy(searcher, &config.base.engine.strategy)) {
-    std::fprintf(stderr,
-                 "unknown --searcher value: %s (want coverage-greedy, dfs, bfs, "
-                 "random, or coverage-starved)\n",
-                 searcher.c_str());
-    return 2;
-  }
   config.collect_metrics = !metrics_out.empty();
 
   if (!trace_out.empty()) {
@@ -303,29 +276,8 @@ int main(int argc, char** argv) {
     // Re-execute this binary as the worker. /proc/self/exe survives PATH
     // lookups and cwd changes; argv[0] is the portable fallback.
     fleet.worker_exec = ::access("/proc/self/exe", X_OK) == 0 ? "/proc/self/exe" : argv[0];
-    if (!shared_cache_path.empty()) {
-      fleet.worker_args.push_back("--shared-cache=" + shared_cache_path);
-    }
-    // Exec-mode workers rebuild the campaign config from MakeCampaignConfig(),
-    // so these knobs must cross the process boundary explicitly. Both enter
-    // the campaign fingerprint; a worker missing them would be rejected at
-    // HELLO.
-    if (hw_faults) {
-      fleet.worker_args.push_back("--hw-faults=1");
-    }
-    if (dma_checker) {
-      fleet.worker_args.push_back("--dma-checker=1");
-    }
-    // Pathctl knobs and the search policy enter the fingerprint as well.
-    if (pathctl) {
-      fleet.worker_args.push_back("--pathctl=1");
-    }
-    for (const std::string& spec : kill_edge_args) {
-      fleet.worker_args.push_back("--kill-edge=" + spec);
-    }
-    if (!searcher.empty()) {
-      fleet.worker_args.push_back("--searcher=" + searcher);
-    }
+    // A worker missing a fingerprinted knob would be rejected at HELLO.
+    fleet.worker_args = campaign_flags;
     return ddt::fleet::RunFleetCampaign(config, driver.image, driver.pci, fleet);
   };
 
@@ -339,7 +291,7 @@ int main(int argc, char** argv) {
     ddt::fuzz::FuzzCampaignConfig fuzz_config;
     fuzz_config.campaign = config;
     fuzz_config.fuzz = fuzz_knobs;
-    fuzz_config.fuzz.resume = resume;
+    fuzz_config.fuzz.resume = config.resume;
     fuzz_config.fuzz.workers = workers;
     fuzz_config.run_campaign = run_campaign_fn;
     ddt::Result<ddt::fuzz::FuzzCampaignResult> fuzzed =

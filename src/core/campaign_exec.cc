@@ -226,17 +226,13 @@ PassOutcome CampaignPassExecutor::Execute(const FaultPlan& plan) {
       }
       return out;
     }
-    bool timed_out = r->aborted;  // the watchdog fired mid-run
-    if (timed_out) {
+    if (r->aborted) {  // the watchdog fired mid-run
       obs::TraceInstant("campaign.watchdog_fire");
       if (campaign_metrics_ != nullptr) {
         campaign_metrics_->counter("campaign.watchdog_fires")->Add(1);
       }
-    }
-    bool pressured = r->solver_stats.query_timeouts > 0 || r->stats.states_evicted > 0;
-    if (timed_out || (config_.retry_on_resource_pressure && pressured)) {
       if (attempt < config_.max_pass_retries) {
-        obs::TraceInstant("campaign.retry", "cause", timed_out ? "watchdog" : "pressure");
+        obs::TraceInstant("campaign.retry", "cause", "watchdog");
         if (campaign_metrics_ != nullptr) {
           campaign_metrics_->counter("campaign.retries")->Add(1);
         }
@@ -247,21 +243,17 @@ PassOutcome CampaignPassExecutor::Execute(const FaultPlan& plan) {
         out.ddt.reset();
         continue;
       }
-      if (timed_out) {
-        out.quarantined = true;
-        out.failure = StrFormat(
-            "watchdog: pass exceeded its wall budget (%u attempt%s, base %llu ms)", attempt + 1,
-            attempt == 0 ? "" : "s", static_cast<unsigned long long>(config_.max_pass_wall_ms));
-        out.r.reset();
-        out.ddt.reset();
-        obs::TraceInstant("campaign.quarantine", "cause", "watchdog");
-        if (campaign_metrics_ != nullptr) {
-          campaign_metrics_->counter("campaign.quarantines")->Add(1);
-        }
-        return out;
+      out.quarantined = true;
+      out.failure = StrFormat(
+          "watchdog: pass exceeded its wall budget (%u attempt%s, base %llu ms)", attempt + 1,
+          attempt == 0 ? "" : "s", static_cast<unsigned long long>(config_.max_pass_wall_ms));
+      out.r.reset();
+      out.ddt.reset();
+      obs::TraceInstant("campaign.quarantine", "cause", "watchdog");
+      if (campaign_metrics_ != nullptr) {
+        campaign_metrics_->counter("campaign.quarantines")->Add(1);
       }
-      // Still pressured after the final escalation: the result is degraded
-      // (over-approximate exploration, evicted states) but valid — keep it.
+      return out;
     }
     out.r = std::move(r);
     return out;
@@ -440,15 +432,6 @@ void CampaignMerger::Merge(const FaultPlan& plan, PassOutcome& out) {
         result.metrics.Merge(record_metrics.Snapshot());
       }
 #endif
-      // Fork-site hotness for the obs profile. Keys are pre-formatted here
-      // because obs must not depend on engine types; record-sourced passes
-      // contribute too (the table rides in EngineStats through the journal).
-      for (const auto& [key, site] : stats.fork_sites) {
-        if (site.states_created != 0) {
-          result.profile.fork_site_states[StrFormat(
-              "pc=%08x fault=%s", key.first, key.second.c_str())] += site.states_created;
-        }
-      }
       result.passes.push_back(std::move(pass));
     }
   }

@@ -564,7 +564,6 @@ std::string FaultCampaignResult::FormatReport(const std::string& driver_name,
     if (!profile.empty()) {
       out += profile.FormatTopPasses(5);
       out += profile.FormatHotFaultSites(8);
-      out += profile.FormatHotForkSites(8);
     }
   }
   return out;

@@ -175,10 +175,6 @@ struct FaultCampaignConfig {
   // deterministic backoff of retry_backoff_ms * 2^(k-1).
   uint32_t max_pass_retries = 2;
   uint64_t retry_backoff_ms = 0;
-  // Also treat resource pressure (solver query timeouts or governor
-  // evictions) as transient and retry with escalated budgets. If the final
-  // attempt is still pressured its degraded-but-valid result is kept.
-  bool retry_on_resource_pressure = false;
   // Test/instrumentation hook: called on each pass's Ddt instance (after
   // construction, before TestDriver), e.g. to add a custom checker.
   std::function<void(Ddt&, const FaultPlan&)> configure_pass;

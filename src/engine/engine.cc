@@ -1024,36 +1024,23 @@ Value Engine::MaybeGuide(const Value& value) {
   if (!config_.guided || value.IsConcrete()) {
     return value;
   }
-  return Value::Concrete(GuidedEval(value.symbolic()));
+  return Value::Concrete(EvalByOrigin(value.symbolic(), config_.guided_inputs));
 }
 
-uint32_t Engine::GuidedEval(ExprRef e) {
+uint32_t Engine::EvalByOrigin(ExprRef e, const std::map<std::string, uint64_t>& values) {
   Assignment assignment;
   std::vector<uint32_t> vars;
   CollectVars(e, &vars);
   for (uint32_t var : vars) {
-    const VarInfo& info = ctx_.var_info(var);
-    auto it = config_.guided_inputs.find(OriginKeyString(info.origin));
-    assignment.Set(var, it != config_.guided_inputs.end() ? it->second : 0);
-  }
-  return static_cast<uint32_t>(EvalExpr(e, assignment));
-}
-
-uint32_t Engine::HintEval(ExprRef e) {
-  Assignment assignment;
-  std::vector<uint32_t> vars;
-  CollectVars(e, &vars);
-  for (uint32_t var : vars) {
-    const VarInfo& info = ctx_.var_info(var);
-    auto it = config_.concretization_hints.find(OriginKeyString(info.origin));
-    assignment.Set(var, it != config_.concretization_hints.end() ? it->second : 0);
+    auto it = values.find(OriginKeyString(ctx_.var_info(var).origin));
+    assignment.Set(var, it != values.end() ? it->second : 0);
   }
   return static_cast<uint32_t>(EvalExpr(e, assignment));
 }
 
 std::optional<uint32_t> Engine::PickValue(ExecutionState& st, ExprRef e) {
   if (config_.guided) {
-    return GuidedEval(e);
+    return EvalByOrigin(e, config_.guided_inputs);
   }
   ++stats_.concretizations;
   // Promotion hints: prefer the promoted fuzz input's concrete value when it
@@ -1061,7 +1048,7 @@ std::optional<uint32_t> Engine::PickValue(ExecutionState& st, ExprRef e) {
   // route through concretization points. Soundness is unchanged — an
   // infeasible hint falls through to the solver's free choice.
   if (!config_.concretization_hints.empty()) {
-    uint32_t hinted = HintEval(e);
+    uint32_t hinted = EvalByOrigin(e, config_.concretization_hints);
     if (solver_.MayBeTrue(st.constraints, ctx_.Eq(e, ctx_.Const(hinted, e->width())))) {
       return hinted;
     }
@@ -1092,7 +1079,7 @@ void Engine::BindConcretization(ExecutionState& st, ExprRef e, uint32_t value,
 std::optional<uint32_t> Engine::ResolveSymbolicAddress(ExecutionState& st, ExprRef addr_expr,
                                                        unsigned size, bool is_write) {
   if (config_.guided) {
-    return GuidedEval(addr_expr);
+    return EvalByOrigin(addr_expr, config_.guided_inputs);
   }
   // "Accessible" is the union of: driver image, the stack at/above sp, the
   // MMIO window, live pool allocations, and kernel grants (§3.1.1's region
@@ -1509,7 +1496,7 @@ Value Engine::ReadMem(ExecutionState& st, uint32_t addr, unsigned size, uint32_t
         st.trace.Append(sev);
       }
       if (config_.guided) {
-        v = Value::Concrete(GuidedEval(v.symbolic()));
+        v = Value::Concrete(EvalByOrigin(v.symbolic(), config_.guided_inputs));
       }
     }
     TraceEvent ev;
@@ -1644,7 +1631,7 @@ void Engine::HandleBranch(ExecutionState& st, ExprRef cond, uint32_t taken_pc,
 
   if (config_.guided) {
     // Guided replays never carry symbolic conditions this far, but be safe.
-    bool taken = GuidedEval(cond) != 0;
+    bool taken = EvalByOrigin(cond, config_.guided_inputs) != 0;
     record(taken ? taken_pc : fall_pc, false);
     st.pc = taken ? taken_pc : fall_pc;
     return;
@@ -1660,7 +1647,8 @@ void Engine::HandleBranch(ExecutionState& st, ExprRef cond, uint32_t taken_pc,
       // taken edge; with a promoted fuzz input installed, follow the edge
       // that input's concrete values take instead — both directions are
       // feasible here, so this only redirects the search, never unsounds it.
-      if (!config_.concretization_hints.empty() && HintEval(cond) == 0) {
+      if (!config_.concretization_hints.empty() &&
+          EvalByOrigin(cond, config_.concretization_hints) == 0) {
         st.constraints.push_back(ctx_.Not(cond));
         record(fall_pc, false);
         st.pc = fall_pc;
@@ -1876,7 +1864,7 @@ bool Engine::ExecuteInstruction(ExecutionState& st) {
     }
     ExprRef is_zero = ctx_.Eq(divisor.AsExpr(&ctx_), ctx_.Const(0, 32));
     if (config_.guided) {
-      if (GuidedEval(is_zero) != 0) {
+      if (EvalByOrigin(is_zero, config_.guided_inputs) != 0) {
         ReportBug(st, BugType::kKernelCrash,
                   StrFormat("integer division by zero at 0x%08x", pc),
                   "divide fault in kernel mode crashes the machine");

@@ -413,10 +413,10 @@ class Engine : public CheckerHost, private BlockCountOracle {
                                                  unsigned size, bool is_write);
   // Guided replay: resolve a symbolic value to the recorded concrete input.
   Value MaybeGuide(const Value& value);
-  uint32_t GuidedEval(ExprRef e);
-  // Promotion hints: evaluate `e` under concretization_hints (unhinted
-  // origins default to 0). Only meaningful when hints are non-empty.
-  uint32_t HintEval(ExprRef e);
+  // Evaluates `e` with each variable set from `values` by its
+  // OriginKeyString (unlisted origins are 0): guided_inputs for guided
+  // replay, concretization_hints for promotion hints.
+  uint32_t EvalByOrigin(ExprRef e, const std::map<std::string, uint64_t>& values);
   // Records a PathSeed for a finished path when seed derivation is on.
   void MaybeCollectPathSeed(ExecutionState& st, const std::string& why);
   Value ReadMemValueRaw(ExecutionState& st, uint32_t addr, unsigned size);

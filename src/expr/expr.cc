@@ -431,8 +431,7 @@ ExprRef ExprContext::Eq(ExprRef a, ExprRef b) {
     if (a->width() == 1) {
       return a->const_value() == 1 ? b : Not(b);
     }
-    // Eq(c1, Add(c2, x)) -> Eq(c1 - c2, x): exposes the variable to the
-    // solver's fast interval path.
+    // Eq(c1, Add(c2, x)) -> Eq(c1 - c2, x): the solver then blasts no adder.
     if (b->kind() == ExprKind::kAdd && b->op(0)->IsConst()) {
       return Eq(Const(a->const_value() - b->op(0)->const_value(), a->width()), b->op(1));
     }

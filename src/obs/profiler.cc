@@ -134,30 +134,4 @@ std::string CampaignProfile::FormatHotFaultSites(size_t n) const {
   return out;
 }
 
-std::string CampaignProfile::FormatHotForkSites(size_t n) const {
-  std::vector<std::pair<uint64_t, std::string>> ranked;
-  for (const auto& [site, created] : fork_site_states) {
-    if (created > 0) {
-      ranked.emplace_back(created, site);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first > b.first;
-    }
-    return a.second < b.second;
-  });
-  std::string out = "hot fork sites (states spawned across passes):\n";
-  if (ranked.empty()) {
-    return out + "  none observed\n";
-  }
-  for (size_t i = 0; i < ranked.size() && i < n; ++i) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "  %s: %llu\n", ranked[i].second.c_str(),
-                  static_cast<unsigned long long>(ranked[i].first));
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace ddt::obs

@@ -125,10 +125,6 @@ struct CampaignProfile {
   // passes (how often that kernel-API boundary was crossed eligibly — the
   // SysFuSS-style "which boundary crossings are hot" view).
   std::map<std::string, uint64_t> fault_site_occurrences;
-  // Fork-site hotness: pre-formatted "pc=XXXXXXXX fault=LABEL" key -> states
-  // spawned from that site across all passes. Keys are formatted by the
-  // campaign merger (this layer must not depend on engine types).
-  std::map<std::string, uint64_t> fork_site_states;
 
   bool empty() const { return passes.empty(); }
 
@@ -136,8 +132,6 @@ struct CampaignProfile {
   std::string FormatTopPasses(size_t n) const;
   // Fault sites ranked by observed occurrences.
   std::string FormatHotFaultSites(size_t n) const;
-  // Fork sites ranked by states spawned.
-  std::string FormatHotForkSites(size_t n) const;
 };
 
 }  // namespace ddt::obs

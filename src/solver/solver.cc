@@ -6,7 +6,6 @@
 
 #include "src/obs/trace_events.h"
 #include "src/solver/bitblast.h"
-#include "src/solver/intervals.h"
 #include "src/solver/sat.h"
 #include "src/support/check.h"
 #include "src/support/log.h"
@@ -281,26 +280,6 @@ bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bo
 bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extra,
                            Assignment* model) {
   ++stats_.queries;
-
-  // Quick path: an always-false conjunct kills the query; an always-true
-  // `extra` reduces to the constraint set.
-  if (extra != nullptr) {
-    QuickAnswer qa = QuickCheck(extra);
-    if (qa == QuickAnswer::kAlwaysFalse) {
-      ++stats_.quick_decides;
-      return false;
-    }
-    if (qa == QuickAnswer::kAlwaysTrue) {
-      extra = nullptr;  // no information
-    }
-  }
-  if (extra == nullptr && constraints.empty()) {
-    ++stats_.quick_decides;
-    if (model != nullptr) {
-      *model = Assignment();
-    }
-    return true;
-  }
 
   std::vector<ExprRef> query;
   if (extra != nullptr) {

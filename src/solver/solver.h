@@ -1,10 +1,11 @@
 // Solver facade: the engine-facing query interface.
 //
 // Layered like KLEE's solver chain:
-//   1. expression-level constant folding (already done by ExprContext),
-//   2. interval quick checks (solver/intervals.h),
-//   3. independent-constraint slicing: only constraints transitively sharing
+//   1. expression-level constant folding (already done by ExprContext): a
+//      conjunct that folds to a literal decides or drops out without SAT,
+//   2. independent-constraint slicing: only constraints transitively sharing
 //      variables with the query are sent to SAT,
+//   3. model reuse: the last satisfying model, re-evaluated on the slice,
 //   4. the query store (solver/shared_cache.h), keyed on the canonical form
 //      of the sliced constraint set, so a query that recurs over fresh
 //      variables is answered once per run: the campaign's shared store when
@@ -78,7 +79,8 @@ struct SolverConfig {
 // shared query cache.
 #define DDT_SOLVER_COUNTERS(X)                                                            \
   X(queries, kSum, "solver.queries")                                                      \
-  /* Answered by interval analysis. */                                                    \
+  /* Decided without SAT: a conjunct of the sliced query is literal false, */             \
+  /* or none but literal-true ones are left. */                                           \
   X(quick_decides, kSum, "solver.quick_decides")                                          \
   /* Answered by the solver's own query store: exact and fast-path hits. */               \
   X(cache_hits, kSum, "solver.cache_hits")                                                \

@@ -1,5 +1,5 @@
-// Tests for the constraint solver stack: raw SAT, bit-blasting, intervals,
-// slicing and the query store in the facade, plus randomized end-to-end
+// Tests for the constraint solver stack: raw SAT, bit-blasting, slicing and
+// the query store in the facade, plus randomized end-to-end
 // property suites (solve a random constraint system, then check the model
 // with the evaluator — and check every verdict against brute force on small
 // widths).
@@ -12,8 +12,6 @@
 
 #include "src/expr/eval.h"
 #include "src/solver/bitblast.h"
-#include "src/solver/intervals.h"
-#include "src/solver/known_bits.h"
 #include "src/solver/sat.h"
 #include "src/support/rng.h"
 
@@ -296,40 +294,6 @@ TEST_F(BitblastTest, RandomExpressionsRoundTrip) {
   }
 }
 
-// --- Interval analysis --------------------------------------------------------
-
-TEST(IntervalTest, ConstIsExact) {
-  ExprContext ctx;
-  std::unordered_map<ExprRef, Interval> memo;
-  Interval iv = ComputeInterval(ctx.Const(7, 32), &memo);
-  EXPECT_EQ(iv.lo, 7u);
-  EXPECT_EQ(iv.hi, 7u);
-}
-
-TEST(IntervalTest, ZExtOfByteBoundsComparison) {
-  ExprContext ctx;
-  ExprRef x = ctx.Var(8, "x");
-  ExprRef wide = ctx.ZExt(x, 32);
-  // zext8(x) < 0x1000 is a tautology.
-  EXPECT_EQ(QuickCheck(ctx.Ult(wide, ctx.Const(0x1000, 32))), QuickAnswer::kAlwaysTrue);
-  // zext8(x) == 0x500 is impossible (already folded by the builder, but the
-  // interval path must agree for un-folded shapes).
-  EXPECT_EQ(QuickCheck(ctx.Ult(ctx.Const(0x1000, 32), wide)), QuickAnswer::kAlwaysFalse);
-}
-
-TEST(IntervalTest, UnknownWhenRangesOverlap) {
-  ExprContext ctx;
-  ExprRef x = ctx.Var(32, "x");
-  EXPECT_EQ(QuickCheck(ctx.Ult(x, ctx.Const(5, 32))), QuickAnswer::kUnknown);
-}
-
-TEST(IntervalTest, AndBoundedByOperands) {
-  ExprContext ctx;
-  ExprRef x = ctx.Var(32, "x");
-  ExprRef masked = ctx.And(x, ctx.Const(0xFF, 32));
-  EXPECT_EQ(QuickCheck(ctx.Ule(masked, ctx.Const(0xFF, 32))), QuickAnswer::kAlwaysTrue);
-}
-
 // --- Solver facade -------------------------------------------------------------
 
 class SolverTest : public ::testing::Test {
@@ -421,14 +385,20 @@ TEST_F(SolverTest, SlicingIgnoresUnrelatedConstraints) {
   EXPECT_LT(vars_used, 300u);
 }
 
-TEST_F(SolverTest, QuickPathAvoidsSat) {
-  ExprRef x = ctx_.Var(8, "x");
-  std::vector<ExprRef> constraints;
-  uint64_t sat_calls = solver_.stats().sat_calls;
-  // zext(x) < 0x1000 is decided by intervals.
-  EXPECT_TRUE(
-      solver_.MayBeTrue(constraints, ctx_.Ult(ctx_.ZExt(x, 32), ctx_.Const(0x1000, 32))));
-  EXPECT_EQ(solver_.stats().sat_calls, sat_calls);
+TEST_F(SolverTest, TautologyIsAnsweredOverItsOwnSlice) {
+  // A condition that is always true but not folded by the builder must still
+  // be asked over its own slice, never widened to the unrelated path.
+  ExprRef x = ctx_.Var(32, "x");
+  ExprRef y = ctx_.Var(32, "y");
+  std::vector<ExprRef> path = {ctx_.Eq(ctx_.Mul(y, ctx_.Const(7, 32)), ctx_.Const(91, 32))};
+  ExprRef cond =
+      ctx_.Eq(ctx_.And(ctx_.Or(x, ctx_.Const(4, 32)), ctx_.Const(4, 32)), ctx_.Const(4, 32));
+  ASSERT_FALSE(cond->IsConst());
+  Solver branch(&ctx_);
+  EXPECT_TRUE(branch.MayBeTrue(path, cond));
+  Solver whole_path(&ctx_);
+  EXPECT_TRUE(whole_path.IsSatisfiable(path, nullptr));
+  EXPECT_LT(branch.stats().total_sat_clauses, whole_path.stats().total_sat_clauses);
 }
 
 // Randomized end-to-end: random small constraint systems; SAT answers checked
@@ -714,111 +684,11 @@ TEST(SolverOracleTest, DeepDagsAgainstBruteForce) {
   EXPECT_GE(unsat_systems, 8);
 }
 
-// --- known-bits analysis ----------------------------------------------------------
-
-TEST(KnownBitsTest, ConstIsExact) {
-  ExprContext ctx;
-  std::unordered_map<ExprRef, KnownBits> memo;
-  KnownBits kb = ComputeKnownBits(ctx.Const(0xA5, 8), &memo);
-  EXPECT_TRUE(kb.IsExact());
-  EXPECT_EQ(kb.ExactValue(), 0xA5u);
-}
-
-TEST(KnownBitsTest, MaskingDeterminesClearBits) {
-  ExprContext ctx;
-  ExprRef x = ctx.Var(32, "x");
-  ExprRef masked = ctx.And(x, ctx.Const(0x0F, 32));
-  std::unordered_map<ExprRef, KnownBits> memo;
-  KnownBits kb = ComputeKnownBits(masked, &memo);
-  EXPECT_EQ(kb.known_zero, 0xFFFFFFF0u);  // high bits provably clear
-  EXPECT_EQ(kb.known_one, 0u);
-}
-
-TEST(KnownBitsTest, OrSetsBits) {
-  ExprContext ctx;
-  ExprRef x = ctx.Var(32, "x");
-  std::unordered_map<ExprRef, KnownBits> memo;
-  KnownBits kb = ComputeKnownBits(ctx.Or(x, ctx.Const(0x80000001u, 32)), &memo);
-  EXPECT_EQ(kb.known_one, 0x80000001u);
-}
-
-TEST(KnownBitsTest, ShiftIntroducesZeros) {
-  ExprContext ctx;
-  ExprRef x = ctx.Var(32, "x");
-  std::unordered_map<ExprRef, KnownBits> memo;
-  KnownBits kb = ComputeKnownBits(ctx.Shl(x, ctx.Const(4, 32)), &memo);
-  EXPECT_EQ(kb.known_zero & 0xF, 0xFu);  // low 4 bits are zero
-}
-
-TEST(KnownBitsTest, QuickCheckDecidesMaskedFlagConditions) {
-  ExprContext ctx;
-  ExprRef x = ctx.Var(32, "x");
-  // ((x | 4) & 4) == 4 is a tautology the intervals can't see.
-  ExprRef flag = ctx.And(ctx.Or(x, ctx.Const(4, 32)), ctx.Const(4, 32));
-  EXPECT_EQ(QuickCheck(ctx.Eq(flag, ctx.Const(4, 32))), QuickAnswer::kAlwaysTrue);
-  // ((x << 4) & 1) == 1 is impossible.
-  ExprRef low = ctx.And(ctx.Shl(x, ctx.Const(4, 32)), ctx.Const(1, 32));
-  EXPECT_EQ(QuickCheck(ctx.Eq(low, ctx.Const(1, 32))), QuickAnswer::kAlwaysFalse);
-}
-
-// Property: known bits are sound — every claimed bit matches the evaluator
-// on random assignments over random bitwise expression trees.
-TEST(KnownBitsTest, RandomizedSoundness) {
-  Rng rng(0xBB17);
-  for (int round = 0; round < 60; ++round) {
-    ExprContext ctx;
-    ExprRef x = ctx.Var(16, "x");
-    ExprRef y = ctx.Var(16, "y");
-    std::vector<ExprRef> pool = {x, y, ctx.Const(rng.Next() & 0xFFFF, 16),
-                                 ctx.Const(rng.Next() & 0xFFFF, 16)};
-    for (int i = 0; i < 10; ++i) {
-      ExprRef a = pool[rng.NextBelow(pool.size())];
-      ExprRef b = pool[rng.NextBelow(pool.size())];
-      switch (rng.NextBelow(7)) {
-        case 0:
-          pool.push_back(ctx.And(a, b));
-          break;
-        case 1:
-          pool.push_back(ctx.Or(a, b));
-          break;
-        case 2:
-          pool.push_back(ctx.Xor(a, b));
-          break;
-        case 3:
-          pool.push_back(ctx.Not(a));
-          break;
-        case 4:
-          pool.push_back(ctx.Add(a, b));
-          break;
-        case 5:
-          pool.push_back(ctx.Shl(a, ctx.Const(rng.NextBelow(18), 16)));
-          break;
-        default:
-          pool.push_back(ctx.LShr(a, ctx.Const(rng.NextBelow(18), 16)));
-          break;
-      }
-    }
-    ExprRef root = pool.back();
-    std::unordered_map<ExprRef, KnownBits> memo;
-    KnownBits kb = ComputeKnownBits(root, &memo);
-    for (int trial = 0; trial < 50; ++trial) {
-      Assignment a;
-      a.Set(x->var_id(), rng.Next());
-      a.Set(y->var_id(), rng.Next());
-      uint64_t value = EvalExpr(root, a);
-      ASSERT_EQ(value & kb.known_one, kb.known_one)
-          << "claimed-one bit was zero (round " << round << ")";
-      ASSERT_EQ(value & kb.known_zero, 0u)
-          << "claimed-zero bit was one (round " << round << ")";
-    }
-  }
-}
-
 // --- Per-query deadline (resource governor) ---------------------------------
 
-// A chain of 32-bit multiplications equated to an unlikely constant: no
-// interval/known-bits shortcut applies, and bit-blasted multiplier circuits
-// make the SAT instance expensive enough that a ~zero deadline always trips.
+// A chain of 32-bit multiplications equated to an unlikely constant:
+// bit-blasted multiplier circuits make the SAT instance expensive enough that
+// a ~zero deadline always trips.
 std::vector<ExprRef> HostileConstraints(ExprContext* ctx, int chain) {
   ExprRef x = ctx->Var(32, "hostile_x");
   ExprRef y = ctx->Var(32, "hostile_y");
