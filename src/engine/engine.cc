@@ -225,12 +225,17 @@ Result<std::shared_ptr<const PreparedDriver>> PrepareDriver(const DriverImage& i
   }
   driver->code = image.code;
   driver->cfg = BuildCfg(image.code.data(), image.code.size(), driver->loaded.code_begin);
-  driver->block_leader_slots.assign(image.code.size() / kInstructionSize, 0);
+  std::vector<uint32_t>& leader_slot = driver->block_leader_slot;
+  leader_slot.assign(image.code.size() / kInstructionSize, PreparedDriver::kNoBlock);
   for (const auto& [leader, block] : driver->cfg.blocks) {
     uint32_t offset = leader - driver->loaded.code_begin;
-    if (offset % kInstructionSize == 0 &&
-        offset / kInstructionSize < driver->block_leader_slots.size()) {
-      driver->block_leader_slots[offset / kInstructionSize] = 1;
+    if (offset % kInstructionSize != 0) {
+      continue;
+    }
+    uint32_t first = offset / kInstructionSize;
+    uint32_t end = (block.end - driver->loaded.code_begin) / kInstructionSize;
+    for (uint32_t slot = first; slot < end && slot < leader_slot.size(); ++slot) {
+      leader_slot[slot] = first;
     }
   }
   return std::shared_ptr<const PreparedDriver>(std::move(driver));
@@ -258,6 +263,7 @@ Status Engine::LoadDriver(std::shared_ptr<const PreparedDriver> driver,
   driver_ = std::move(driver);
   pci_ = descriptor;
   const LoadedDriver& loaded = driver_->loaded;
+  block_counts_.assign(driver_->block_leader_slot.size(), 0);
 
   auto initial = std::make_unique<ExecutionState>();
   initial->id = next_state_id_++;
@@ -408,6 +414,7 @@ void Engine::Run() {
     stats_.states_terminated += before - states_.size();
   }
   stats_.wall_ms = ElapsedMs();
+  solver_.ReleaseSatInstance();
   if (block_cache_ != nullptr) {
     stats_.blocks_decoded = block_cache_->stats().blocks_decoded;
     stats_.block_cache_hits = block_cache_->stats().hits;
@@ -1030,7 +1037,7 @@ Value Engine::MaybeGuide(const Value& value) {
 uint32_t Engine::EvalByOrigin(ExprRef e, const std::map<std::string, uint64_t>& values) {
   Assignment assignment;
   std::vector<uint32_t> vars;
-  CollectVars(e, &vars);
+  ctx_.AppendVars(e, &vars);
   for (uint32_t var : vars) {
     auto it = values.find(OriginKeyString(ctx_.var_info(var).origin));
     assignment.Set(var, it != values.end() ? it->second : 0);
@@ -1193,14 +1200,14 @@ void Engine::AddConstraintChecked(ExecutionState& st, ExprRef constraint) {
 
 void Engine::NoteCoverage(ExecutionState& st, uint32_t pc) {
   // Callers guarantee pc is inside the code segment; leaders are always
-  // instruction-aligned, so the dense bitmap fully replaces the map lookup.
-  const std::vector<uint8_t>& leader_slots = driver_->block_leader_slots;
+  // instruction-aligned.
+  const std::vector<uint32_t>& leader_slot = driver_->block_leader_slot;
   uint32_t offset = pc - driver_->loaded.code_begin;
-  if (offset % kInstructionSize != 0 || offset / kInstructionSize >= leader_slots.size() ||
-      leader_slots[offset / kInstructionSize] == 0) {
+  uint32_t slot = offset / kInstructionSize;
+  if (offset % kInstructionSize != 0 || slot >= leader_slot.size() || leader_slot[slot] != slot) {
     return;  // not a block leader
   }
-  ++block_counts_[pc];
+  ++block_counts_[slot];
   if (covered_blocks_.insert(pc).second) {
     CoverageSample sample;
     sample.instructions = stats_.instructions;
@@ -1426,7 +1433,7 @@ bool Engine::TryMergeAtPc(ExecutionState& st) {
 }
 
 CoverageBitmap Engine::CoverageSnapshot() const {
-  CoverageBitmap bitmap(driver_->block_leader_slots.size());
+  CoverageBitmap bitmap(driver_->block_leader_slot.size());
   for (uint32_t pc : covered_blocks_) {
     bitmap.Set((pc - driver_->loaded.code_begin) / kInstructionSize);
   }
@@ -1434,12 +1441,14 @@ CoverageBitmap Engine::CoverageSnapshot() const {
 }
 
 uint64_t Engine::BlockCountAt(uint32_t pc) const {
-  uint32_t leader = driver_->cfg.BlockLeaderFor(pc);
-  if (leader == 0) {
+  // A misaligned pc floors to the slot of the instruction it falls in.
+  const std::vector<uint32_t>& leader_slot = driver_->block_leader_slot;
+  uint32_t slot = (pc - driver_->loaded.code_begin) / kInstructionSize;
+  if (pc < driver_->loaded.code_begin || slot >= leader_slot.size() ||
+      leader_slot[slot] == PreparedDriver::kNoBlock) {
     return 0;
   }
-  auto it = block_counts_.find(leader);
-  return it == block_counts_.end() ? 0 : it->second;
+  return block_counts_[leader_slot[slot]];
 }
 
 Value Engine::ReadMem(ExecutionState& st, uint32_t addr, unsigned size, uint32_t pc,
@@ -1487,7 +1496,7 @@ Value Engine::ReadMem(ExecutionState& st, uint32_t addr, unsigned size, uint32_t
     Value v = st.device->Read(addr - kMmioBase, size, &ctx_);
     if (v.IsSymbolic()) {
       std::vector<uint32_t> vars;
-      CollectVars(v.symbolic(), &vars);
+      ctx_.AppendVars(v.symbolic(), &vars);
       for (uint32_t var : vars) {
         TraceEvent sev;
         sev.kind = TraceEvent::Kind::kSymCreate;

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -157,16 +158,20 @@ struct PreparedDriver {
   std::vector<KernelApiFn> import_table;  // resolved import handlers
   std::vector<uint8_t> code;              // source of each engine's block cache
   Cfg cfg;
-  // Dense block-leader bitmap (one slot per aligned instruction) replacing
-  // the per-instruction std::map lookup on the coverage path.
-  std::vector<uint8_t> block_leader_slots;
+  // One entry per aligned instruction slot of the code segment (slot i is
+  // the instruction at code_begin + i * kInstructionSize): the slot of the
+  // leader of the basic block containing it, or kNoBlock. The coverage
+  // path's leader test (slot i leads a block iff entry i is i), the
+  // coverage bitmap's size and the searcher's block counts all read it.
+  static constexpr uint32_t kNoBlock = UINT32_MAX;
+  std::vector<uint32_t> block_leader_slot;
   // Root holding the installed code and data. Each engine's initial state
   // starts from a copy-on-write share of it (GuestMemory::ShareImage).
   GuestMemory memory;
 };
 
 // Resolves the image's imports, installs code and data behind the image
-// window, recovers the CFG and builds the leader bitmap. Fails on an
+// window, recovers the CFG and builds the leader table. Fails on an
 // unresolvable import or an image too large for the window.
 Result<std::shared_ptr<const PreparedDriver>> PrepareDriver(const DriverImage& image);
 
@@ -347,6 +352,10 @@ class Engine : public CheckerHost, private BlockCountOracle {
   Solver& solver() { return solver_; }
   ExprContext* expr() override { return &ctx_; }
 
+  // --- BlockCountOracle ---
+  // Executions of the block containing `pc` so far; 0 outside any block.
+  uint64_t BlockCountAt(uint32_t pc) const override;
+
   // --- CheckerHost ---
   void ReportBug(ExecutionState& st, BugType type, const std::string& title,
                  const std::string& details) override;
@@ -354,9 +363,6 @@ class Engine : public CheckerHost, private BlockCountOracle {
 
  private:
   friend class EngineKernelContext;
-
-  // --- BlockCountOracle ---
-  uint64_t BlockCountAt(uint32_t pc) const override;
 
   // State pool helpers.
   void AddState(std::unique_ptr<ExecutionState> state);
@@ -504,7 +510,7 @@ class Engine : public CheckerHost, private BlockCountOracle {
   std::vector<PathSeed> path_seeds_;
 
   // Coverage.
-  std::unordered_map<uint32_t, uint64_t> block_counts_;  // leader -> executions
+  std::vector<uint64_t> block_counts_;  // leader slot -> executions
   std::unordered_set<uint32_t> covered_blocks_;
   std::vector<CoverageSample> coverage_samples_;
 

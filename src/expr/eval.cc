@@ -8,10 +8,9 @@ namespace ddt {
 
 namespace {
 
-uint64_t EvalImpl(ExprRef e, const Assignment& a, std::unordered_map<ExprRef, uint64_t>* memo) {
-  auto it = memo->find(e);
-  if (it != memo->end()) {
-    return it->second;
+uint64_t EvalImpl(ExprRef e, const Assignment& a, ExprScratchMap<uint64_t>* memo) {
+  if (const uint64_t* memoized = memo->Find(e)) {
+    return *memoized;
   }
   uint8_t w = e->width();
   uint64_t result = 0;
@@ -146,20 +145,28 @@ uint64_t EvalImpl(ExprRef e, const Assignment& a, std::unordered_map<ExprRef, ui
       break;
   }
   result = MaskToWidth(result, w);
-  memo->emplace(e, result);
+  memo->Insert(e, result);
   return result;
 }
 
 }  // namespace
 
+uint64_t Evaluator::Eval(ExprRef e, const Assignment& assignment) {
+  memo_.Clear();
+  return EvalImpl(e, assignment, &memo_);
+}
+
+bool Evaluator::EvalBool(ExprRef e, const Assignment& assignment) {
+  DDT_CHECK(e->width() == 1);
+  return Eval(e, assignment) == 1;
+}
+
 uint64_t EvalExpr(ExprRef e, const Assignment& assignment) {
-  std::unordered_map<ExprRef, uint64_t> memo;
-  return EvalImpl(e, assignment, &memo);
+  return Evaluator().Eval(e, assignment);
 }
 
 bool EvalBool(ExprRef e, const Assignment& assignment) {
-  DDT_CHECK(e->width() == 1);
-  return EvalExpr(e, assignment) == 1;
+  return Evaluator().EvalBool(e, assignment);
 }
 
 }  // namespace ddt

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "src/expr/expr.h"
+#include "src/expr/expr_map.h"
 
 namespace ddt {
 
@@ -26,6 +27,21 @@ class Assignment {
 
  private:
   std::unordered_map<uint32_t, uint64_t> values_;
+};
+
+// Evaluates expressions through a memo it keeps between calls, so that once
+// the memo has grown to the largest DAG seen an evaluation allocates
+// nothing. Whoever evaluates per query (the solver's model checks) keeps
+// one; EvalExpr and EvalBool below make a throwaway one.
+class Evaluator {
+ public:
+  // Evaluates `e` under `assignment`; result is masked to e->width().
+  uint64_t Eval(ExprRef e, const Assignment& assignment);
+  // True iff the width-1 expression evaluates to 1.
+  bool EvalBool(ExprRef e, const Assignment& assignment);
+
+ private:
+  ExprScratchMap<uint64_t> memo_;  // valid within one Eval call
 };
 
 // Evaluates `e` under `assignment`; result is masked to e->width().

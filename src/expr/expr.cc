@@ -633,33 +633,51 @@ ExprRef ExprContext::SExt(ExprRef a, uint8_t width) {
 
 namespace {
 
-void CollectVarsImpl(ExprRef e, std::unordered_set<ExprRef>* seen, std::vector<uint32_t>* order,
+void CollectVarsImpl(ExprRef e, std::unordered_set<ExprRef>* seen,
                      std::unordered_set<uint32_t>* ids) {
   if (!seen->insert(e).second) {
     return;
   }
   if (e->IsVar()) {
-    if (ids->insert(e->var_id()).second && order != nullptr) {
-      order->push_back(e->var_id());
-    }
+    ids->insert(e->var_id());
     return;
   }
   for (int i = 0; i < e->num_ops(); ++i) {
-    CollectVarsImpl(e->op(i), seen, order, ids);
+    CollectVarsImpl(e->op(i), seen, ids);
   }
 }
 
 }  // namespace
 
-void CollectVars(ExprRef e, std::vector<uint32_t>* out) {
-  std::unordered_set<ExprRef> seen;
-  std::unordered_set<uint32_t> ids;
-  CollectVarsImpl(e, &seen, out, &ids);
+void ExprContext::AppendVars(ExprRef e, std::vector<uint32_t>* out) {
+  if (++visit_epoch_ == 0) {
+    // The stamp wrapped: forget every old mark so none can match again.
+    for (Expr& node : all_) {
+      node.visit_mark_ = 0;
+    }
+    visit_epoch_ = 1;
+  }
+  AppendUnmarkedVars(e, visit_epoch_, out);
+}
+
+void ExprContext::AppendUnmarkedVars(ExprRef e, uint32_t mark, std::vector<uint32_t>* out) {
+  if (e->visit_mark_ == mark) {
+    return;
+  }
+  e->visit_mark_ = mark;
+  if (e->IsVar()) {
+    // Var nodes are interned per id, so a first visit is a first occurrence.
+    out->push_back(e->var_id());
+    return;
+  }
+  for (int i = 0; i < e->num_ops(); ++i) {
+    AppendUnmarkedVars(e->op(i), mark, out);
+  }
 }
 
 void CollectVars(ExprRef e, std::unordered_set<uint32_t>* out) {
   std::unordered_set<ExprRef> seen;
-  CollectVarsImpl(e, &seen, nullptr, out);
+  CollectVarsImpl(e, &seen, out);
 }
 
 std::string ExprToString(ExprRef e) {

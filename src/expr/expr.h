@@ -115,6 +115,8 @@ class Expr {
   ExprKind kind_ = ExprKind::kConst;
   uint8_t width_ = 0;
   uint8_t num_ops_ = 0;
+  // ExprContext::AppendVars' visit stamp (fills padding: no extra bytes).
+  mutable uint32_t visit_mark_ = 0;
   uint64_t aux_ = 0;
   std::array<ExprRef, 3> ops_ = {nullptr, nullptr, nullptr};
   size_t hash_ = 0;
@@ -185,7 +187,14 @@ class ExprContext {
   uint32_t num_vars() const { return static_cast<uint32_t>(vars_.size()); }
   size_t num_exprs() const { return all_.size(); }
 
+  // Appends the distinct variable ids of `e` (an expression of this
+  // context) to `out`, in first-visit order. Apart from growing `out` it
+  // allocates nothing: visited nodes are stamped with a per-context mark.
+  // One walk at a time; the context is single-threaded like the rest of it.
+  void AppendVars(ExprRef e, std::vector<uint32_t>* out);
+
  private:
+  static void AppendUnmarkedVars(ExprRef e, uint32_t mark, std::vector<uint32_t>* out);
   ExprRef Intern(ExprKind kind, uint8_t width, uint64_t aux, ExprRef a = nullptr,
                  ExprRef b = nullptr, ExprRef c = nullptr);
 
@@ -201,6 +210,7 @@ class ExprContext {
   std::vector<VarInfo> vars_;
   ExprRef true_ = nullptr;
   ExprRef false_ = nullptr;
+  uint32_t visit_epoch_ = 0;  // the mark of the latest AppendVars walk
 };
 
 // Masks `value` to `width` bits.
@@ -218,8 +228,8 @@ inline int64_t SignExtend(uint64_t value, uint8_t width) {
   return static_cast<int64_t>((masked ^ sign_bit) - sign_bit);
 }
 
-// Collects the distinct variable ids referenced by `e`, in first-visit order.
-void CollectVars(ExprRef e, std::vector<uint32_t>* out);
+// Adds the variable ids referenced by `e` to `out` (ExprContext::AppendVars
+// collects them in first-visit order instead).
 void CollectVars(ExprRef e, std::unordered_set<uint32_t>* out);
 
 // Human-readable rendering, e.g. "(Add w32 (Var hw0) (Const 0x4))".

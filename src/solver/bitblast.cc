@@ -6,9 +6,20 @@
 
 namespace ddt {
 
-Bitblaster::Bitblaster(SatSolver* sat) : sat_(sat) {
-  uint32_t true_var = sat_->NewVar();
-  true_lit_ = MakeLit(true_var, false);
+Bitblaster::Bitblaster(SatSolver* sat) : sat_(sat) { MakeTrueLit(); }
+
+void Bitblaster::Reset() {
+  sat_->Reset();
+  cache_.clear();
+  // A fresh map, not clear(): clear() keeps the bucket count, and the
+  // iteration order ExtractModel fills the model in would then differ from
+  // a new blaster's.
+  var_bits_ = std::unordered_map<uint32_t, Bits>();
+  MakeTrueLit();
+}
+
+void Bitblaster::MakeTrueLit() {
+  true_lit_ = MakeLit(sat_->NewVar(), false);
   sat_->AddUnit(true_lit_);
 }
 
@@ -291,7 +302,6 @@ Bitblaster::Bits Bitblaster::EncodeNode(ExprRef e) {
         bits[i] = FreshLit();
       }
       var_bits_.emplace(e->var_id(), bits);
-      var_width_.emplace(e->var_id(), w);
       return bits;
     }
     case ExprKind::kAdd:

@@ -2,8 +2,8 @@
 //
 // Each expression node lowers to a vector of SAT literals (LSB first). Gate
 // outputs are fresh SAT variables constrained by Tseitin clauses. The
-// translation is cached per Bitblaster instance, so shared DAG nodes are
-// encoded once.
+// translation is cached until the next Reset(), so shared DAG nodes are
+// encoded once per instance.
 #ifndef SRC_SOLVER_BITBLAST_H_
 #define SRC_SOLVER_BITBLAST_H_
 
@@ -18,7 +18,13 @@ namespace ddt {
 
 class Bitblaster {
  public:
+  // `sat` must be empty: new or just Reset().
   explicit Bitblaster(SatSolver* sat);
+
+  // Resets the SAT solver, forgets every encoding and re-creates the true
+  // literal: the pair is then exactly what a new one would be, and encodes
+  // the same variables and clauses in the same order.
+  void Reset();
 
   // Asserts that the width-1 expression `e` is true.
   void AssertTrue(ExprRef e);
@@ -65,12 +71,14 @@ class Bitblaster {
 
   Bits EncodeNode(ExprRef e);
 
+  // Allocates the constant-true variable (always SAT variable 0).
+  void MakeTrueLit();
+
   SatSolver* sat_;
   SatLit true_lit_;
   std::unordered_map<ExprRef, Bits> cache_;
   // Expression variable id -> its bit literals (for model extraction).
   std::unordered_map<uint32_t, Bits> var_bits_;
-  std::unordered_map<uint32_t, uint8_t> var_width_;
 };
 
 }  // namespace ddt

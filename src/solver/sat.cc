@@ -30,6 +30,30 @@ constexpr uint64_t kRestartBase = 256;
 
 SatSolver::SatSolver() = default;
 
+void SatSolver::Reset() {
+  for (size_t lit = 0; lit < 2 * assign_.size(); ++lit) {
+    watches_[lit].clear();
+  }
+  arena_.clear();
+  clauses_.clear();
+  assign_.clear();
+  saved_phase_.clear();
+  level_.clear();
+  reason_.clear();
+  trail_.clear();
+  trail_limits_.clear();
+  propagate_head_ = 0;
+  activity_.clear();
+  activity_inc_ = 1.0;
+  known_unsat_ = false;
+  hit_deadline_ = false;
+  hit_abort_ = false;
+  conflicts_ = 0;
+  decisions_ = 0;
+  propagations_ = 0;
+  seen_.clear();
+}
+
 uint32_t SatSolver::NewVar() {
   uint32_t var = static_cast<uint32_t>(assign_.size());
   assign_.push_back(kUndef);
@@ -38,26 +62,30 @@ uint32_t SatSolver::NewVar() {
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
   seen_.push_back(0);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  if (watches_.size() < 2 * (static_cast<size_t>(var) + 1)) {
+    watches_.emplace_back();
+    watches_.emplace_back();
+  }
   return var;
 }
 
-bool SatSolver::AddClause(std::vector<SatLit> lits) {
+bool SatSolver::AddClause(const SatLit* lits, size_t count) {
   if (known_unsat_) {
     return false;
   }
   DDT_CHECK_MSG(trail_limits_.empty(), "AddClause only at decision level 0");
-  // Normalize: sort, dedupe, drop clauses with complementary pairs, drop
-  // false literals, and short-circuit on true literals.
-  std::sort(lits.begin(), lits.end());
-  std::vector<SatLit> cleaned;
-  for (size_t i = 0; i < lits.size(); ++i) {
-    SatLit lit = lits[i];
-    if (i + 1 < lits.size() && lits[i + 1] == NegateLit(lit)) {
+  // Normalize in place: sort, dedupe, drop clauses with complementary pairs,
+  // drop false literals, and short-circuit on true literals. The first
+  // `kept` slots hold the cleaned clause; the read index never trails them.
+  add_lits_.assign(lits, lits + count);
+  std::sort(add_lits_.begin(), add_lits_.end());
+  size_t kept = 0;
+  for (size_t i = 0; i < add_lits_.size(); ++i) {
+    SatLit lit = add_lits_[i];
+    if (i + 1 < add_lits_.size() && add_lits_[i + 1] == NegateLit(lit)) {
       return true;  // tautology
     }
-    if (!cleaned.empty() && cleaned.back() == lit) {
+    if (kept != 0 && add_lits_[kept - 1] == lit) {
       continue;
     }
     if (LitValueIsTrue(lit)) {
@@ -66,29 +94,31 @@ bool SatSolver::AddClause(std::vector<SatLit> lits) {
     if (LitValueIsFalse(lit)) {
       continue;  // drop
     }
-    cleaned.push_back(lit);
+    add_lits_[kept++] = lit;
   }
-  if (cleaned.empty()) {
+  if (kept == 0) {
     known_unsat_ = true;
     return false;
   }
-  if (cleaned.size() == 1) {
-    Enqueue(cleaned[0], kNoReason);
+  if (kept == 1) {
+    Enqueue(add_lits_[0], kNoReason);
     if (Propagate() != kNoReason) {
       known_unsat_ = true;
       return false;
     }
     return true;
   }
-  clauses_.push_back(Clause{std::move(cleaned), false, 0.0});
-  AttachClause(static_cast<ClauseIdx>(clauses_.size() - 1));
+  StoreClause(add_lits_.data(), kept);
   return true;
 }
 
-void SatSolver::AttachClause(ClauseIdx idx) {
-  const Clause& c = clauses_[idx];
-  watches_[NegateLit(c.lits[0])].push_back(idx);
-  watches_[NegateLit(c.lits[1])].push_back(idx);
+SatSolver::ClauseIdx SatSolver::StoreClause(const SatLit* lits, size_t size) {
+  ClauseIdx idx = static_cast<ClauseIdx>(clauses_.size());
+  clauses_.push_back(Clause{static_cast<uint32_t>(arena_.size()), static_cast<uint32_t>(size)});
+  arena_.insert(arena_.end(), lits, lits + size);
+  watches_[NegateLit(lits[0])].push_back(idx);
+  watches_[NegateLit(lits[1])].push_back(idx);
+  return idx;
 }
 
 void SatSolver::Enqueue(SatLit lit, ClauseIdx reason) {
@@ -109,23 +139,24 @@ SatSolver::ClauseIdx SatSolver::Propagate() {
     size_t keep = 0;
     for (size_t i = 0; i < watch_list.size(); ++i) {
       ClauseIdx idx = watch_list[i];
-      Clause& c = clauses_[idx];
+      SatLit* lits = &arena_[clauses_[idx].start];
+      uint32_t size = clauses_[idx].size;
       SatLit false_lit = NegateLit(p);
       // Ensure the false literal is in slot 1.
-      if (c.lits[0] == false_lit) {
-        std::swap(c.lits[0], c.lits[1]);
+      if (lits[0] == false_lit) {
+        std::swap(lits[0], lits[1]);
       }
       // If slot 0 is already true, clause is satisfied; keep watch.
-      if (LitValueIsTrue(c.lits[0])) {
+      if (LitValueIsTrue(lits[0])) {
         watch_list[keep++] = idx;
         continue;
       }
       // Look for a replacement watch.
       bool found = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (!LitValueIsFalse(c.lits[k])) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[NegateLit(c.lits[1])].push_back(idx);
+      for (uint32_t k = 2; k < size; ++k) {
+        if (!LitValueIsFalse(lits[k])) {
+          std::swap(lits[1], lits[k]);
+          watches_[NegateLit(lits[1])].push_back(idx);
           found = true;
           break;
         }
@@ -135,7 +166,7 @@ SatSolver::ClauseIdx SatSolver::Propagate() {
       }
       // Clause is unit or conflicting.
       watch_list[keep++] = idx;
-      if (LitValueIsFalse(c.lits[0])) {
+      if (LitValueIsFalse(lits[0])) {
         // Conflict: restore remaining watches and report.
         for (size_t j = i + 1; j < watch_list.size(); ++j) {
           watch_list[keep++] = watch_list[j];
@@ -144,17 +175,16 @@ SatSolver::ClauseIdx SatSolver::Propagate() {
         propagate_head_ = trail_.size();
         return idx;
       }
-      Enqueue(c.lits[0], idx);
+      Enqueue(lits[0], idx);
     }
     watch_list.resize(keep);
   }
   return kNoReason;
 }
 
-void SatSolver::Analyze(ClauseIdx conflict, std::vector<SatLit>* learned,
-                        uint32_t* backtrack_level) {
-  learned->clear();
-  learned->push_back(0);  // placeholder for the asserting literal
+void SatSolver::Analyze(ClauseIdx conflict, uint32_t* backtrack_level) {
+  learned_.clear();
+  learned_.push_back(0);  // placeholder for the asserting literal
   uint32_t current_level = static_cast<uint32_t>(trail_limits_.size());
   int counter = 0;
   SatLit p = 0;
@@ -164,11 +194,11 @@ void SatSolver::Analyze(ClauseIdx conflict, std::vector<SatLit>* learned,
 
   for (;;) {
     DDT_CHECK(reason != kNoReason);
-    Clause& c = clauses_[reason];
-    c.activity += activity_inc_;
-    size_t start = have_p ? 1 : 0;  // skip the asserting literal itself
-    for (size_t i = start; i < c.lits.size(); ++i) {
-      SatLit q = c.lits[i];
+    const SatLit* lits = &arena_[clauses_[reason].start];
+    uint32_t size = clauses_[reason].size;
+    uint32_t start = have_p ? 1 : 0;  // skip the asserting literal itself
+    for (uint32_t i = start; i < size; ++i) {
+      SatLit q = lits[i];
       if (have_p && q == p) {
         continue;
       }
@@ -181,7 +211,7 @@ void SatSolver::Analyze(ClauseIdx conflict, std::vector<SatLit>* learned,
       if (level_[var] == current_level) {
         ++counter;
       } else {
-        learned->push_back(q);
+        learned_.push_back(q);
       }
     }
     // Select next literal on the trail to resolve on.
@@ -200,28 +230,28 @@ void SatSolver::Analyze(ClauseIdx conflict, std::vector<SatLit>* learned,
     // Invariant from Enqueue/Propagate: a reason clause always has its
     // asserting literal in slot 0, so the `start = 1` skip above is valid.
     if (reason != kNoReason) {
-      DDT_CHECK(clauses_[reason].lits[0] == p);
+      DDT_CHECK(arena_[clauses_[reason].start] == p);
     }
   }
-  (*learned)[0] = NegateLit(p);
+  learned_[0] = NegateLit(p);
 
   // Clear seen marks for the learned clause literals.
-  for (SatLit lit : *learned) {
+  for (SatLit lit : learned_) {
     seen_[LitVar(lit)] = 0;
   }
 
   // Backtrack level: maximum level among non-asserting literals.
   *backtrack_level = 0;
   size_t max_pos = 1;
-  for (size_t i = 1; i < learned->size(); ++i) {
-    uint32_t lvl = level_[LitVar((*learned)[i])];
+  for (size_t i = 1; i < learned_.size(); ++i) {
+    uint32_t lvl = level_[LitVar(learned_[i])];
     if (lvl > *backtrack_level) {
       *backtrack_level = lvl;
       max_pos = i;
     }
   }
-  if (learned->size() > 1) {
-    std::swap((*learned)[1], (*learned)[max_pos]);
+  if (learned_.size() > 1) {
+    std::swap(learned_[1], learned_[max_pos]);
   }
 }
 
@@ -291,7 +321,6 @@ SatResult SatSolver::Solve(const std::vector<SatLit>& assumptions, uint64_t conf
   uint64_t restarts = 0;
   uint64_t restart_limit = kRestartBase * Luby(0);
   uint64_t conflicts_since_restart = 0;
-  std::vector<SatLit> learned;
 
   for (;;) {
     ClauseIdx conflict = Propagate();
@@ -308,23 +337,20 @@ SatResult SatSolver::Solve(const std::vector<SatLit>& assumptions, uint64_t conf
         return SatResult::kUnsat;
       }
       uint32_t backtrack_level;
-      Analyze(conflict, &learned, &backtrack_level);
+      Analyze(conflict, &backtrack_level);
       Backtrack(backtrack_level);
-      if (learned.size() == 1) {
+      if (learned_.size() == 1) {
         Backtrack(0);
-        if (!LitUnassigned(learned[0])) {
-          if (LitValueIsFalse(learned[0])) {
+        if (!LitUnassigned(learned_[0])) {
+          if (LitValueIsFalse(learned_[0])) {
             known_unsat_ = true;
             return SatResult::kUnsat;
           }
         } else {
-          Enqueue(learned[0], kNoReason);
+          Enqueue(learned_[0], kNoReason);
         }
       } else {
-        clauses_.push_back(Clause{learned, true, activity_inc_});
-        ClauseIdx idx = static_cast<ClauseIdx>(clauses_.size() - 1);
-        AttachClause(idx);
-        Enqueue(learned[0], idx);
+        Enqueue(learned_[0], StoreClause(learned_.data(), learned_.size()));
       }
       DecayActivities();
       if (conflict_budget != 0 && conflicts_ - conflicts_at_start >= conflict_budget) {

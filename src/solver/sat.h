@@ -2,6 +2,11 @@
 // conflict analysis with clause learning, VSIDS-like activity ordering with
 // phase saving, and Luby restarts. This is the back-end the bit-blaster
 // targets; DDT uses it the way KLEE uses STP.
+//
+// Every clause lives in one flat literal arena behind a {start, size}
+// header, and Reset() empties the instance while keeping every buffer's
+// capacity, so one solver serves query after query without allocating once
+// its buffers have grown to the largest instance seen.
 #ifndef SRC_SOLVER_SAT_H_
 #define SRC_SOLVER_SAT_H_
 
@@ -27,16 +32,29 @@ class SatSolver {
  public:
   SatSolver();
 
+  // Empties the instance but keeps every buffer's capacity. Afterwards the
+  // solver is indistinguishable from a new one: variables and clauses are
+  // numbered from 0 again, and activities, saved phases, the trail, the
+  // counters and the known-unsat/deadline/abort flags are cleared.
+  void Reset();
+
   // Allocates a fresh variable; returns its index.
   uint32_t NewVar();
   uint32_t num_vars() const { return static_cast<uint32_t>(assign_.size()); }
 
-  // Adds a clause (disjunction of literals). Empty clause makes the instance
-  // trivially unsat. Returns false if the solver is already known-unsat.
-  bool AddClause(std::vector<SatLit> lits);
-  void AddUnit(SatLit lit) { AddClause({lit}); }
-  void AddBinary(SatLit a, SatLit b) { AddClause({a, b}); }
-  void AddTernary(SatLit a, SatLit b, SatLit c) { AddClause({a, b, c}); }
+  // Adds the clause lits[0] | ... | lits[count-1]. An empty clause makes the
+  // instance trivially unsat. Returns false if the solver is already
+  // known-unsat. The literals are normalized in a reused scratch buffer.
+  bool AddClause(const SatLit* lits, size_t count);
+  void AddUnit(SatLit lit) { AddClause(&lit, 1); }
+  void AddBinary(SatLit a, SatLit b) {
+    SatLit lits[] = {a, b};
+    AddClause(lits, 2);
+  }
+  void AddTernary(SatLit a, SatLit b, SatLit c) {
+    SatLit lits[] = {a, b, c};
+    AddClause(lits, 3);
+  }
 
   // Solves under the given assumptions. kUnknown only if conflict_budget
   // (when nonzero) is exhausted, `deadline` (when non-null) passes, or
@@ -67,10 +85,10 @@ class SatSolver {
  private:
   enum : uint8_t { kUndef = 2 };  // assign_ values: 0 = false, 1 = true, 2 = unassigned
 
+  // A clause's literals are arena_[start, start + size).
   struct Clause {
-    std::vector<SatLit> lits;
-    bool learned = false;
-    double activity = 0.0;
+    uint32_t start = 0;
+    uint32_t size = 0;
   };
 
   using ClauseIdx = uint32_t;
@@ -89,15 +107,20 @@ class SatSolver {
   void Enqueue(SatLit lit, ClauseIdx reason);
   // Returns the index of a conflicting clause, or kNoReason if no conflict.
   ClauseIdx Propagate();
-  void Analyze(ClauseIdx conflict, std::vector<SatLit>* learned, uint32_t* backtrack_level);
+  // Derives the 1UIP clause for `conflict` into learned_.
+  void Analyze(ClauseIdx conflict, uint32_t* backtrack_level);
   void Backtrack(uint32_t level);
   void BumpVar(uint32_t var);
   void DecayActivities();
   SatLit PickBranchLit();
-  void AttachClause(ClauseIdx idx);
+  // Stores lits[0, size) as a new clause and watches its first two literals.
+  ClauseIdx StoreClause(const SatLit* lits, size_t size);
 
+  std::vector<SatLit> arena_;
   std::vector<Clause> clauses_;
-  std::vector<std::vector<ClauseIdx>> watches_;  // indexed by literal
+  // Indexed by literal. Reset() empties the lists in place; the lists of
+  // literals past 2 * num_vars() are always empty.
+  std::vector<std::vector<ClauseIdx>> watches_;
   std::vector<uint8_t> assign_;
   std::vector<uint8_t> saved_phase_;
   std::vector<uint32_t> level_;
@@ -116,7 +139,9 @@ class SatSolver {
   uint64_t decisions_ = 0;
   uint64_t propagations_ = 0;
 
-  std::vector<uint8_t> seen_;  // scratch for Analyze
+  std::vector<uint8_t> seen_;     // scratch for Analyze
+  std::vector<SatLit> learned_;   // scratch for Analyze
+  std::vector<SatLit> add_lits_;  // scratch for AddClause
 };
 
 }  // namespace ddt

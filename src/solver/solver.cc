@@ -17,6 +17,16 @@ void SolverStats::Accumulate(const SolverStats& other) {
   max_query_wall_ms = std::max(max_query_wall_ms, other.max_query_wall_ms);
 }
 
+struct Solver::SatInstance {
+  SatInstance() = default;
+  // The blaster points at `sat`: never copy or move the pair.
+  SatInstance(const SatInstance&) = delete;
+  SatInstance& operator=(const SatInstance&) = delete;
+
+  SatSolver sat;
+  Bitblaster blaster{&sat};
+};
+
 Solver::Solver(ExprContext* ctx, const SolverConfig& config) : ctx_(ctx), config_(config) {
 #ifndef DDT_OBS_DISABLED
   if (config_.metrics != nullptr) {
@@ -26,46 +36,64 @@ Solver::Solver(ExprContext* ctx, const SolverConfig& config) : ctx_(ctx), config
 #endif
 }
 
-std::vector<ExprRef> Solver::Slice(const std::vector<ExprRef>& constraints,
-                                   const std::vector<uint32_t>& seed_vars) const {
-  // Fixpoint: pull in every constraint sharing a variable with the working
-  // set. Constraint var sets are computed once.
-  std::unordered_set<uint32_t> live(seed_vars.begin(), seed_vars.end());
-  std::vector<std::unordered_set<uint32_t>> cvars(constraints.size());
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    CollectVars(constraints[i], &cvars[i]);
+Solver::~Solver() = default;
+
+void Solver::ReleaseSatInstance() { sat_.reset(); }
+
+void Solver::Slice(const std::vector<ExprRef>& constraints, ExprRef seed,
+                   std::vector<ExprRef>* out) {
+  slice_vars_.clear();
+  slice_begin_.clear();
+  for (ExprRef c : constraints) {
+    slice_begin_.push_back(static_cast<uint32_t>(slice_vars_.size()));
+    ctx_->AppendVars(c, &slice_vars_);
   }
-  std::vector<bool> included(constraints.size(), false);
+  slice_begin_.push_back(static_cast<uint32_t>(slice_vars_.size()));
+
+  // A fresh live set: the seed's variables.
+  if (++live_epoch_ == 0) {
+    std::fill(live_mark_.begin(), live_mark_.end(), 0);
+    live_epoch_ = 1;
+  }
+  if (live_mark_.size() < ctx_->num_vars()) {
+    live_mark_.resize(ctx_->num_vars(), 0);
+  }
+  size_t seed_begin = slice_vars_.size();
+  ctx_->AppendVars(seed, &slice_vars_);
+  for (size_t k = seed_begin; k < slice_vars_.size(); ++k) {
+    live_mark_[slice_vars_[k]] = live_epoch_;
+  }
+
+  // Fixpoint: pull in every constraint sharing a variable with the live set.
+  slice_included_.assign(constraints.size(), 0);
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t i = 0; i < constraints.size(); ++i) {
-      if (included[i]) {
+      if (slice_included_[i] != 0) {
         continue;
       }
       bool intersects = false;
-      for (uint32_t v : cvars[i]) {
-        if (live.count(v) != 0) {
+      for (uint32_t k = slice_begin_[i]; k < slice_begin_[i + 1]; ++k) {
+        if (live_mark_[slice_vars_[k]] == live_epoch_) {
           intersects = true;
           break;
         }
       }
       if (intersects) {
-        included[i] = true;
+        slice_included_[i] = 1;
         changed = true;
-        for (uint32_t v : cvars[i]) {
-          live.insert(v);
+        for (uint32_t k = slice_begin_[i]; k < slice_begin_[i + 1]; ++k) {
+          live_mark_[slice_vars_[k]] = live_epoch_;
         }
       }
     }
   }
-  std::vector<ExprRef> out;
   for (size_t i = 0; i < constraints.size(); ++i) {
-    if (included[i]) {
-      out.push_back(constraints[i]);
+    if (slice_included_[i] != 0) {
+      out->push_back(constraints[i]);
     }
   }
-  return out;
 }
 
 SharedQueryCache* Solver::QueryStore() {
@@ -107,7 +135,7 @@ bool Solver::RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& q
   // disk) is only believed if it actually satisfies this query — so a wrong
   // entry costs a SAT call, never a wrong verdict.
   for (ExprRef e : exprs) {
-    if (!EvalBool(e, a)) {
+    if (!evaluator_.EvalBool(e, a)) {
       stats_.shared_cache_verify_failures += config_.shared_cache != nullptr;
       return false;
     }
@@ -234,8 +262,13 @@ bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bo
   if (have_deadline) {
     deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(config_.max_query_ms);
   }
-  SatSolver sat;
-  Bitblaster blaster(&sat);
+  if (sat_ == nullptr) {
+    sat_ = std::make_unique<SatInstance>();
+  } else {
+    sat_->blaster.Reset();
+  }
+  SatSolver& sat = sat_->sat;
+  Bitblaster& blaster = sat_->blaster;
   for (ExprRef e : exprs) {
     blaster.AssertTrue(e);
   }
@@ -269,7 +302,7 @@ bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bo
   Assignment extracted = blaster.ExtractModel();
   // Safety check: every SAT model must satisfy the query it answers.
   for (ExprRef e : exprs) {
-    DDT_CHECK_MSG(EvalBool(e, extracted), "SAT model fails to satisfy constraint");
+    DDT_CHECK_MSG(evaluator_.EvalBool(e, extracted), "SAT model fails to satisfy constraint");
   }
   if (model != nullptr) {
     *model = std::move(extracted);
@@ -281,15 +314,12 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
                            Assignment* model) {
   ++stats_.queries;
 
-  std::vector<ExprRef> query;
+  std::vector<ExprRef> sliced;
   if (extra != nullptr) {
-    std::vector<uint32_t> seed;
-    CollectVars(extra, &seed);
-    query = Slice(constraints, seed);
-    query.push_back(extra);
-  } else {
-    query = constraints;
+    Slice(constraints, extra, &sliced);
+    sliced.push_back(extra);
   }
+  const std::vector<ExprRef>& query = extra != nullptr ? sliced : constraints;
   // Drop literal-true conjuncts; a literal-false conjunct decides it.
   std::vector<ExprRef> filtered;
   for (ExprRef e : query) {
@@ -319,7 +349,7 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
   if (config_.enable_model_reuse && model == nullptr && have_last_model_) {
     bool all_true = true;
     for (ExprRef e : filtered) {
-      if (!EvalBool(e, last_model_)) {
+      if (!evaluator_.EvalBool(e, last_model_)) {
         all_true = false;
         break;
       }
@@ -381,13 +411,13 @@ std::optional<uint64_t> Solver::GetValue(const std::vector<ExprRef>& constraints
     return expr->const_value();
   }
   // Slice to the constraints relevant to this expression, solve, evaluate.
-  std::vector<uint32_t> seed;
-  CollectVars(expr, &seed);
+  std::vector<ExprRef> sliced;
+  Slice(constraints, expr, &sliced);
   Assignment model;
-  if (!IsSatisfiable(Slice(constraints, seed), nullptr, &model)) {
+  if (!IsSatisfiable(sliced, nullptr, &model)) {
     return std::nullopt;
   }
-  return EvalExpr(expr, model);
+  return evaluator_.Eval(expr, model);
 }
 
 bool Solver::GetInitialValues(const std::vector<ExprRef>& constraints, Assignment* out) {
@@ -402,9 +432,8 @@ bool Solver::GetInitialValues(const std::vector<ExprRef>& constraints, Assignmen
   // simple repeated-slice partition is clear and fast enough.
   std::vector<ExprRef> remaining = constraints;
   while (!remaining.empty()) {
-    std::vector<uint32_t> seed;
-    CollectVars(remaining[0], &seed);
-    std::vector<ExprRef> component = Slice(remaining, seed);
+    std::vector<ExprRef> component;
+    Slice(remaining, remaining[0], &component);
     if (component.empty()) {
       component.push_back(remaining[0]);
     }

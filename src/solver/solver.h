@@ -10,7 +10,8 @@
 //      of the sliced constraint set, so a query that recurs over fresh
 //      variables is answered once per run: the campaign's shared store when
 //      one is configured, else the solver's own,
-//   5. bit-blasting + CDCL SAT.
+//   5. bit-blasting + CDCL SAT, into one SAT instance per solver that each
+//      call resets to exactly a new one and refills.
 //
 // Every SAT model is re-verified with the concrete evaluator before being
 // trusted — an end-to-end check on the encoder.
@@ -134,6 +135,7 @@ inline constexpr obs::CounterRow<SolverStats> kSolverCounters[] = {
 class Solver {
  public:
   Solver(ExprContext* ctx, const SolverConfig& config = SolverConfig());
+  ~Solver();
 
   // True iff (AND of constraints) AND extra is satisfiable. `extra` may be
   // null (checks the constraint set alone). On SAT with `model` non-null,
@@ -164,6 +166,12 @@ class Solver {
   const SolverStats& stats() const { return stats_; }
   ExprContext* context() { return ctx_; }
 
+  // Frees the SAT instance the solver reuses across calls; the next SAT call
+  // makes a new one. A campaign keeps every finished pass's engine alive
+  // (its bugs point into the engine's expressions), so the engine calls this
+  // when its run ends instead of holding each pass's instance to the end.
+  void ReleaseSatInstance();
+
   // Cooperative cancellation: when `flag` (owned by the caller, may be set
   // from another thread) becomes true, in-flight SAT searches unwind at the
   // next conflict/decision poll and later queries degrade immediately to the
@@ -171,10 +179,13 @@ class Solver {
   void SetAbortFlag(const std::atomic<bool>* flag) { abort_flag_ = flag; }
 
  private:
-  // Returns the subset of constraints transitively sharing variables with
-  // `seed_vars`.
-  std::vector<ExprRef> Slice(const std::vector<ExprRef>& constraints,
-                             const std::vector<uint32_t>& seed_vars) const;
+  // The SAT solver and bit-blaster pair every SAT call resets and refills.
+  struct SatInstance;
+
+  // Appends to `out` the constraints transitively sharing variables with
+  // `seed`, in their order in `constraints`. Apart from growing `out`, it
+  // allocates nothing once the slice scratch below has grown.
+  void Slice(const std::vector<ExprRef>& constraints, ExprRef seed, std::vector<ExprRef>* out);
 
   // Uncached SAT query over an explicit expression list.
   bool SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bool* unknown);
@@ -216,6 +227,20 @@ class Solver {
   QueryCanonicalizer canonicalizer_;
   Assignment last_model_;         // most recent satisfying assignment
   bool have_last_model_ = false;
+  // Made on the first SAT call, so a solver that never reaches SAT (a
+  // guided fuzz exec) allocates none.
+  std::unique_ptr<SatInstance> sat_;
+  // Evaluates model checks; its memo is reused across queries.
+  Evaluator evaluator_;
+
+  // Slice scratch: the distinct variables of constraint i are
+  // slice_vars_[slice_begin_[i], slice_begin_[i + 1]); a variable is live
+  // while live_mark_[var] == live_epoch_.
+  std::vector<uint32_t> slice_vars_;
+  std::vector<uint32_t> slice_begin_;
+  std::vector<uint32_t> live_mark_;
+  uint32_t live_epoch_ = 0;
+  std::vector<uint8_t> slice_included_;
 };
 
 }  // namespace ddt

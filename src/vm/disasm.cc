@@ -89,18 +89,6 @@ std::string DisassembleInstruction(const Instruction& insn) {
   }
 }
 
-uint32_t Cfg::BlockLeaderFor(uint32_t addr) const {
-  auto it = blocks.upper_bound(addr);
-  if (it == blocks.begin()) {
-    return 0;
-  }
-  --it;
-  if (addr >= it->second.begin && addr < it->second.end) {
-    return it->second.begin;
-  }
-  return 0;
-}
-
 Cfg BuildCfg(const uint8_t* code, size_t size, uint32_t base) {
   Cfg cfg;
   cfg.base = base;

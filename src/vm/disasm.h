@@ -38,8 +38,6 @@ struct Cfg {
   std::vector<uint32_t> call_targets;     // static call destinations (deduped)
 
   size_t NumBlocks() const { return blocks.size(); }
-  // Leader address of the block containing `addr`, or 0 if none.
-  uint32_t BlockLeaderFor(uint32_t addr) const;
 };
 
 // Recovers the CFG of a code segment loaded at `base`. Decoding failures

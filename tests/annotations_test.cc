@@ -182,7 +182,7 @@ TEST(StandardAnnotationsTest, SymbolicOidRewritesArgumentZero) {
   Value oid = kc.Arg(0);
   ASSERT_TRUE(oid.IsSymbolic());
   std::vector<uint32_t> vars;
-  CollectVars(oid.symbolic(), &vars);
+  kc.expr()->AppendVars(oid.symbolic(), &vars);
   ASSERT_EQ(vars.size(), 1u);
   EXPECT_EQ(kc.expr()->var_info(vars[0]).origin.source, VarOrigin::Source::kEntryArg);
 }
@@ -206,7 +206,7 @@ TEST(StandardAnnotationsTest, SymbolicLengthBoundedByOriginal) {
   ASSERT_EQ(kc.constraints.size(), 1u);
   // The constraint must be (len <= 128): check it rejects 129 and admits 128.
   std::vector<uint32_t> vars;
-  CollectVars(kc.constraints[0], &vars);
+  kc.expr()->AppendVars(kc.constraints[0], &vars);
   ASSERT_EQ(vars.size(), 1u);
   Assignment ok_case;
   ok_case.Set(vars[0], 128);

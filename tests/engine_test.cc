@@ -711,7 +711,9 @@ TEST(EngineTest, GovernorKeepsPathologicalDriverInsideWallBudget) {
   config.use_default_checkers = false;  // isolate the governor from checkers
   config.engine.max_wall_ms = 1500;
   config.engine.max_instructions = 100'000'000;  // wall is the binding budget
-  config.engine.solver.max_query_ms = 10;
+  // Well under the several ms it takes just to bit-blast the multiply chain,
+  // so every hostile query overruns it; the chain's search itself is easy.
+  config.engine.solver.max_query_ms = 1;
   config.engine.solver.conflict_budget = 0;  // only the deadline limits queries
   Ddt ddt(config);
   Result<DdtResult> result = ddt.TestDriver(AssembleToy(kPathologicalDriver), ToyPci());

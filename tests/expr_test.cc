@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
 #include "src/expr/eval.h"
 #include "src/support/rng.h"
 
@@ -185,13 +188,19 @@ TEST_F(ExprTest, ShiftBeyondWidth) {
   EXPECT_EQ(ctx_.LShr(x, ctx_.Const(40, 32)), ctx_.Const(0, 32));
 }
 
-TEST_F(ExprTest, CollectVarsFindsAll) {
+TEST_F(ExprTest, AppendVarsFindsEachVariableOnceInFirstVisitOrder) {
   ExprRef x = ctx_.Var(32, "x");
   ExprRef y = ctx_.Var(32, "y");
-  ExprRef e = ctx_.Add(ctx_.Mul(x, y), x);
+  ExprRef e = ctx_.Concat(y, ctx_.Mul(x, y));  // y is the high part: visited first
   std::vector<uint32_t> vars;
-  CollectVars(e, &vars);
-  EXPECT_EQ(vars.size(), 2u);
+  ctx_.AppendVars(e, &vars);
+  EXPECT_EQ(vars, (std::vector<uint32_t>{y->var_id(), x->var_id()}));
+  // Every walk starts afresh: the nodes the first one stamped count again.
+  ctx_.AppendVars(x, &vars);
+  EXPECT_EQ(vars, (std::vector<uint32_t>{y->var_id(), x->var_id(), x->var_id()}));
+  std::unordered_set<uint32_t> set;
+  CollectVars(e, &set);
+  EXPECT_EQ(set, (std::unordered_set<uint32_t>{x->var_id(), y->var_id()}));
 }
 
 TEST_F(ExprTest, EvalBasics) {

@@ -2,7 +2,8 @@
 // the coverage-starved policy (src/engine/pathctl.h's scheduling leg), plus
 // the determinism property the pathctl contract rests on — identical inputs
 // produce the identical selection sequence, and coverage-starved consults no
-// RNG at all.
+// RNG at all. Also the engine's block counts the coverage searchers consult,
+// against a brute-force search of the CFG.
 #include "src/engine/searcher.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,9 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/ddt.h"
+#include "src/drivers/corpus.h"
+#include "src/engine/engine.h"
 #include "src/engine/execution_state.h"
 
 namespace ddt {
@@ -143,6 +147,40 @@ TEST(SearcherTest, CoverageStarvedIsStateless) {
   oracle.Set(0x200, 40);
   EXPECT_EQ(b->Select(raw), 0u);
   EXPECT_EQ(a->Select(raw), 0u);  // a saw b's world change; no hidden history
+}
+
+// After a real run, every pc of the code window (misaligned ones included)
+// and a margin on both sides of it: BlockCountAt is the count of the block a
+// linear search of the CFG puts the pc in, and 0 where no block holds it. A
+// leader's count is nonzero exactly when the coverage bitmap has its block.
+TEST(BlockCountOracleTest, EngineCountsMatchBruteForceOverTheCfg) {
+  for (const char* name : {"rtl8029", "pro1000"}) {
+    SCOPED_TRACE(name);
+    const CorpusDriver& driver = CorpusDriverByName(name);
+    Ddt ddt{DdtConfig()};
+    ASSERT_TRUE(ddt.TestDriver(driver.image, driver.pci).ok());
+    const Engine& engine = ddt.engine();
+    const LoadedDriver& loaded = engine.loaded_driver();
+    CoverageBitmap covered = engine.CoverageSnapshot();
+    size_t ran_blocks = 0;
+    for (const auto& [leader, block] : engine.cfg().blocks) {
+      bool ran = engine.BlockCountAt(leader) > 0;
+      ran_blocks += ran;
+      EXPECT_EQ(ran, covered.Test((leader - loaded.code_begin) / kInstructionSize)) << leader;
+    }
+    EXPECT_GT(ran_blocks, 10u);
+    for (uint32_t pc = loaded.code_begin - 64; pc < loaded.code_end + 64; ++pc) {
+      const BasicBlock* home = nullptr;
+      for (const auto& [leader, block] : engine.cfg().blocks) {
+        if (pc >= block.begin && pc < block.end) {
+          home = &block;
+          break;
+        }
+      }
+      uint64_t expected = home == nullptr ? 0 : engine.BlockCountAt(home->begin);
+      ASSERT_EQ(engine.BlockCountAt(pc), expected) << "pc " << pc;
+    }
+  }
 }
 
 }  // namespace

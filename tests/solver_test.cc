@@ -38,7 +38,7 @@ TEST(SatSolverTest, TrivialUnsat) {
 
 TEST(SatSolverTest, EmptyClauseIsUnsat) {
   SatSolver sat;
-  EXPECT_FALSE(sat.AddClause({}));
+  EXPECT_FALSE(sat.AddClause(nullptr, 0));
   EXPECT_EQ(sat.Solve(), SatResult::kUnsat);
 }
 
@@ -88,24 +88,34 @@ TEST(SatSolverTest, AssumptionsWork) {
   EXPECT_TRUE(sat.ModelValue(b));
 }
 
+constexpr uint32_t kThreeSatVars = 8;
+
+// One random 3-SAT instance over kThreeSatVars variables.
+std::vector<std::vector<SatLit>> RandomThreeSat(Rng* rng) {
+  int num_clauses = 10 + static_cast<int>(rng->NextBelow(25));
+  std::vector<std::vector<SatLit>> clauses;
+  for (int i = 0; i < num_clauses; ++i) {
+    std::vector<SatLit> clause;
+    for (int j = 0; j < 3; ++j) {
+      clause.push_back(MakeLit(static_cast<uint32_t>(rng->NextBelow(kThreeSatVars)),
+                               rng->NextBelow(2) == 0));
+    }
+    clauses.push_back(clause);
+  }
+  return clauses;
+}
+
 TEST(SatSolverTest, RandomThreeSatAgainstBruteForce) {
   Rng rng(77);
   for (int round = 0; round < 60; ++round) {
-    constexpr int kVars = 8;
-    int num_clauses = 10 + static_cast<int>(rng.NextBelow(25));
-    std::vector<std::vector<SatLit>> clauses;
+    constexpr int kVars = kThreeSatVars;
+    std::vector<std::vector<SatLit>> clauses = RandomThreeSat(&rng);
     SatSolver sat;
     for (int i = 0; i < kVars; ++i) {
       sat.NewVar();
     }
-    for (int i = 0; i < num_clauses; ++i) {
-      std::vector<SatLit> clause;
-      for (int j = 0; j < 3; ++j) {
-        clause.push_back(
-            MakeLit(static_cast<uint32_t>(rng.NextBelow(kVars)), rng.NextBelow(2) == 0));
-      }
-      clauses.push_back(clause);
-      sat.AddClause(clause);
+    for (const auto& clause : clauses) {
+      sat.AddClause(clause.data(), clause.size());
     }
     // Brute force.
     bool expect_sat = false;
@@ -143,6 +153,130 @@ TEST(SatSolverTest, RandomThreeSatAgainstBruteForce) {
       }
     }
   }
+}
+
+// A SAT instance with the way it is asked.
+struct SatProblem {
+  uint32_t num_vars = 0;
+  std::vector<std::vector<SatLit>> clauses;
+  std::vector<SatLit> assumptions;
+  uint64_t conflict_budget = 0;
+  bool abort = false;
+};
+
+// Everything a Solve leaves observable.
+struct SatOutcome {
+  SatResult result = SatResult::kUnknown;
+  uint32_t num_vars = 0;
+  size_t num_clauses = 0;
+  uint64_t conflicts = 0;
+  uint64_t decisions = 0;
+  uint64_t propagations = 0;
+  bool hit_abort = false;
+  std::vector<bool> model;  // every variable's value after kSat
+};
+
+SatOutcome SolveProblem(SatSolver* sat, const SatProblem& problem) {
+  for (uint32_t i = 0; i < problem.num_vars; ++i) {
+    sat->NewVar();
+  }
+  for (const auto& clause : problem.clauses) {
+    sat->AddClause(clause.data(), clause.size());
+  }
+  std::atomic<bool> abort{problem.abort};
+  SatOutcome out;
+  out.result = sat->Solve(problem.assumptions, problem.conflict_budget, nullptr, &abort);
+  out.num_vars = sat->num_vars();
+  out.num_clauses = sat->num_clauses();
+  out.conflicts = sat->conflicts();
+  out.decisions = sat->decisions();
+  out.propagations = sat->propagations();
+  out.hit_abort = sat->hit_abort();
+  if (out.result == SatResult::kSat) {
+    for (uint32_t v = 0; v < sat->num_vars(); ++v) {
+      out.model.push_back(sat->ModelValue(v));
+    }
+  }
+  return out;
+}
+
+// `pigeons` pigeons into `holes` holes: unsat whenever pigeons > holes, and
+// only after real conflict analysis.
+SatProblem Pigeonhole(uint32_t pigeons, uint32_t holes) {
+  SatProblem problem;
+  problem.num_vars = pigeons * holes;
+  auto var = [holes](uint32_t p, uint32_t h) { return p * holes + h; };
+  for (uint32_t p = 0; p < pigeons; ++p) {
+    std::vector<SatLit> somewhere;
+    for (uint32_t h = 0; h < holes; ++h) {
+      somewhere.push_back(MakeLit(var(p, h), false));
+    }
+    problem.clauses.push_back(somewhere);
+  }
+  for (uint32_t h = 0; h < holes; ++h) {
+    for (uint32_t i = 0; i < pigeons; ++i) {
+      for (uint32_t j = i + 1; j < pigeons; ++j) {
+        problem.clauses.push_back({MakeLit(var(i, h), true), MakeLit(var(j, h), true)});
+      }
+    }
+  }
+  return problem;
+}
+
+// One solver Reset between problems must behave exactly as a new solver on
+// each: the random 3-SAT rounds back to back, with a level-0 unsat, a
+// conflict-budget unknown, an abort unknown and an assumption unsat
+// interleaved, each of which leaves state (known-unsat, saved phases,
+// activities, a trail) that a faulty Reset would carry into the next round.
+TEST(SatSolverTest, ResetMatchesAFreshSolver) {
+  Rng rng(77);
+  SatSolver reused;
+  int checked = 0;
+  for (int round = 0; round < 60; ++round) {
+    SatProblem random;
+    random.num_vars = kThreeSatVars;
+    random.clauses = RandomThreeSat(&rng);
+
+    SatProblem special;
+    switch (round % 4) {
+      case 0:  // a unit chain that empties a clause at level 0
+        special.num_vars = 2;
+        special.clauses = {{MakeLit(0, false), MakeLit(1, false)}, {MakeLit(0, true)},
+                           {MakeLit(1, true)}};
+        break;
+      case 1:
+        special = Pigeonhole(5, 4);
+        special.conflict_budget = 3;
+        break;
+      case 2:
+        special = Pigeonhole(4, 3);
+        special.abort = true;
+        break;
+      default:  // a -> b, asked under a and !b
+        special.num_vars = 2;
+        special.clauses = {{MakeLit(0, true), MakeLit(1, false)}};
+        special.assumptions = {MakeLit(0, false), MakeLit(1, true)};
+        break;
+    }
+    for (const SatProblem* problem : {&special, &random}) {
+      SCOPED_TRACE(testing::Message() << "round " << round << (problem == &special ? " special"
+                                                                                  : " random"));
+      reused.Reset();
+      SatSolver fresh;
+      SatOutcome want = SolveProblem(&fresh, *problem);
+      SatOutcome got = SolveProblem(&reused, *problem);
+      EXPECT_EQ(got.result, want.result);
+      EXPECT_EQ(got.num_vars, want.num_vars);
+      EXPECT_EQ(got.num_clauses, want.num_clauses);
+      EXPECT_EQ(got.conflicts, want.conflicts);
+      EXPECT_EQ(got.decisions, want.decisions);
+      EXPECT_EQ(got.propagations, want.propagations);
+      EXPECT_EQ(got.hit_abort, want.hit_abort);
+      EXPECT_EQ(got.model, want.model);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 120);
 }
 
 // --- Bit-blaster -------------------------------------------------------------
@@ -682,6 +816,52 @@ TEST(SolverOracleTest, DeepDagsAgainstBruteForce) {
   // Both verdicts are exercised.
   EXPECT_GE(sat_systems, 8);
   EXPECT_GE(unsat_systems, 8);
+}
+
+// Three roots of depth >= 4 over x and y from one DeepSystemGen stream, kept
+// as DeepDagsAgainstBruteForce keeps them.
+std::vector<ExprRef> DeepSystem(ExprContext* ctx, uint64_t seed, ExprRef x, ExprRef y) {
+  DeepSystemGen gen(ctx, seed, x, y);
+  std::vector<ExprRef> system;
+  for (int attempts = 0; system.size() < 3 && attempts < 64; ++attempts) {
+    ExprRef c = gen.Bool(5);
+    if (!c->IsConst() && ExprDepth(c) >= 4) {
+      system.push_back(c);
+    }
+  }
+  return system;
+}
+
+// One Solver asked the deep systems one after another, its SAT instance
+// reset between calls, answers exactly as a new Solver per query: the same
+// values from the same SAT instances.
+TEST_F(SolverTest, ReusedEncoderMatchesFreshSolves) {
+  SolverStats fresh_totals;
+  int sat_systems = 0;
+  int systems = 0;
+  for (uint64_t seed : {0x5EED0001ull, 0x5EED0002ull, 0x5EED0003ull, 0x5EED0004ull}) {
+    for (int n = 0; n < 8; ++n) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " system " << n);
+      ExprRef x = ctx_.Var(8, "x");
+      ExprRef y = ctx_.Var(8, "y");
+      std::vector<ExprRef> system =
+          DeepSystem(&ctx_, SplitMix64(seed).Fork(static_cast<uint64_t>(n)).Next(), x, y);
+      ASSERT_EQ(system.size(), 3u);
+      ExprRef xy = ctx_.Concat(x, y);
+      Solver fresh(&ctx_);
+      std::optional<uint64_t> want = fresh.GetValue(system, xy);
+      EXPECT_EQ(solver_.GetValue(system, xy), want);
+      fresh_totals.Accumulate(fresh.stats());
+      sat_systems += want.has_value();
+      ++systems;
+    }
+  }
+  EXPECT_GT(sat_systems, 0);
+  EXPECT_LT(sat_systems, systems);
+  EXPECT_EQ(solver_.stats().sat_calls, fresh_totals.sat_calls);
+  EXPECT_EQ(solver_.stats().total_sat_vars, fresh_totals.total_sat_vars);
+  EXPECT_EQ(solver_.stats().total_sat_clauses, fresh_totals.total_sat_clauses);
+  EXPECT_EQ(solver_.stats().total_conflicts, fresh_totals.total_conflicts);
 }
 
 // --- Per-query deadline (resource governor) ---------------------------------

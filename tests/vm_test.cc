@@ -392,22 +392,6 @@ TEST(CfgTest, CallTargetsRecorded) {
   EXPECT_EQ(cfg.call_targets[0], drv.symbols.at("fn"));
 }
 
-TEST(CfgTest, BlockLeaderLookup) {
-  const char* source = R"(
-    .driver "x"
-    .entry main
-    .code
-  main:
-    movi r0, 1
-    movi r1, 2
-    halt
-  )";
-  AssembledDriver drv = Assemble(source).take();
-  Cfg cfg = BuildCfg(drv.image.code.data(), drv.image.code.size(), drv.load_base);
-  EXPECT_EQ(cfg.BlockLeaderFor(drv.load_base + kInstructionSize), drv.load_base);
-  EXPECT_EQ(cfg.BlockLeaderFor(0x999999), 0u);
-}
-
 // --- Guest memory -------------------------------------------------------------------
 
 TEST(GuestMemoryTest, InitAndRead) {
