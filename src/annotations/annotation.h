@@ -77,8 +77,10 @@ class AnnotationSet {
   // The standard MiniOS annotation set used in the evaluation: registry
   // values symbolic, allocation-failure alternatives for every allocator,
   // symbolic entry-point arguments (with the packet-length soundness
-  // constraint from §7), and a symbolic PCI revision.
-  static AnnotationSet Standard();
+  // constraint from §7), and a symbolic PCI revision. Built once per
+  // process and shared by every engine: its annotations hold only what
+  // their constructors set, so concurrent runs may call them.
+  static const std::shared_ptr<const AnnotationSet>& Standard();
 
  private:
   std::map<std::string, std::vector<std::shared_ptr<ApiAnnotation>>> by_function_;

@@ -225,23 +225,26 @@ class SymbolicPciRevision : public ApiAnnotation {
 
 }  // namespace
 
-AnnotationSet AnnotationSet::Standard() {
-  AnnotationSet set;
-  set.Add(std::make_shared<ReadConfigurationSymbolic>());
-  set.Add(std::make_shared<PointerAllocFailure>("MosAllocatePool"));
-  set.Add(std::make_shared<PointerAllocFailure>("MosAllocatePoolWithTag"));
-  set.Add(std::make_shared<StatusAllocFailure>("MosAllocateMemoryWithTag", 0, true));
-  set.Add(std::make_shared<StatusAllocFailure>("MosNewInterruptSync", 0, true));
-  set.Add(std::make_shared<StatusAllocFailure>("MosAllocatePacketPool", 0, true));
-  set.Add(std::make_shared<StatusAllocFailure>("MosAllocatePacket", 0, true));
-  set.Add(std::make_shared<SymbolicOidAnnotation>(kEpQueryInfo));
-  set.Add(std::make_shared<SymbolicOidAnnotation>(kEpSetInfo));
-  set.Add(std::make_shared<SymbolicLengthAnnotation>(kEpSend, 1));
-  set.Add(std::make_shared<SymbolicLengthAnnotation>(kEpWrite, 1));
-  set.Add(std::make_shared<SymbolicDiagAnnotation>());
-  set.Add(std::make_shared<SymbolicPacketDataAnnotation>());
-  set.Add(std::make_shared<SymbolicPciRevision>());
-  return set;
+const std::shared_ptr<const AnnotationSet>& AnnotationSet::Standard() {
+  static const std::shared_ptr<const AnnotationSet> standard = [] {
+    auto set = std::make_shared<AnnotationSet>();
+    set->Add(std::make_shared<ReadConfigurationSymbolic>());
+    set->Add(std::make_shared<PointerAllocFailure>("MosAllocatePool"));
+    set->Add(std::make_shared<PointerAllocFailure>("MosAllocatePoolWithTag"));
+    set->Add(std::make_shared<StatusAllocFailure>("MosAllocateMemoryWithTag", 0, true));
+    set->Add(std::make_shared<StatusAllocFailure>("MosNewInterruptSync", 0, true));
+    set->Add(std::make_shared<StatusAllocFailure>("MosAllocatePacketPool", 0, true));
+    set->Add(std::make_shared<StatusAllocFailure>("MosAllocatePacket", 0, true));
+    set->Add(std::make_shared<SymbolicOidAnnotation>(kEpQueryInfo));
+    set->Add(std::make_shared<SymbolicOidAnnotation>(kEpSetInfo));
+    set->Add(std::make_shared<SymbolicLengthAnnotation>(kEpSend, 1));
+    set->Add(std::make_shared<SymbolicLengthAnnotation>(kEpWrite, 1));
+    set->Add(std::make_shared<SymbolicDiagAnnotation>());
+    set->Add(std::make_shared<SymbolicPacketDataAnnotation>());
+    set->Add(std::make_shared<SymbolicPciRevision>());
+    return set;
+  }();
+  return standard;
 }
 
 }  // namespace ddt

@@ -82,14 +82,22 @@ Result<DdtResult> Ddt::TestDriver(std::shared_ptr<const PreparedDriver> driver,
   }
   extra_checkers_.clear();
 
-  AnnotationSet annotations;
-  if (config_.use_standard_annotations) {
-    annotations = AnnotationSet::Standard();
+  // The standard set is shared as it is; only extra annotations make a copy.
+  std::shared_ptr<const AnnotationSet> annotations =
+      config_.use_standard_annotations ? AnnotationSet::Standard() : nullptr;
+  if (!extra_annotations_.empty()) {
+    auto merged = std::make_shared<AnnotationSet>();
+    if (annotations != nullptr) {
+      merged->Merge(*annotations);
+    }
+    for (const AnnotationSet& extra : extra_annotations_) {
+      merged->Merge(extra);
+    }
+    annotations = std::move(merged);
   }
-  for (const AnnotationSet& extra : extra_annotations_) {
-    annotations.Merge(extra);
+  if (annotations != nullptr) {
+    engine_->SetAnnotations(std::move(annotations));
   }
-  engine_->SetAnnotations(std::move(annotations));
 
   std::map<std::string, uint32_t> registry = DefaultRegistry();
   for (const auto& [key, value] : config_.registry) {
@@ -113,10 +121,10 @@ Result<DdtResult> Ddt::TestDriver(std::shared_ptr<const PreparedDriver> driver,
   engine_->Run();
 
   DdtResult result;
-  result.bugs = engine_->bugs();
+  result.bugs = engine_->TakeBugs();
   result.stats = engine_->stats();
-  result.path_seeds = engine_->path_seeds();
-  result.coverage_samples = engine_->coverage_samples();
+  result.path_seeds = engine_->TakePathSeeds();
+  result.coverage_samples = engine_->TakeCoverageSamples();
   result.covered_blocks = engine_->covered_blocks();
   result.total_blocks = engine_->total_blocks();
   result.solver_stats = engine_->solver().stats();

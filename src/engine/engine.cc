@@ -771,7 +771,7 @@ void Engine::InvokeGuestFunction(ExecutionState& st, uint32_t fn, const std::vec
 }
 
 void Engine::RunEntryAnnotations(ExecutionState& st, int slot) {
-  const auto& annotations = annotations_.For(EntryAnnotationKey(slot));
+  const auto& annotations = annotations_->For(EntryAnnotationKey(slot));
   if (annotations.empty()) {
     return;
   }
@@ -2344,7 +2344,7 @@ void Engine::HandleKCall(ExecutionState& st, const Instruction& insn) {
     EmitKernelEvent(st, ev);
   }
 
-  const auto& annotations = annotations_.For(name);
+  const auto& annotations = annotations_->For(name);
   for (const auto& annotation : annotations) {
     annotation->OnCall(kc);
     if (!st.alive()) {

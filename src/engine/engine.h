@@ -298,7 +298,10 @@ class Engine : public CheckerHost, private BlockCountOracle {
 
   // --- setup ---
   void AddChecker(std::unique_ptr<Checker> checker);
-  void SetAnnotations(AnnotationSet annotations) { annotations_ = std::move(annotations); }
+  // Shared, read-only; engines of one process share the standard set.
+  void SetAnnotations(std::shared_ptr<const AnnotationSet> annotations) {
+    annotations_ = std::move(annotations);
+  }
   // Registry contents the kernel serves to MosReadConfiguration.
   void SetRegistry(std::map<std::string, uint32_t> registry) { registry_ = std::move(registry); }
   void SetWorkload(std::vector<WorkloadStep> workload) { workload_ = std::move(workload); }
@@ -324,9 +327,14 @@ class Engine : public CheckerHost, private BlockCountOracle {
   bool AbortRequested() const { return abort_token_->load(std::memory_order_relaxed); }
 
   // --- results ---
+  // Ddt::TestDriver moves the bugs, path seeds and coverage samples of a
+  // finished run into its DdtResult (the Take* calls below), so after a Ddt
+  // run these three accessors read empty; nothing reads them there.
   const std::vector<Bug>& bugs() const { return bugs_; }
+  std::vector<Bug> TakeBugs() { return std::move(bugs_); }
   const EngineStats& stats() const { return stats_; }
   const std::vector<CoverageSample>& coverage_samples() const { return coverage_samples_; }
+  std::vector<CoverageSample> TakeCoverageSamples() { return std::move(coverage_samples_); }
   size_t covered_blocks() const { return covered_blocks_.size(); }
   size_t total_blocks() const { return driver_ != nullptr ? driver_->cfg.NumBlocks() : 0; }
   const std::unordered_set<uint32_t>& covered_block_leaders() const { return covered_blocks_; }
@@ -336,6 +344,7 @@ class Engine : public CheckerHost, private BlockCountOracle {
   CoverageBitmap CoverageSnapshot() const;
   // Path seeds collected this run (empty unless config.max_path_seeds > 0).
   const std::vector<PathSeed>& path_seeds() const { return path_seeds_; }
+  std::vector<PathSeed> TakePathSeeds() { return std::move(path_seeds_); }
   // The loaded driver's CFG and layout; valid after a successful LoadDriver.
   const Cfg& cfg() const { return driver_->cfg; }
   const LoadedDriver& loaded_driver() const { return driver_->loaded; }
@@ -486,7 +495,7 @@ class Engine : public CheckerHost, private BlockCountOracle {
   std::map<std::string, uint32_t> registry_;
   std::vector<WorkloadStep> workload_;
   std::unique_ptr<DeviceModel> device_proto_;
-  AnnotationSet annotations_;
+  std::shared_ptr<const AnnotationSet> annotations_ = std::make_shared<const AnnotationSet>();
 
   // State pool.
   std::vector<std::unique_ptr<ExecutionState>> states_;

@@ -142,7 +142,7 @@ bool DecodeBye(std::string_view body, ByeBody* bye) {
   ByteReader r(body);
   bye->code = r.U8();
   bye->detail = r.Str();
-  return r.Done();
+  return bye->code <= kByeRejected && r.Done();
 }
 
 std::string EncodeFuzzExecLease(const FuzzExecLease& lease) {
@@ -166,6 +166,10 @@ std::string EncodeFuzzExecResult(const FuzzExecResultBody& result) {
   w.Str(result.failure);
   result.coverage.Encode(&w);
   w.U64(result.instructions);
+  w.U32(static_cast<uint32_t>(result.bug_keys.size()));
+  for (const std::string& key : result.bug_keys) {
+    w.Str(key);
+  }
   w.Str(result.bugs_text);
   return w.Take();
 }
@@ -175,10 +179,14 @@ bool DecodeFuzzExecResult(std::string_view body, FuzzExecResultBody* result) {
   result->index = r.U64();
   result->ok = r.U8();
   result->failure = r.Str();
-  if (!CoverageBitmap::Decode(&r, &result->coverage)) {
+  if (result->ok > 1 || !CoverageBitmap::Decode(&r, &result->coverage)) {
     return false;
   }
   result->instructions = r.U64();
+  result->bug_keys.resize(r.Count(4));
+  for (std::string& key : result->bug_keys) {
+    key = r.Str();
+  }
   result->bugs_text = r.Str();
   return r.Done();
 }

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/engine/fault_injection.h"
 #include "src/support/status.h"
@@ -130,7 +131,7 @@ bool DecodeHeartbeat(std::string_view body, uint64_t* seq);
 struct ByeBody {
   // coordinator -> worker: 0 = drained (work done), 1 = rejected at HELLO.
   // worker -> coordinator: always 0; detail names the cache-delta file ("" if
-  // the shared cache is off).
+  // the shared cache is off). The decoder refuses any other code.
   uint8_t code = 0;
   std::string detail;
 };
@@ -149,16 +150,21 @@ struct FuzzExecLease {
 std::string EncodeFuzzExecLease(const FuzzExecLease& lease);
 bool DecodeFuzzExecLease(std::string_view body, FuzzExecLease* lease);
 
-// FUZZ_EXEC worker -> coordinator: one execution's outcome. Coverage crosses
-// as the bitmap's words (CoverageBitmap::Encode) and bugs as a bug_io report,
-// so a result merged from a worker is byte-identical to one executed
-// in-process.
+// FUZZ_EXEC worker -> coordinator: one execution's outcome, the fields of
+// fuzz::FuzzExecResult (src/fuzz/executor.h). Coverage crosses as the
+// bitmap's words (CoverageBitmap::Encode), every bug's key as a string and
+// the evidence as a bug_io report, so a result merged from a worker is
+// byte-identical to one executed in-process:
+//   [u64 index][u8 ok][str failure][coverage][u64 instructions]
+//   [u32 n][n x str bug key][str evidence]
+// The decoder refuses an ok byte other than 0 or 1.
 struct FuzzExecResultBody {
   uint64_t index = 0;
   uint8_t ok = 0;
   std::string failure;
   CoverageBitmap coverage;
   uint64_t instructions = 0;
+  std::vector<std::string> bug_keys;
   std::string bugs_text;
 };
 std::string EncodeFuzzExecResult(const FuzzExecResultBody& result);

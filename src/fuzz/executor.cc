@@ -1,9 +1,11 @@
 #include "src/fuzz/executor.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
 #include "src/core/bug_io.h"
+#include "src/core/campaign_exec.h"
 #include "src/support/check.h"
 
 namespace ddt {
@@ -41,18 +43,46 @@ FuzzExecResult FuzzExecutor::Execute(const FuzzInput& input) const {
       result.failure = run.status().message();
       return result;
     }
-    // Guided runs push no path constraints, so SolveInputs gave these bugs no
-    // inputs; patch in the fuzz fields so a saved evidence file replays.
-    std::vector<Bug> bugs = std::move(run.value().bugs);
-    for (Bug& bug : bugs) {
-      if (bug.inputs.empty()) {
-        bug.inputs = ToSolvedInputs(input);
+    std::vector<Bug>& bugs = run.value().bugs;
+    std::vector<std::string> keys;
+    for (const Bug& bug : bugs) {
+      keys.push_back(BugKey(bug));
+    }
+    // The first bug of each key not handed out before. Two concurrent calls
+    // may both pick a key; that costs the loop one extra decode, nothing else.
+    std::vector<size_t> fresh;
+    {
+      std::lock_guard<std::mutex> lock(reported_mu_);
+      for (size_t i = 0; i < bugs.size(); ++i) {
+        if (reported_.count(keys[i]) == 0 &&
+            std::none_of(fresh.begin(), fresh.end(),
+                         [&](size_t j) { return keys[j] == keys[i]; })) {
+          fresh.push_back(i);
+        }
       }
     }
-    if (!bugs.empty()) {
-      result.bugs_text = SerializeBugs(bugs);
+    std::string evidence_text;
+    if (!fresh.empty()) {
+      // Guided runs push no path constraints, so SolveInputs gave these bugs
+      // no inputs; patch in the fuzz fields so a saved evidence file replays.
+      std::vector<Bug> evidence;
+      for (size_t i : fresh) {
+        if (bugs[i].inputs.empty()) {
+          bugs[i].inputs = ToSolvedInputs(input);
+        }
+        evidence.push_back(std::move(bugs[i]));
+      }
+      evidence_text = SerializeBugs(evidence);
     }
     result.coverage = ddt.engine().CoverageSnapshot();
+    {
+      std::lock_guard<std::mutex> lock(reported_mu_);
+      for (size_t i : fresh) {
+        reported_.insert(keys[i]);
+      }
+    }
+    result.bug_keys = std::move(keys);
+    result.bugs_text = std::move(evidence_text);
     result.instructions = run.value().stats.instructions;
     result.ok = true;
   } catch (const CheckFailureError& e) {

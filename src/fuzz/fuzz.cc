@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <functional>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "src/core/bug_io.h"
@@ -80,6 +83,7 @@ int FuzzWorkerMain(const FuzzExecutor& executor, int in_fd, int out_fd) {
       body.failure = res.failure;
       body.coverage = std::move(res.coverage);
       body.instructions = res.instructions;
+      body.bug_keys = std::move(res.bug_keys);
       body.bugs_text = std::move(res.bugs_text);
     }
     if (!fleet::WriteFrame(out_fd, fleet::FrameType::kFuzzExec, fleet::EncodeFuzzExecResult(body))
@@ -171,6 +175,7 @@ std::vector<FuzzExecResult> ExecuteBatchWorkers(const FuzzExecutor& executor,
         r.failure = std::move(body.failure);
         r.coverage = std::move(body.coverage);
         r.instructions = body.instructions;
+        r.bug_keys = std::move(body.bug_keys);
         r.bugs_text = std::move(body.bugs_text);
         have[body.index] = true;
       }
@@ -220,6 +225,50 @@ uint64_t FuzzFingerprint(const FuzzCampaignConfig& config, const DriverImage& im
   // different mutation universe.
   h ^= config.fuzz.seed + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
   return h;
+}
+
+void MergeBatch(const std::vector<FuzzInput>& inputs, const std::vector<FuzzExecResult>& results,
+                uint32_t batch, size_t max_corpus,
+                const std::function<FuzzExecResult(const FuzzInput&)>& rerun,
+                std::set<std::string>* bug_keys, FuzzCorpus* corpus, FuzzLoopState* loop) {
+  auto is_new = [bug_keys](const std::string& key) { return bug_keys->count(key) == 0; };
+  std::map<std::string, Bug> evidence;  // by key, of the result being merged
+  auto decode = [&evidence](const std::string& text) {
+    evidence.clear();
+    Result<std::vector<Bug>> bugs = text.empty() ? Status::Error("none") : DeserializeBugs(text);
+    if (bugs.ok()) {
+      for (Bug& bug : bugs.value()) {
+        evidence.emplace(BugKey(bug), std::move(bug));
+      }
+    }
+  };
+  auto has_evidence = [&](const std::string& key) {
+    return !is_new(key) || evidence.count(key) != 0;
+  };
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ++loop->execs;
+    const FuzzExecResult& r = results[i];
+    if (!r.ok) {
+      ++loop->quarantined_execs;
+      continue;
+    }
+    corpus->Offer(inputs[i], r.coverage, batch, max_corpus);
+    if (std::none_of(r.bug_keys.begin(), r.bug_keys.end(), is_new)) {
+      continue;
+    }
+    decode(r.bugs_text);
+    if (!std::all_of(r.bug_keys.begin(), r.bug_keys.end(), has_evidence)) {
+      FuzzExecResult again = rerun(inputs[i]);
+      decode(again.ok ? again.bugs_text : std::string());
+    }
+    for (const std::string& key : r.bug_keys) {
+      auto it = evidence.find(key);
+      if (it != evidence.end() && bug_keys->insert(key).second) {
+        loop->bugs.push_back(std::move(it->second));
+        loop->bug_origins.push_back(inputs[i].label);
+      }
+    }
+  }
 }
 
 std::string FuzzCampaignResult::FormatReport(const std::string& driver_name,
@@ -336,6 +385,16 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
   const uint64_t restored_execs = loop.execs;
 
   FuzzExecutor executor(config.campaign, image, descriptor);
+  // Re-runs an exec whose evidence `executor` handed to a later-index exec.
+  // It only ever hands out the keys of execs it re-ran, and the merge keeps
+  // every one of those, so it has reported nothing for a key the loop lacks.
+  std::optional<FuzzExecutor> recovery;
+  auto rerun = [&](const FuzzInput& input) {
+    if (!recovery.has_value()) {
+      recovery.emplace(config.campaign, image, descriptor);
+    }
+    return recovery->Execute(input);
+  };
   SplitMix64 root(config.fuzz.seed);
 
   // The loop's rate covers the batch loop alone: the symbolic campaign and
@@ -380,27 +439,7 @@ Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,
             ? ExecuteBatchWorkers(executor, inputs, config.fuzz.workers, &result)
             : ExecuteBatchThreads(executor, inputs, config.campaign.threads);
 
-    // Merge strictly in exec-index order — the determinism hinge.
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      ++loop.execs;
-      FuzzExecResult& r = exec_results[i];
-      if (!r.ok) {
-        ++loop.quarantined_execs;
-        continue;
-      }
-      corpus.Offer(inputs[i], r.coverage, b, config.fuzz.max_corpus);
-      if (!r.bugs_text.empty()) {
-        Result<std::vector<Bug>> bugs = DeserializeBugs(r.bugs_text);
-        if (bugs.ok()) {
-          for (Bug& bug : bugs.value()) {
-            if (bug_keys.insert(BugKey(bug)).second) {
-              loop.bugs.push_back(std::move(bug));
-              loop.bug_origins.push_back(inputs[i].label);
-            }
-          }
-        }
-      }
-    }
+    MergeBatch(inputs, exec_results, b, config.fuzz.max_corpus, rerun, &bug_keys, &corpus, &loop);
     corpus.set_batches_done(b + 1);
     if (!config.fuzz.corpus_path.empty()) {
       Status saved = corpus.SaveToFile(config.fuzz.corpus_path, fingerprint, loop);

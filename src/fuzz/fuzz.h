@@ -36,11 +36,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/ddt.h"
 #include "src/fuzz/corpus.h"
+#include "src/fuzz/executor.h"
 #include "src/fuzz/input.h"
 #include "src/fuzz/mutator.h"
 #include "src/vm/coverage_map.h"
@@ -130,6 +132,20 @@ struct FuzzCampaignResult {
 // The corpus-file binding: campaign fingerprint (config + driver image) mixed
 // with the fuzz seed.
 uint64_t FuzzFingerprint(const FuzzCampaignConfig& config, const DriverImage& image);
+
+// One batch's merge, strictly in exec-index order — the determinism hinge.
+// Counts every exec (and every quarantined one), offers each successful
+// exec's input to the corpus, and keeps the first bug of each key that
+// `*bug_keys` lacks, tagged with its input's label. Evidence is decoded only
+// for such keys. A result whose evidence for one was withheld (its executor
+// handed the key to a later-index exec first; see src/fuzz/executor.h) is
+// recovered from `rerun(input)`, which must re-execute on an executor that
+// has reported nothing for that key. So the kept bugs and origins are those
+// of the first exec in index order, whatever order the results came in.
+void MergeBatch(const std::vector<FuzzInput>& inputs, const std::vector<FuzzExecResult>& results,
+                uint32_t batch, size_t max_corpus,
+                const std::function<FuzzExecResult(const FuzzInput&)>& rerun,
+                std::set<std::string>* bug_keys, FuzzCorpus* corpus, FuzzLoopState* loop);
 
 // Runs campaign + fuzz loop + promotion. Deterministic in (config, driver).
 Result<FuzzCampaignResult> RunFuzzCampaign(const FuzzCampaignConfig& config,

@@ -52,7 +52,7 @@ TEST(AnnotationSetTest, EntryKeyNaming) {
 }
 
 TEST(StandardAnnotationsTest, CoversTheExpectedFunctions) {
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   EXPECT_FALSE(set.For("MosReadConfiguration").empty());
   EXPECT_FALSE(set.For("MosAllocatePool").empty());
   EXPECT_FALSE(set.For("MosAllocatePoolWithTag").empty());
@@ -83,7 +83,7 @@ TEST(StandardAnnotationsTest, ReadConfigurationPlantsSymbolicInteger) {
   ASSERT_EQ(kc.ReturnedU32(), kStatusSuccess);
   uint32_t vars_before = kc.expr()->num_vars();
 
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   AnnotationOutcome outcome;
   for (const auto& annotation : set.For("MosReadConfiguration")) {
     AnnotationOutcome one = annotation->OnReturn(kc);
@@ -106,7 +106,7 @@ TEST(StandardAnnotationsTest, ReadConfigurationIgnoresFailedReads) {
   kc.SetArgs({0x7000, 0, 0});
   kc.SetReturn(Value::Concrete(kStatusNotFound));
   uint32_t vars_before = kc.expr()->num_vars();
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   for (const auto& annotation : set.For("MosReadConfiguration")) {
     annotation->OnReturn(kc);
   }
@@ -121,7 +121,7 @@ TEST(StandardAnnotationsTest, AllocationFailureAlternativeUndoesTheAllocation) {
   uint32_t addr = kc.ReturnedU32();
   ASSERT_NE(addr, 0u);
 
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   AnnotationOutcome outcome;
   for (const auto& annotation : set.For("MosAllocatePool")) {
     AnnotationOutcome one = annotation->OnReturn(kc);
@@ -142,7 +142,7 @@ TEST(StandardAnnotationsTest, NoFailureAlternativeWhenAllocationAlreadyFailed) {
   FakeKernelContext kc;
   kc.SetArgs({64});
   kc.SetReturn(Value::Concrete(0));  // the call itself returned NULL
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   for (const auto& annotation : set.For("MosAllocatePool")) {
     EXPECT_TRUE(annotation->OnReturn(kc).alternatives.empty());
   }
@@ -156,7 +156,7 @@ TEST(StandardAnnotationsTest, StatusAllocFailureScrubsOutParam) {
   uint32_t handle = kc.ReadGuestU32(out_ptr);
   ASSERT_NE(handle, 0u);
 
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   AnnotationOutcome outcome;
   for (const auto& annotation : set.For("MosNewInterruptSync")) {
     AnnotationOutcome one = annotation->OnReturn(kc);
@@ -173,7 +173,7 @@ TEST(StandardAnnotationsTest, StatusAllocFailureScrubsOutParam) {
 TEST(StandardAnnotationsTest, SymbolicOidRewritesArgumentZero) {
   FakeKernelContext kc;
   kc.SetArgs({0x00010106, 0x1000, 64});
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   for (const auto& annotation : set.For(EntryAnnotationKey(kEpQueryInfo))) {
     annotation->OnCall(kc);
   }
@@ -197,7 +197,7 @@ TEST(StandardAnnotationsTest, SymbolicLengthBoundedByOriginal) {
   };
   ConstraintRecorder kc;
   kc.SetArgs({0x1000, 128});
-  AnnotationSet set = AnnotationSet::Standard();
+  const AnnotationSet& set = *AnnotationSet::Standard();
   for (const auto& annotation : set.For(EntryAnnotationKey(kEpWrite))) {
     annotation->OnCall(kc);
   }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/core/bug_io.h"
+#include "src/core/campaign_exec.h"
 #include "src/core/campaign_journal.h"
 #include "src/core/ddt.h"
 #include "src/drivers/corpus.h"
@@ -544,6 +545,7 @@ TEST(DecoderFuzzTest, FrameDecoderAndBodyDecodersNeverMisbehave) {
     result.coverage.Set(slot);
   }
   result.instructions = 777;
+  result.bug_keys = {BugKey(LiveBugs()[0]), BugKey(LiveBugs()[0])};
   result.bugs_text = SerializeBugs({LiveBugs()[0]});
   std::vector<std::string> frames = {
       EncodeFrame(FrameType::kHello, EncodeHello(HelloBody{0xFEEDull, 42})).value(),

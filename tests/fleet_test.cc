@@ -71,6 +71,31 @@ TEST(FleetWireTest, BodyCodecsRoundTrip) {
   EXPECT_EQ(bye2.code, kByeRejected);
   EXPECT_EQ(bye2.detail, bye.detail);
 
+  FuzzExecResultBody result;
+  result.index = 3;
+  result.ok = 1;
+  result.coverage.Set(9);
+  result.instructions = 55;
+  result.bug_keys = {"3|leak", "3|leak", "1|race"};
+  result.bugs_text = "ddt-bug-report v1\n";
+  FuzzExecResultBody result2;
+  ASSERT_TRUE(DecodeFuzzExecResult(EncodeFuzzExecResult(result), &result2));
+  EXPECT_EQ(result2.index, 3u);
+  EXPECT_EQ(result2.ok, 1);
+  EXPECT_EQ(result2.coverage.Fingerprint(), result.coverage.Fingerprint());
+  EXPECT_EQ(result2.instructions, 55u);
+  EXPECT_EQ(result2.bug_keys, result.bug_keys);
+  EXPECT_EQ(result2.bugs_text, result.bugs_text);
+
+  // Flags are 0 or 1: a BYE code or an exec's ok byte of 2 is refused. The
+  // ok byte follows the exec's u64 index; the code is the BYE body's first.
+  std::string bad_bye = EncodeBye(bye);
+  bad_bye[0] = 2;
+  EXPECT_FALSE(DecodeBye(bad_bye, &bye2));
+  std::string bad_result = EncodeFuzzExecResult(result);
+  bad_result[8] = 2;
+  EXPECT_FALSE(DecodeFuzzExecResult(bad_result, &result2));
+
   // Truncated bodies must decode to false, not garbage.
   std::string enc = EncodeLease(lease);
   EXPECT_FALSE(DecodeLease(std::string_view(enc).substr(0, enc.size() - 1), &lease2));
@@ -152,6 +177,7 @@ TEST(FleetWireTest, FramesMatchThePinnedBytes) {
     result.coverage.Set(slot);
   }
   result.instructions = 1234;
+  result.bug_keys = {"0|x"};
   result.bugs_text = "ddt-bug-report v1\n";
   const std::pair<std::string, const char*> cases[] = {
       {EncodeFrame(FrameType::kHello, EncodeHello(HelloBody{0x0123456789ABCDEFull, 4242}))
@@ -174,8 +200,8 @@ TEST(FleetWireTest, FramesMatchThePinnedBytes) {
        "00000000000000000100000000000000082a0000000000000005000000723a6d6163010000000200000001"
        "0000000400000001000000780000000001000000000000000100000000000000"},
       {EncodeFrame(FrameType::kFuzzExec, EncodeFuzzExecResult(result)).value(),
-       "40000000facf32f4060500000000000000010000000002000000ff000000000000000200000000000000d2"
-       "04000000000000120000006464742d6275672d7265706f72742076310a"},
+       "4b000000e0df09b2060500000000000000010000000002000000ff000000000000000200000000000000d2"
+       "040000000000000100000003000000307c78120000006464742d6275672d7265706f72742076310a"},
   };
   for (const auto& [frame, pinned] : cases) {
     EXPECT_EQ(Unspaced(Hex(frame)), pinned);

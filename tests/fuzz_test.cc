@@ -1,7 +1,9 @@
 // The hybrid concolic fuzz loop (src/fuzz): the input codec, deterministic
 // mutation, coverage-novelty corpus admission and persistence, the concrete
 // executor's seed round-trip and isolation between execs that share one
-// prepared driver, report determinism across thread and worker counts and
+// prepared driver, its key-first results (evidence once per key per
+// executor) and the merge's recovery of evidence a later exec took first,
+// report determinism across thread and worker counts and
 // across kill-and-resume, the
 // latent-bug acceptance path (a bug only the fuzz plane finds, with a
 // replayable evidence file), and promotion driving symbolic passes into
@@ -10,19 +12,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/bug_io.h"
+#include "src/core/campaign_exec.h"
 #include "src/core/replay.h"
 #include "src/drivers/corpus.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/executor.h"
 #include "src/fuzz/input.h"
 #include "src/fuzz/mutator.h"
+#include "src/support/record.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
 #include "src/vm/assembler.h"
@@ -272,10 +278,26 @@ FuzzCampaignConfig SmallConfig() {
   return config;
 }
 
+// Fuzz inputs from the solver models of one symbolic rtl8029 pass, labelled
+// the way the loop labels its seeds.
+std::vector<FuzzInput> Rtl8029Seeds(const FaultCampaignConfig& campaign) {
+  DdtConfig seed_config = campaign.base;
+  seed_config.engine.max_path_seeds = 8;
+  Ddt ddt(seed_config);
+  Result<DdtResult> run = ddt.TestDriver(CorpusDriverByName("rtl8029").image,
+                                         CorpusDriverByName("rtl8029").pci);
+  std::vector<FuzzInput> seeds;
+  for (size_t i = 0; run.ok() && i < run.value().path_seeds.size(); ++i) {
+    seeds.push_back(FromPathSeed(run.value().path_seeds[i], seed_config.engine.fault_plan,
+                                 StrFormat("seed#%zu", i)));
+  }
+  return seeds;
+}
+
 // Satellite: a solver-derived seed, serialized and reloaded, must replay to
 // the originating path's exact deterministic observation — same coverage
-// fingerprint, same instruction count, same serialized bug set — on every
-// execution.
+// fingerprint, same instruction count, same bug keys — on every execution,
+// and its first execution carries the evidence a fresh executor's does.
 TEST(FuzzExecutorTest, SerializedSeedRoundTripReplaysIdentically) {
   const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
   FaultCampaignConfig campaign;
@@ -301,7 +323,53 @@ TEST(FuzzExecutorTest, SerializedSeedRoundTripReplaysIdentically) {
   EXPECT_GT(first.instructions, 0u);
   EXPECT_EQ(first.coverage.Fingerprint(), second.coverage.Fingerprint());
   EXPECT_EQ(first.instructions, second.instructions);
-  EXPECT_EQ(first.bugs_text, second.bugs_text);
+  EXPECT_EQ(first.failure, second.failure);
+  EXPECT_EQ(first.bug_keys, second.bug_keys);
+  EXPECT_EQ(first.bugs_text, FuzzExecutor(campaign, rtl.image, rtl.pci).Execute(seed).bugs_text);
+}
+
+// The key-first contract: one buggy input run twice on one executor reports
+// the same keys both times; the first run's evidence decodes to exactly those
+// keys (each once, in bug order) and matches a fresh executor's byte for
+// byte; the second run carries no evidence.
+TEST(FuzzExecutorTest, EvidenceGoesOutOncePerKeyPerExecutor) {
+  const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
+  FaultCampaignConfig campaign;
+  std::vector<FuzzInput> seeds = Rtl8029Seeds(campaign);
+  const FuzzInput* buggy = nullptr;
+  FuzzExecResult fresh;
+  for (const FuzzInput& seed : seeds) {
+    fresh = FuzzExecutor(campaign, rtl.image, rtl.pci).Execute(seed);
+    if (fresh.ok && !fresh.bug_keys.empty()) {
+      buggy = &seed;
+      break;
+    }
+  }
+  ASSERT_NE(buggy, nullptr) << "no seed replays to a bug";
+
+  FuzzExecutor executor(campaign, rtl.image, rtl.pci);
+  FuzzExecResult first = executor.Execute(*buggy);
+  FuzzExecResult second = executor.Execute(*buggy);
+  ASSERT_TRUE(first.ok) << first.failure;
+  ASSERT_TRUE(second.ok) << second.failure;
+  EXPECT_EQ(first.bug_keys, second.bug_keys);
+  EXPECT_EQ(first.bug_keys, fresh.bug_keys);
+  EXPECT_EQ(first.bugs_text, fresh.bugs_text);
+  EXPECT_TRUE(second.bugs_text.empty());
+
+  Result<std::vector<Bug>> evidence = DeserializeBugs(first.bugs_text);
+  ASSERT_TRUE(evidence.ok()) << evidence.status().message();
+  std::vector<std::string> distinct;
+  for (const std::string& key : first.bug_keys) {
+    if (std::find(distinct.begin(), distinct.end(), key) == distinct.end()) {
+      distinct.push_back(key);
+    }
+  }
+  std::vector<std::string> decoded;
+  for (const Bug& bug : evidence.value()) {
+    decoded.push_back(BugKey(bug));
+  }
+  EXPECT_EQ(decoded, distinct);
 }
 
 // A driver whose init ORs a device register into a latch in .data and
@@ -356,17 +424,23 @@ PciDescriptor LatchPci() {
 }
 
 // Everything an execution reports that a leak through the shared image
-// could change.
+// could change. Evidence is left out: an executor hands each key's evidence
+// out once, so a repeated exec carries none.
 std::string Observation(const FuzzExecResult& r) {
-  return StrFormat("ok=%d fingerprint=%016llx instructions=%llu\n", r.ok ? 1 : 0,
-                   static_cast<unsigned long long>(r.coverage.Fingerprint()),
-                   static_cast<unsigned long long>(r.instructions)) +
-         r.failure + "\n" + r.bugs_text;
+  std::string out = StrFormat("ok=%d fingerprint=%016llx instructions=%llu\n", r.ok ? 1 : 0,
+                              static_cast<unsigned long long>(r.coverage.Fingerprint()),
+                              static_cast<unsigned long long>(r.instructions)) +
+                    r.failure + "\n";
+  for (const std::string& key : r.bug_keys) {
+    out += key + "\n";
+  }
+  return out;
 }
 
 // Every execution loads the one prepared driver; the guest writes of one exec
 // must never reach the next. A, B, A through one executor: both A runs are
-// identical, and B matches B on a fresh executor.
+// identical, B matches B on a fresh executor, and the first A carries a fresh
+// executor's evidence.
 TEST(FuzzExecutorTest, SharedImageDoesNotLeakBetweenExecs) {
   Result<AssembledDriver> assembled = Assemble(kLatchDriver);
   ASSERT_TRUE(assembled.ok()) << assembled.error();
@@ -388,7 +462,8 @@ TEST(FuzzExecutorTest, SharedImageDoesNotLeakBetweenExecs) {
   // A and B: two seeds whose fresh-executor observations differ, so either
   // exec's writes reaching the other would show.
   const FuzzInput& a = seeds.front();
-  std::string fresh_a = Observation(FuzzExecutor(campaign, image, pci).Execute(a));
+  FuzzExecResult fresh_a_result = FuzzExecutor(campaign, image, pci).Execute(a);
+  std::string fresh_a = Observation(fresh_a_result);
   const FuzzInput* b = nullptr;
   std::string fresh_b;
   for (const FuzzInput& seed : seeds) {
@@ -409,6 +484,7 @@ TEST(FuzzExecutorTest, SharedImageDoesNotLeakBetweenExecs) {
   EXPECT_EQ(Observation(first_a), fresh_a);
   EXPECT_EQ(Observation(only_b), fresh_b);
   EXPECT_EQ(Observation(second_a), fresh_a);
+  EXPECT_EQ(first_a.bugs_text, fresh_a_result.bugs_text);
 }
 
 // An image that does not load still makes an executor; every exec then
@@ -430,6 +506,7 @@ TEST(FuzzExecutorTest, UnloadableImageQuarantinesEveryExec) {
     FuzzExecResult r = executor->Execute(SampleInput());
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.failure, "unresolved driver import: MosNoSuchRoutine");
+    EXPECT_TRUE(r.bug_keys.empty());
     EXPECT_TRUE(r.bugs_text.empty());
     FuzzExecResult z = zero_budget_executor->Execute(SampleInput());
     EXPECT_FALSE(z.ok);
@@ -463,6 +540,58 @@ TEST(FuzzCampaignTest, ReportByteIdenticalAcrossThreadAndWorkerCounts) {
   EXPECT_EQ(report1, r4.value().FormatReport(rtl.name, /*include_volatile=*/false));
   EXPECT_EQ(report1, rw.value().FormatReport(rtl.name, /*include_volatile=*/false));
   EXPECT_GT(rw.value().fuzz_workers_spawned, 0u);
+}
+
+// Pool threads finish execs in any order, so a later-index exec can take a
+// key's evidence from the executor before an earlier one that has the same
+// key. Worst case: every result produced in reverse index order on one
+// executor. The merge must recover the withheld evidence and keep the same
+// bugs, origins and corpus bytes as a merge of results produced in order.
+TEST(FuzzCampaignTest, MergeRecoversEvidenceALaterExecTookFirst) {
+  const CorpusDriver& rtl = CorpusDriverByName("rtl8029");
+  FaultCampaignConfig campaign;
+  std::vector<FuzzInput> inputs = Rtl8029Seeds(campaign);
+
+  FuzzExecutor forward_executor(campaign, rtl.image, rtl.pci);
+  FuzzExecutor reverse_executor(campaign, rtl.image, rtl.pci);
+  std::vector<FuzzExecResult> forward(inputs.size());
+  std::vector<FuzzExecResult> reverse(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    forward[i] = forward_executor.Execute(inputs[i]);
+    reverse[inputs.size() - 1 - i] = reverse_executor.Execute(inputs[inputs.size() - 1 - i]);
+  }
+  // Without a key whose evidence went to a later exec the test shows nothing.
+  size_t withheld = 0;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ASSERT_EQ(forward[i].bug_keys, reverse[i].bug_keys) << i;
+    withheld += forward[i].bugs_text != reverse[i].bugs_text ? 1 : 0;
+  }
+  ASSERT_GT(withheld, 0u);
+
+  // Each merge saves what it kept as a corpus file; the bytes must match.
+  auto merge = [&](const std::vector<FuzzExecResult>& results, const std::string& path,
+                   FuzzLoopState* loop) {
+    FuzzExecutor recovery(campaign, rtl.image, rtl.pci);
+    auto rerun = [&recovery](const FuzzInput& input) { return recovery.Execute(input); };
+    std::set<std::string> bug_keys;
+    FuzzCorpus corpus;
+    MergeBatch(inputs, results, 0, 256, rerun, &bug_keys, &corpus, loop);
+    corpus.set_batches_done(1);
+    EXPECT_TRUE(corpus.SaveToFile(path, 0x5EED, *loop).ok());
+    Result<std::string> bytes = ReadWholeFile(path);
+    std::remove(path.c_str());
+    return bytes.ok() ? bytes.value() : std::string();
+  };
+  FuzzLoopState in_order;
+  FuzzLoopState out_of_order;
+  std::string in_order_bytes = merge(forward, testing::TempDir() + "merge_forward.bin", &in_order);
+  std::string out_of_order_bytes =
+      merge(reverse, testing::TempDir() + "merge_reverse.bin", &out_of_order);
+  ASSERT_FALSE(in_order.bugs.empty());
+  EXPECT_EQ(SerializeBugs(out_of_order.bugs), SerializeBugs(in_order.bugs));
+  EXPECT_EQ(out_of_order.bug_origins, in_order.bug_origins);
+  EXPECT_FALSE(in_order_bytes.empty());
+  EXPECT_EQ(out_of_order_bytes, in_order_bytes);
 }
 
 // Killed after batch 2 and resumed to batch 4, the loop reports exactly what
