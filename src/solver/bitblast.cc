@@ -10,12 +10,45 @@ Bitblaster::Bitblaster(SatSolver* sat) : sat_(sat) { MakeTrueLit(); }
 
 void Bitblaster::Reset() {
   sat_->Reset();
-  cache_.clear();
-  // A fresh map, not clear(): clear() keeps the bucket count, and the
-  // iteration order ExtractModel fills the model in would then differ from
-  // a new blaster's.
-  var_bits_ = std::unordered_map<uint32_t, Bits>();
+  lits_.clear();
+  std::fill(index_.begin(), index_.end(), Slot{});
+  indexed_ = 0;
+  vars_.clear();
   MakeTrueLit();
+}
+
+void Bitblaster::CopyFrom(const Bitblaster& other) {
+  *sat_ = *other.sat_;
+  true_lit_ = other.true_lit_;
+  lits_ = other.lits_;
+  index_ = other.index_;
+  indexed_ = other.indexed_;
+  vars_ = other.vars_;
+}
+
+size_t Bitblaster::SlotFor(ExprRef e) const {
+  size_t mask = index_.size() - 1;
+  // Fibonacci hashing of the pointer; its high bits are the best mixed.
+  size_t i = static_cast<size_t>((reinterpret_cast<uintptr_t>(e) * 0x9E3779B97F4A7C15ull) >> 32) &
+             mask;
+  while (index_[i].expr != nullptr && index_[i].expr != e) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void Bitblaster::Insert(ExprRef e, uint32_t offset) {
+  if (2 * (indexed_ + 1) > index_.size()) {
+    std::vector<Slot> old = std::move(index_);
+    index_.assign(std::max<size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.expr != nullptr) {
+        index_[SlotFor(slot.expr)] = slot;
+      }
+    }
+  }
+  index_[SlotFor(e)] = Slot{e, offset};
+  ++indexed_;
 }
 
 void Bitblaster::MakeTrueLit() {
@@ -100,12 +133,14 @@ SatLit Bitblaster::GateMux(SatLit sel, SatLit if_true, SatLit if_false) {
 SatLit Bitblaster::GateFullAdder(SatLit a, SatLit b, SatLit carry_in, SatLit* carry_out) {
   SatLit ab = GateXor(a, b);
   SatLit sum = GateXor(ab, carry_in);
-  // carry = (a & b) | (carry_in & (a ^ b))
-  *carry_out = GateOr(GateAnd(a, b), GateAnd(carry_in, ab));
+  // carry = (a & b) | (carry_in & (a ^ b)). The second AND is built first:
+  // like operand order (see OperandOrder), gate order numbers variables.
+  SatLit carry_and_ab = GateAnd(carry_in, ab);
+  *carry_out = GateOr(GateAnd(a, b), carry_and_ab);
   return sum;
 }
 
-SatLit Bitblaster::GateOrMany(const Bits& lits) {
+SatLit Bitblaster::GateOrMany(LitSpan lits) {
   SatLit acc = false_lit();
   for (SatLit lit : lits) {
     acc = GateOr(acc, lit);
@@ -113,7 +148,7 @@ SatLit Bitblaster::GateOrMany(const Bits& lits) {
   return acc;
 }
 
-SatLit Bitblaster::GateEq(const Bits& a, const Bits& b) {
+SatLit Bitblaster::GateEq(LitSpan a, LitSpan b) {
   DDT_CHECK(a.size() == b.size());
   SatLit acc = true_lit_;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -122,29 +157,29 @@ SatLit Bitblaster::GateEq(const Bits& a, const Bits& b) {
   return acc;
 }
 
-SatLit Bitblaster::GateUlt(const Bits& a, const Bits& b) {
+SatLit Bitblaster::GateUlt(LitSpan a, LitSpan b) {
   // a < b  <=>  no carry out of a + ~b + 1  <=>  borrow out of a - b.
   DDT_CHECK(a.size() == b.size());
   SatLit carry = true_lit_;
   for (size_t i = 0; i < a.size(); ++i) {
     SatLit nb = NegateLit(b[i]);
     SatLit ab = GateXor(a[i], nb);
-    carry = GateOr(GateAnd(a[i], nb), GateAnd(carry, ab));
+    SatLit carry_and_ab = GateAnd(carry, ab);  // built first, as in GateFullAdder
+    carry = GateOr(GateAnd(a[i], nb), carry_and_ab);
   }
   return NegateLit(carry);
 }
 
-SatLit Bitblaster::GateSlt(const Bits& a, const Bits& b) {
+SatLit Bitblaster::GateSlt(LitSpan a, LitSpan b) {
   // Signed: flip sign bits and compare unsigned.
-  Bits fa = a;
-  Bits fb = b;
+  Bits fa(a.begin(), a.end());
+  Bits fb(b.begin(), b.end());
   fa.back() = NegateLit(fa.back());
   fb.back() = NegateLit(fb.back());
   return GateUlt(fa, fb);
 }
 
-Bitblaster::Bits Bitblaster::Add(const Bits& a, const Bits& b, SatLit carry_in,
-                                 SatLit* carry_out) {
+Bitblaster::Bits Bitblaster::Add(LitSpan a, LitSpan b, SatLit carry_in, SatLit* carry_out) {
   DDT_CHECK(a.size() == b.size());
   Bits sum(a.size());
   SatLit carry = carry_in;
@@ -157,7 +192,7 @@ Bitblaster::Bits Bitblaster::Add(const Bits& a, const Bits& b, SatLit carry_in,
   return sum;
 }
 
-Bitblaster::Bits Bitblaster::Negate(const Bits& a) {
+Bitblaster::Bits Bitblaster::Negate(LitSpan a) {
   Bits inverted(a.size());
   for (size_t i = 0; i < a.size(); ++i) {
     inverted[i] = NegateLit(a[i]);
@@ -166,7 +201,7 @@ Bitblaster::Bits Bitblaster::Negate(const Bits& a) {
   return Add(inverted, zero, true_lit_);
 }
 
-Bitblaster::Bits Bitblaster::Mul(const Bits& a, const Bits& b) {
+Bitblaster::Bits Bitblaster::Mul(LitSpan a, LitSpan b) {
   DDT_CHECK(a.size() == b.size());
   size_t w = a.size();
   Bits acc(w, false_lit());
@@ -181,7 +216,7 @@ Bitblaster::Bits Bitblaster::Mul(const Bits& a, const Bits& b) {
   return acc;
 }
 
-void Bitblaster::UDivURem(const Bits& a, const Bits& b, Bits* quotient, Bits* remainder) {
+void Bitblaster::UDivURem(LitSpan a, LitSpan b, Bits* quotient, Bits* remainder) {
   size_t w = a.size();
   // Fresh result vectors.
   Bits q(w);
@@ -204,9 +239,9 @@ void Bitblaster::UDivURem(const Bits& a, const Bits& b, Bits* quotient, Bits* re
   }
   // Case b != 0: a == q*b + r computed at double width (no wraparound), r < b.
   Bits q2 = q;
-  Bits b2 = b;
+  Bits b2(b.begin(), b.end());
   Bits r2 = r;
-  Bits a2 = a;
+  Bits a2(a.begin(), a.end());
   q2.resize(2 * w, false_lit());
   b2.resize(2 * w, false_lit());
   r2.resize(2 * w, false_lit());
@@ -221,7 +256,7 @@ void Bitblaster::UDivURem(const Bits& a, const Bits& b, Bits* quotient, Bits* re
   *remainder = r;
 }
 
-Bitblaster::Bits Bitblaster::Mux(SatLit sel, const Bits& if_true, const Bits& if_false) {
+Bitblaster::Bits Bitblaster::Mux(SatLit sel, LitSpan if_true, LitSpan if_false) {
   DDT_CHECK(if_true.size() == if_false.size());
   Bits out(if_true.size());
   for (size_t i = 0; i < out.size(); ++i) {
@@ -230,7 +265,7 @@ Bitblaster::Bits Bitblaster::Mux(SatLit sel, const Bits& if_true, const Bits& if
   return out;
 }
 
-Bitblaster::Bits Bitblaster::Shift(const Bits& value, const Bits& amount, ExprKind kind) {
+Bitblaster::Bits Bitblaster::Shift(LitSpan value, LitSpan amount, ExprKind kind) {
   size_t w = value.size();
   SatLit fill = false_lit();
   if (kind == ExprKind::kAShr) {
@@ -241,7 +276,7 @@ Bitblaster::Bits Bitblaster::Shift(const Bits& value, const Bits& amount, ExprKi
   while ((1ull << stages) < w) {
     ++stages;
   }
-  Bits current = value;
+  Bits current(value.begin(), value.end());
   for (size_t s = 0; s < stages && s < amount.size(); ++s) {
     size_t dist = 1ull << s;
     Bits shifted(w, fill);
@@ -272,17 +307,67 @@ Bitblaster::Bits Bitblaster::Shift(const Bits& value, const Bits& amount, ExprKi
   return current;
 }
 
-const std::vector<SatLit>& Bitblaster::Encode(ExprRef e) {
-  auto it = cache_.find(e);
-  if (it != cache_.end()) {
-    return it->second;
+namespace {
+
+// The order Encode visits a node's operands in. It fixes the SAT variable
+// numbering, and with it every model, so it is written out here instead of
+// being left to the unspecified evaluation order of call arguments.
+const int* OperandOrder(ExprKind kind) {
+  static constexpr int kFirstFirst[] = {0, 1};
+  static constexpr int kSecondFirst[] = {1, 0};
+  static constexpr int kCondElseThen[] = {0, 2, 1};
+  switch (kind) {
+    case ExprKind::kAdd:
+    case ExprKind::kSub:
+    case ExprKind::kMul:
+    case ExprKind::kUDiv:
+    case ExprKind::kURem:
+    case ExprKind::kShl:
+    case ExprKind::kLShr:
+    case ExprKind::kAShr:
+    case ExprKind::kEq:
+    case ExprKind::kUlt:
+    case ExprKind::kSlt:
+    case ExprKind::kConcat:
+      return kSecondFirst;
+    case ExprKind::kIte:
+      return kCondElseThen;
+    default:
+      return kFirstFirst;
   }
-  Bits bits = EncodeNode(e);
-  DDT_CHECK(bits.size() == e->width());
-  return cache_.emplace(e, std::move(bits)).first->second;
 }
 
-Bitblaster::Bits Bitblaster::EncodeNode(ExprRef e) {
+}  // namespace
+
+uint32_t Bitblaster::Encode(ExprRef e) {
+  if (!index_.empty()) {
+    const Slot& slot = index_[SlotFor(e)];
+    if (slot.expr == e) {
+      return slot.offset;
+    }
+  }
+  const int* order = OperandOrder(e->kind());
+  uint32_t offsets[3];
+  for (int k = 0; k < e->num_ops(); ++k) {
+    offsets[order[k]] = Encode(e->op(order[k]));
+  }
+  // Only now, after the last nested Encode, can the arena be read in place.
+  LitSpan ops[3];
+  for (int i = 0; i < e->num_ops(); ++i) {
+    ops[i] = LitSpan(lits(offsets[i]), e->op(i)->width());
+  }
+  Bits bits = EncodeNode(e, ops);
+  DDT_CHECK(bits.size() == e->width());
+  uint32_t offset = static_cast<uint32_t>(lits_.size());
+  lits_.insert(lits_.end(), bits.begin(), bits.end());
+  Insert(e, offset);
+  if (e->IsVar()) {
+    vars_.emplace_back(e, offset);
+  }
+  return offset;
+}
+
+Bitblaster::Bits Bitblaster::EncodeNode(ExprRef e, const LitSpan* ops) {
   uint8_t w = e->width();
   switch (e->kind()) {
     case ExprKind::kConst: {
@@ -293,47 +378,36 @@ Bitblaster::Bits Bitblaster::EncodeNode(ExprRef e) {
       return bits;
     }
     case ExprKind::kVar: {
-      auto it = var_bits_.find(e->var_id());
-      if (it != var_bits_.end()) {
-        return it->second;
-      }
       Bits bits(w);
       for (uint8_t i = 0; i < w; ++i) {
         bits[i] = FreshLit();
       }
-      var_bits_.emplace(e->var_id(), bits);
       return bits;
     }
     case ExprKind::kAdd:
-      return Add(Encode(e->op(0)), Encode(e->op(1)), false_lit());
+      return Add(ops[0], ops[1], false_lit());
     case ExprKind::kSub: {
-      Bits b = Encode(e->op(1));
-      Bits inverted(b.size());
-      for (size_t i = 0; i < b.size(); ++i) {
-        inverted[i] = NegateLit(b[i]);
+      Bits inverted(ops[1].size());
+      for (size_t i = 0; i < inverted.size(); ++i) {
+        inverted[i] = NegateLit(ops[1][i]);
       }
-      return Add(Encode(e->op(0)), inverted, true_lit_);
+      return Add(ops[0], inverted, true_lit_);
     }
     case ExprKind::kMul:
-      return Mul(Encode(e->op(0)), Encode(e->op(1)));
-    case ExprKind::kUDiv: {
-      Bits q;
-      Bits r;
-      UDivURem(Encode(e->op(0)), Encode(e->op(1)), &q, &r);
-      return q;
-    }
+      return Mul(ops[0], ops[1]);
+    case ExprKind::kUDiv:
     case ExprKind::kURem: {
       Bits q;
       Bits r;
-      UDivURem(Encode(e->op(0)), Encode(e->op(1)), &q, &r);
-      return r;
+      UDivURem(ops[0], ops[1], &q, &r);
+      return e->kind() == ExprKind::kUDiv ? q : r;
     }
     case ExprKind::kSDiv:
     case ExprKind::kSRem: {
       // Lower through unsigned division on absolute values with
       // sign-corrected results (wrap-around semantics match the evaluator).
-      Bits a = Encode(e->op(0));
-      Bits b = Encode(e->op(1));
+      LitSpan a = ops[0];
+      LitSpan b = ops[1];
       SatLit sign_a = a.back();
       SatLit sign_b = b.back();
       Bits abs_a = Mux(sign_a, Negate(a), a);
@@ -365,85 +439,65 @@ Bitblaster::Bits Bitblaster::EncodeNode(ExprRef e) {
       return Mux(b_zero, a, result);
     }
     case ExprKind::kAnd: {
-      Bits a = Encode(e->op(0));
-      Bits b = Encode(e->op(1));
       Bits out(w);
       for (uint8_t i = 0; i < w; ++i) {
-        out[i] = GateAnd(a[i], b[i]);
+        out[i] = GateAnd(ops[0][i], ops[1][i]);
       }
       return out;
     }
     case ExprKind::kOr: {
-      Bits a = Encode(e->op(0));
-      Bits b = Encode(e->op(1));
       Bits out(w);
       for (uint8_t i = 0; i < w; ++i) {
-        out[i] = GateOr(a[i], b[i]);
+        out[i] = GateOr(ops[0][i], ops[1][i]);
       }
       return out;
     }
     case ExprKind::kXor: {
-      Bits a = Encode(e->op(0));
-      Bits b = Encode(e->op(1));
       Bits out(w);
       for (uint8_t i = 0; i < w; ++i) {
-        out[i] = GateXor(a[i], b[i]);
+        out[i] = GateXor(ops[0][i], ops[1][i]);
       }
       return out;
     }
     case ExprKind::kNot: {
-      Bits a = Encode(e->op(0));
       Bits out(w);
       for (uint8_t i = 0; i < w; ++i) {
-        out[i] = NegateLit(a[i]);
+        out[i] = NegateLit(ops[0][i]);
       }
       return out;
     }
     case ExprKind::kShl:
     case ExprKind::kLShr:
     case ExprKind::kAShr:
-      return Shift(Encode(e->op(0)), Encode(e->op(1)), e->kind());
+      return Shift(ops[0], ops[1], e->kind());
     case ExprKind::kEq:
-      return Bits{GateEq(Encode(e->op(0)), Encode(e->op(1)))};
+      return Bits{GateEq(ops[0], ops[1])};
     case ExprKind::kUlt:
-      return Bits{GateUlt(Encode(e->op(0)), Encode(e->op(1)))};
+      return Bits{GateUlt(ops[0], ops[1])};
     case ExprKind::kUle:
-      return Bits{NegateLit(GateUlt(Encode(e->op(1)), Encode(e->op(0))))};
+      return Bits{NegateLit(GateUlt(ops[1], ops[0]))};
     case ExprKind::kSlt:
-      return Bits{GateSlt(Encode(e->op(0)), Encode(e->op(1)))};
+      return Bits{GateSlt(ops[0], ops[1])};
     case ExprKind::kSle:
-      return Bits{NegateLit(GateSlt(Encode(e->op(1)), Encode(e->op(0))))};
-    case ExprKind::kIte: {
-      SatLit sel = Encode(e->op(0))[0];
-      return Mux(sel, Encode(e->op(1)), Encode(e->op(2)));
-    }
+      return Bits{NegateLit(GateSlt(ops[1], ops[0]))};
+    case ExprKind::kIte:
+      return Mux(ops[0][0], ops[1], ops[2]);
     case ExprKind::kExtract: {
-      const Bits& a = Encode(e->op(0));
-      Bits out(w);
-      for (uint8_t i = 0; i < w; ++i) {
-        out[i] = a[e->extract_low() + i];
-      }
-      return out;
+      LitSpan a = ops[0].subspan(e->extract_low(), w);
+      return Bits(a.begin(), a.end());
     }
     case ExprKind::kConcat: {
-      Bits low = Encode(e->op(1));
-      Bits high = Encode(e->op(0));
       Bits out;
       out.reserve(w);
-      out.insert(out.end(), low.begin(), low.end());
-      out.insert(out.end(), high.begin(), high.end());
+      out.insert(out.end(), ops[1].begin(), ops[1].end());  // low part first
+      out.insert(out.end(), ops[0].begin(), ops[0].end());
       return out;
     }
-    case ExprKind::kZExt: {
-      Bits a = Encode(e->op(0));
-      a.resize(w, false_lit());
-      return a;
-    }
+    case ExprKind::kZExt:
     case ExprKind::kSExt: {
-      Bits a = Encode(e->op(0));
-      SatLit sign = a.back();
-      a.resize(w, sign);
-      return a;
+      Bits out(ops[0].begin(), ops[0].end());
+      out.resize(w, e->kind() == ExprKind::kZExt ? false_lit() : ops[0].back());
+      return out;
     }
   }
   DDT_UNREACHABLE("bad expr kind");
@@ -451,15 +505,15 @@ Bitblaster::Bits Bitblaster::EncodeNode(ExprRef e) {
 
 void Bitblaster::AssertTrue(ExprRef e) {
   DDT_CHECK(e->width() == 1);
-  sat_->AddUnit(Encode(e)[0]);
+  sat_->AddUnit(*lits(Encode(e)));
 }
 
 Assignment Bitblaster::ExtractModel() const {
   Assignment model;
-  for (const auto& [var_id, bits] : var_bits_) {
+  for (const auto& [var, offset] : vars_) {
     uint64_t value = 0;
-    for (size_t i = 0; i < bits.size(); ++i) {
-      SatLit lit = bits[i];
+    for (size_t i = 0; i < var->width(); ++i) {
+      SatLit lit = lits_[offset + i];
       bool bit = sat_->ModelValue(LitVar(lit));
       if (LitNegated(lit)) {
         bit = !bit;
@@ -468,7 +522,7 @@ Assignment Bitblaster::ExtractModel() const {
         value |= 1ull << i;
       }
     }
-    model.Set(var_id, value);
+    model.Set(var->var_id(), value);
   }
   return model;
 }

@@ -30,6 +30,42 @@ constexpr uint64_t kRestartBase = 256;
 
 SatSolver::SatSolver() = default;
 
+SatSolver& SatSolver::operator=(const SatSolver& other) {
+  // Watch lists past 2 * num_vars() are empty on both sides (see watches_):
+  // copy the live ones list by list, so each keeps its buffer, and empty
+  // this solver's surplus.
+  size_t live = 2 * other.assign_.size();
+  size_t stale = 2 * assign_.size();
+  if (watches_.size() < live) {
+    watches_.resize(live);
+  }
+  for (size_t lit = 0; lit < live; ++lit) {
+    watches_[lit] = other.watches_[lit];
+  }
+  for (size_t lit = live; lit < stale; ++lit) {
+    watches_[lit].clear();
+  }
+  arena_ = other.arena_;
+  clauses_ = other.clauses_;
+  assign_ = other.assign_;
+  saved_phase_ = other.saved_phase_;
+  level_ = other.level_;
+  reason_ = other.reason_;
+  trail_ = other.trail_;
+  trail_limits_ = other.trail_limits_;
+  propagate_head_ = other.propagate_head_;
+  activity_ = other.activity_;
+  activity_inc_ = other.activity_inc_;
+  known_unsat_ = other.known_unsat_;
+  hit_deadline_ = other.hit_deadline_;
+  hit_abort_ = other.hit_abort_;
+  conflicts_ = other.conflicts_;
+  decisions_ = other.decisions_;
+  propagations_ = other.propagations_;
+  seen_ = other.seen_;
+  return *this;
+}
+
 void SatSolver::Reset() {
   for (size_t lit = 0; lit < 2 * assign_.size(); ++lit) {
     watches_[lit].clear();
@@ -70,22 +106,26 @@ uint32_t SatSolver::NewVar() {
 }
 
 bool SatSolver::AddClause(const SatLit* lits, size_t count) {
+  add_lits_.assign(lits, lits + count);
+  std::sort(add_lits_.begin(), add_lits_.end());
+  return AddSorted(add_lits_.data(), count);
+}
+
+bool SatSolver::AddSorted(SatLit* lits, size_t count) {
   if (known_unsat_) {
     return false;
   }
   DDT_CHECK_MSG(trail_limits_.empty(), "AddClause only at decision level 0");
-  // Normalize in place: sort, dedupe, drop clauses with complementary pairs,
-  // drop false literals, and short-circuit on true literals. The first
-  // `kept` slots hold the cleaned clause; the read index never trails them.
-  add_lits_.assign(lits, lits + count);
-  std::sort(add_lits_.begin(), add_lits_.end());
+  // Dedupe, drop clauses with complementary pairs, drop false literals, and
+  // short-circuit on true literals. The first `kept` slots hold the cleaned
+  // clause; the read index never trails them.
   size_t kept = 0;
-  for (size_t i = 0; i < add_lits_.size(); ++i) {
-    SatLit lit = add_lits_[i];
-    if (i + 1 < add_lits_.size() && add_lits_[i + 1] == NegateLit(lit)) {
+  for (size_t i = 0; i < count; ++i) {
+    SatLit lit = lits[i];
+    if (i + 1 < count && lits[i + 1] == NegateLit(lit)) {
       return true;  // tautology
     }
-    if (kept != 0 && add_lits_[kept - 1] == lit) {
+    if (kept != 0 && lits[kept - 1] == lit) {
       continue;
     }
     if (LitValueIsTrue(lit)) {
@@ -94,28 +134,30 @@ bool SatSolver::AddClause(const SatLit* lits, size_t count) {
     if (LitValueIsFalse(lit)) {
       continue;  // drop
     }
-    add_lits_[kept++] = lit;
+    lits[kept++] = lit;
   }
   if (kept == 0) {
     known_unsat_ = true;
     return false;
   }
   if (kept == 1) {
-    Enqueue(add_lits_[0], kNoReason);
+    Enqueue(lits[0], kNoReason);
     if (Propagate() != kNoReason) {
       known_unsat_ = true;
       return false;
     }
     return true;
   }
-  StoreClause(add_lits_.data(), kept);
+  StoreClause(lits, kept);
   return true;
 }
 
 SatSolver::ClauseIdx SatSolver::StoreClause(const SatLit* lits, size_t size) {
   ClauseIdx idx = static_cast<ClauseIdx>(clauses_.size());
   clauses_.push_back(Clause{static_cast<uint32_t>(arena_.size()), static_cast<uint32_t>(size)});
-  arena_.insert(arena_.end(), lits, lits + size);
+  for (size_t i = 0; i < size; ++i) {
+    arena_.push_back(lits[i]);
+  }
   watches_[NegateLit(lits[0])].push_back(idx);
   watches_[NegateLit(lits[1])].push_back(idx);
   return idx;

@@ -6,14 +6,18 @@
 // Every clause lives in one flat literal arena behind a {start, size}
 // header, and Reset() empties the instance while keeping every buffer's
 // capacity, so one solver serves query after query without allocating once
-// its buffers have grown to the largest instance seen.
+// its buffers have grown to the largest instance seen. Copy assignment
+// likewise refills this solver's buffers, so restoring a saved instance is a
+// few buffer copies.
 #ifndef SRC_SOLVER_SAT_H_
 #define SRC_SOLVER_SAT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace ddt {
@@ -31,6 +35,10 @@ enum class SatResult { kSat, kUnsat, kUnknown };
 class SatSolver {
  public:
   SatSolver();
+  SatSolver(const SatSolver&) = default;
+  // Makes this solver an exact copy of `other` (its solve scratch aside),
+  // reusing this solver's buffers.
+  SatSolver& operator=(const SatSolver& other);
 
   // Empties the instance but keeps every buffer's capacity. Afterwards the
   // solver is indistinguishable from a new one: variables and clauses are
@@ -46,14 +54,25 @@ class SatSolver {
   // instance trivially unsat. Returns false if the solver is already
   // known-unsat. The literals are normalized in a reused scratch buffer.
   bool AddClause(const SatLit* lits, size_t count);
-  void AddUnit(SatLit lit) { AddClause(&lit, 1); }
+  // The bit-blaster's gate clauses: the same clause, and the same level-0
+  // outcome, as AddClause, but sorted by compare-swaps on the stack.
+  void AddUnit(SatLit lit) { AddSorted(&lit, 1); }
   void AddBinary(SatLit a, SatLit b) {
-    SatLit lits[] = {a, b};
-    AddClause(lits, 2);
+    SatLit lits[] = {std::min(a, b), std::max(a, b)};
+    AddSorted(lits, 2);
   }
   void AddTernary(SatLit a, SatLit b, SatLit c) {
+    if (a > b) {
+      std::swap(a, b);
+    }
+    if (b > c) {
+      std::swap(b, c);
+    }
+    if (a > b) {
+      std::swap(a, b);
+    }
     SatLit lits[] = {a, b, c};
-    AddClause(lits, 3);
+    AddSorted(lits, 3);
   }
 
   // Solves under the given assumptions. kUnknown only if conflict_budget
@@ -113,6 +132,10 @@ class SatSolver {
   void BumpVar(uint32_t var);
   void DecayActivities();
   SatLit PickBranchLit();
+  // AddClause on sorted literals, normalized in place: dedupes, drops
+  // level-0 false literals, and drops the clause if it is a tautology or
+  // already true at level 0.
+  bool AddSorted(SatLit* lits, size_t count);
   // Stores lits[0, size) as a new clause and watches its first two literals.
   ClauseIdx StoreClause(const SatLit* lits, size_t size);
 

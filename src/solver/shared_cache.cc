@@ -75,9 +75,18 @@ void PutVarint(std::string* out, uint64_t v) {
 
 // File layout (src/support/record.h framing): a header record
 // [str "DDTSQC"][u32 version][u64 entry count], then one record per entry
-// [u8 sat][str canonical key][u32 n][n x (u32 canonical var, u64 value)].
+// [u8 sat][u8 solved][str canonical key][u32 n][n x (u32 canonical var,
+// u64 value)].
 constexpr std::string_view kMagic = "DDTSQC";
 constexpr size_t kModelPairBytes = 12;
+
+// One entry as saved or loaded.
+struct FileEntry {
+  std::string key;
+  bool sat = false;
+  bool solved = false;
+  CanonicalModel model;
+};
 
 uint64_t EntryFootprint(const std::string& key, size_t model_size) {
   // Approximate heap footprint: the key, the model pairs, and fixed
@@ -214,6 +223,7 @@ SharedQueryCache::LookupResult SharedQueryCache::Lookup(const CanonicalQuery& qu
       e.last_used = ++shard.tick;
       r.hit = true;
       r.sat = e.sat;
+      r.solved = e.solved;
       r.model = e.model;
       return r;
     }
@@ -221,9 +231,11 @@ SharedQueryCache::LookupResult SharedQueryCache::Lookup(const CanonicalQuery& qu
   return r;
 }
 
-void SharedQueryCache::Store(const CanonicalQuery& query, bool sat, CanonicalModel model) {
+void SharedQueryCache::Store(const CanonicalQuery& query, bool sat, CanonicalModel model,
+                             bool solved) {
   if (!sat) {
     model.clear();
+    solved = false;
   }
   std::sort(model.begin(), model.end());
   Shard& shard = ShardFor(query.fingerprint);
@@ -231,8 +243,13 @@ void SharedQueryCache::Store(const CanonicalQuery& query, bool sat, CanonicalMod
   std::vector<Entry>& chain = shard.map[query.fingerprint];
   for (Entry& e : chain) {
     if (e.key == query.key) {
+      if (e.solved && !solved) {
+        e.last_used = ++shard.tick;
+        return;
+      }
       shard.bytes -= e.bytes;
       e.sat = sat;
+      e.solved = solved;
       e.model = std::move(model);
       e.bytes = EntryFootprint(e.key, e.model.size());
       e.last_used = ++shard.tick;
@@ -243,6 +260,7 @@ void SharedQueryCache::Store(const CanonicalQuery& query, bool sat, CanonicalMod
   Entry e;
   e.key = query.key;
   e.sat = sat;
+  e.solved = solved;
   e.model = std::move(model);
   e.last_used = ++shard.tick;
   e.bytes = EntryFootprint(e.key, e.model.size());
@@ -301,19 +319,19 @@ SharedQueryCache::Stats SharedQueryCache::stats() const {
 
 Status SharedQueryCache::SaveToFile(const std::string& path) const {
   // Snapshot under the shard locks, serialize and write outside them.
-  std::vector<std::pair<std::string, std::pair<bool, CanonicalModel>>> snapshot;
+  std::vector<FileEntry> snapshot;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (const auto& [fp, chain] : shard->map) {
       (void)fp;
       for (const Entry& e : chain) {
-        snapshot.emplace_back(e.key, std::make_pair(e.sat, e.model));
+        snapshot.push_back(FileEntry{e.key, e.sat, e.solved, e.model});
       }
     }
   }
   // Stable file contents regardless of shard iteration order: sort by key.
   std::sort(snapshot.begin(), snapshot.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const FileEntry& a, const FileEntry& b) { return a.key < b.key; });
 
   std::string file;
   ByteWriter header;
@@ -322,12 +340,13 @@ Status SharedQueryCache::SaveToFile(const std::string& path) const {
   header.U64(snapshot.size());
   Status framed = AppendRecord(&file, header.bytes());
   for (size_t i = 0; framed.ok() && i < snapshot.size(); ++i) {
-    const auto& [key, verdict] = snapshot[i];
+    const FileEntry& e = snapshot[i];
     ByteWriter entry;
-    entry.U8(verdict.first ? 1 : 0);
-    entry.Str(key);
-    entry.U32(static_cast<uint32_t>(verdict.second.size()));
-    for (const auto& [id, value] : verdict.second) {
+    entry.U8(e.sat ? 1 : 0);
+    entry.U8(e.solved ? 1 : 0);
+    entry.Str(e.key);
+    entry.U32(static_cast<uint32_t>(e.model.size()));
+    for (const auto& [id, value] : e.model) {
       entry.U32(id);
       entry.U64(value);
     }
@@ -385,35 +404,37 @@ size_t SharedQueryCache::LoadFromFile(const std::string& path) {
   }
   // Parse everything before inserting anything: a damaged file loads nothing
   // rather than half.
-  std::vector<std::pair<std::string, std::pair<bool, CanonicalModel>>> parsed;
+  std::vector<FileEntry> parsed;
   for (uint64_t i = 0; i < count; ++i) {
     if (ReadRecord(bytes, &pos, &payload) != RecordRead::kRecord) {
       return reject("truncated or corrupt entry");
     }
     ByteReader r(payload);
-    bool sat = r.U8() != 0;
-    std::string key = r.Str();
+    FileEntry e;
+    e.sat = r.U8() != 0;
+    uint8_t solved = r.U8();
+    e.solved = solved == 1;
+    e.key = r.Str();
     uint32_t model_n = r.Count(kModelPairBytes);
-    CanonicalModel model;
-    model.reserve(model_n);
+    e.model.reserve(model_n);
     for (uint32_t m = 0; m < model_n; ++m) {
       uint32_t id = r.U32();
       uint64_t value = r.U64();
-      model.emplace_back(id, value);
+      e.model.emplace_back(id, value);
     }
-    if (!r.Done() || (!sat && model_n != 0)) {
+    if (!r.Done() || solved > 1 || (!e.sat && (model_n != 0 || e.solved))) {
       return reject("malformed entry");
     }
-    parsed.emplace_back(std::move(key), std::make_pair(sat, std::move(model)));
+    parsed.push_back(std::move(e));
   }
   if (pos != bytes.size()) {
     return reject("trailing bytes after the last entry");
   }
-  for (auto& [key, verdict] : parsed) {
+  for (FileEntry& e : parsed) {
     CanonicalQuery q;
-    q.fingerprint = Fnv1a64(key);
-    q.key = std::move(key);
-    Store(q, verdict.first, std::move(verdict.second));
+    q.fingerprint = Fnv1a64(e.key);
+    q.key = std::move(e.key);
+    Store(q, e.sat, std::move(e.model), e.solved);
   }
   std::lock_guard<std::mutex> lock(io_stats_mu_);
   loaded_entries_ += parsed.size();

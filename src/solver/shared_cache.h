@@ -18,7 +18,11 @@
 //      query get the same key — and its FNV-1a hash is the fingerprint.
 //
 //   2. SharedQueryCache is a sharded, mutex-per-shard store from fingerprint
-//      to {verdict, satisfying model over canonical variable ids}. Colliding
+//      to {verdict, satisfying model over canonical variable ids, solved
+//      bit}. The solved bit marks a model that a SAT solve of exactly the
+//      entry's key produced (not one promoted by the counterexample fast
+//      path); a solved entry replaces an unsolved one and is never replaced
+//      by one. Colliding
 //      fingerprints chain within a bucket and are disambiguated by comparing
 //      the full key, so a hash collision can never return the wrong
 //      verdict. Each shard is bounded (entries and bytes) with LRU-ish
@@ -36,9 +40,15 @@
 // Determinism contract (the reason the integration in solver.cc is shaped
 // the way it is): the store may change *how fast* a verdict is found, never
 // *which* verdict or which model the engine concretizes from. Cached models
-// are only ever used after re-verification by the concrete evaluator, and
-// only to answer verdict-only (MayBe*/MustBe*) queries; any caller that
-// wants a model back always gets a fresh SAT solve. See DESIGN.md §7d.
+// are only ever used after re-verification by the concrete evaluator. A
+// caller that wants a model back gets exactly the model a fresh solve of
+// its key returns: from a solved entry, or by solving. That holds because
+// the solver encodes a query's list in order into an instance equal to a
+// new one, and the key records that list's structure in order (variables
+// renamed by first visit; a dropped duplicate conjunct adds no clause), so
+// the CNF and the model per canonical variable are functions of the key.
+// Unsolved models answer only verdict-only (MayBe*/MustBe*) queries. See
+// DESIGN.md §7d.
 #ifndef SRC_SOLVER_SHARED_CACHE_H_
 #define SRC_SOLVER_SHARED_CACHE_H_
 
@@ -115,6 +125,7 @@ class SharedQueryCache {
   struct LookupResult {
     bool hit = false;
     bool sat = false;
+    bool solved = false;   // the model came from solving exactly this key
     CanonicalModel model;  // valid iff hit && sat
   };
 
@@ -122,8 +133,9 @@ class SharedQueryCache {
   LookupResult Lookup(const CanonicalQuery& query);
 
   // Stores a verdict (idempotent; an existing entry for the same key is
-  // refreshed, not duplicated). `model` must be empty for unsat entries.
-  void Store(const CanonicalQuery& query, bool sat, CanonicalModel model);
+  // refreshed, not duplicated, unless it is solved and this one is not).
+  // `model` must be empty for unsat entries, which are never solved.
+  void Store(const CanonicalQuery& query, bool sat, CanonicalModel model, bool solved = false);
 
   // --- Persistence ---
   // Atomic save (tmp + rename) of every resident entry as CRC-framed,
@@ -147,13 +159,16 @@ class SharedQueryCache {
   Stats stats() const;
 
   // On-disk format version; bumped whenever the canonical encoding or the
-  // file layout changes so a stale cache can never be misread.
-  static constexpr uint32_t kFormatVersion = 3;
+  // file layout changes so a stale cache can never be misread, and also
+  // whenever the bit-blaster or the SAT search changes which model a key
+  // solves to, since solved entries are served as that model.
+  static constexpr uint32_t kFormatVersion = 4;
 
  private:
   struct Entry {
     std::string key;  // full canonical key (collision disambiguation)
     bool sat = false;
+    bool solved = false;
     CanonicalModel model;
     uint64_t last_used = 0;  // shard tick, for LRU-ish eviction
     uint64_t bytes = 0;      // approximate footprint of this entry

@@ -19,12 +19,18 @@ void SolverStats::Accumulate(const SolverStats& other) {
 
 struct Solver::SatInstance {
   SatInstance() = default;
-  // The blaster points at `sat`: never copy or move the pair.
+  // Each blaster points at its solver: never copy or move the instance.
   SatInstance(const SatInstance&) = delete;
   SatInstance& operator=(const SatInstance&) = delete;
 
+  // The instance every SAT call solves in.
   SatSolver sat;
   Bitblaster blaster{&sat};
+  // An exact copy of `blaster` right after `prefix` was asserted into a
+  // reset instance; no snapshot while `prefix` is empty.
+  SatSolver snapshot_sat;
+  Bitblaster snapshot{&snapshot_sat};
+  std::vector<ExprRef> prefix;
 };
 
 Solver::Solver(ExprContext* ctx, const SolverConfig& config) : ctx_(ctx), config_(config) {
@@ -144,7 +150,7 @@ bool Solver::RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& q
   return true;
 }
 
-bool Solver::StoreDecide(const std::vector<ExprRef>& filtered, bool want_model,
+bool Solver::StoreDecide(const std::vector<ExprRef>& filtered, Assignment* model,
                          bool extra_at_back, CanonicalQuery* out_query, bool* sat) {
   SharedQueryCache* store = QueryStore();
   *out_query = canonicalizer_.Canonicalize(filtered);
@@ -161,10 +167,17 @@ bool Solver::StoreDecide(const std::vector<ExprRef>& filtered, bool want_model,
       *sat = false;
       return true;
     }
-    if (!want_model) {
+    // A model request takes only a solved entry's model: SolveExprs turns
+    // a key into one CNF, so that model is exactly what solving this query
+    // would return. A promoted model would hand the engine concretization
+    // values that depend on store contents; that request solves instead.
+    if (model == nullptr || r.solved) {
       Assignment remapped;
       if (RemapAndVerify(r.model, *out_query, filtered, &remapped)) {
         CountStoreHit(/*fastpath=*/false);
+        if (model != nullptr) {
+          *model = remapped;
+        }
         last_model_ = std::move(remapped);
         have_last_model_ = true;
         *sat = true;
@@ -172,16 +185,12 @@ bool Solver::StoreDecide(const std::vector<ExprRef>& filtered, bool want_model,
       }
       // Verification failed: fall through to SAT below.
     }
-    // want_model with a sat entry: deliberately fall through. Serving the
-    // cached model would hand the engine concretization values that depend
-    // on store contents; a fresh solve of the identical expression list
-    // returns exactly the model a store miss would.
   } else if (extra_at_back && filtered.size() >= 2) {
     // Counterexample fast path (KLEE-style): the query is `prefix AND cond`
     // where `prefix` was itself a recent query on this path. If the prefix
     // is cached unsat, any superset is unsat; if its cached model happens to
     // satisfy the whole query, the query is sat — either way we skip SAT and
-    // promote the answer to an exact entry for next time.
+    // promote the answer to an exact entry (not a solved one) for next time.
     std::vector<ExprRef> prefix(filtered.begin(), filtered.end() - 1);
     CanonicalQuery prefix_query = canonicalizer_.Canonicalize(prefix);
     if (config_.testing_collide_cache_keys) {
@@ -190,15 +199,15 @@ bool Solver::StoreDecide(const std::vector<ExprRef>& filtered, bool want_model,
     SharedQueryCache::LookupResult pr = store->Lookup(prefix_query);
     if (pr.hit && !pr.sat) {
       CountStoreHit(/*fastpath=*/true);
-      Publish(*out_query, nullptr);
+      Publish(*out_query, nullptr, /*solved=*/false);
       *sat = false;
       return true;
     }
-    if (pr.hit && pr.sat && !want_model) {
+    if (pr.hit && pr.sat && model == nullptr) {
       Assignment remapped;
       if (RemapAndVerify(pr.model, prefix_query, filtered, &remapped)) {
         CountStoreHit(/*fastpath=*/true);
-        Publish(*out_query, &remapped);
+        Publish(*out_query, &remapped, /*solved=*/false);
         last_model_ = std::move(remapped);
         have_last_model_ = true;
         *sat = true;
@@ -210,7 +219,7 @@ bool Solver::StoreDecide(const std::vector<ExprRef>& filtered, bool want_model,
   return false;
 }
 
-void Solver::Publish(const CanonicalQuery& query, const Assignment* model) {
+void Solver::Publish(const CanonicalQuery& query, const Assignment* model, bool solved) {
   // The model is stored against canonical variable ids (complete over the
   // query's variables; solver-undecided ones are zero, exactly what
   // verification assumed).
@@ -221,7 +230,7 @@ void Solver::Publish(const CanonicalQuery& query, const Assignment* model) {
       canonical.emplace_back(i, model->Get(query.local_vars[i]));
     }
   }
-  QueryStore()->Store(query, model != nullptr, std::move(canonical));
+  QueryStore()->Store(query, model != nullptr, std::move(canonical), solved);
   stats_.shared_cache_stores += config_.shared_cache != nullptr;
 }
 
@@ -264,13 +273,34 @@ bool Solver::SolveExprs(const std::vector<ExprRef>& exprs, Assignment* model, bo
   }
   if (sat_ == nullptr) {
     sat_ = std::make_unique<SatInstance>();
-  } else {
-    sat_->blaster.Reset();
   }
-  SatSolver& sat = sat_->sat;
-  Bitblaster& blaster = sat_->blaster;
-  for (ExprRef e : exprs) {
-    blaster.AssertTrue(e);
+  SatInstance& instance = *sat_;
+  SatSolver& sat = instance.sat;
+  Bitblaster& blaster = instance.blaster;
+  // Resume from the snapshot when this list starts with its prefix, else
+  // from a reset instance; both are exactly the instance a reset one has
+  // after the same assertions. Then snapshot all but the last expression,
+  // unless the snapshot already holds that much.
+  DDT_CHECK(!exprs.empty());
+  size_t asserted = 0;
+  const std::vector<ExprRef>& prefix = instance.prefix;
+  if (!prefix.empty() && prefix.size() <= exprs.size() &&
+      std::equal(prefix.begin(), prefix.end(), exprs.begin())) {
+    blaster.CopyFrom(instance.snapshot);
+    asserted = prefix.size();
+  } else {
+    blaster.Reset();
+  }
+  size_t last = exprs.size() - 1;
+  if (asserted < last) {
+    for (; asserted < last; ++asserted) {
+      blaster.AssertTrue(exprs[asserted]);
+    }
+    instance.snapshot.CopyFrom(blaster);
+    instance.prefix.assign(exprs.begin(), exprs.begin() + static_cast<ptrdiff_t>(last));
+  }
+  for (; asserted < exprs.size(); ++asserted) {
+    blaster.AssertTrue(exprs[asserted]);
   }
   SatResult result =
       sat.Solve({}, config_.conflict_budget, have_deadline ? &deadline : nullptr, abort_flag_);
@@ -362,13 +392,13 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
   }
 
   // Query store: canonical-fingerprint lookup plus the counterexample fast
-  // path. Answers only verdicts it can prove locally (exact unsat, or a
-  // cached model re-verified by the concrete evaluator); model-requesting
-  // callers always fall through to a fresh solve.
+  // path. Answers only what it can prove locally (exact unsat, or a cached
+  // model re-verified by the concrete evaluator); a model request is served
+  // only a model that solving its key produced, else it solves.
   CanonicalQuery canonical;
   bool extra_at_back = extra != nullptr && filtered.back() == extra;
   bool stored_sat = false;
-  if (StoreDecide(filtered, model != nullptr, extra_at_back, &canonical, &stored_sat)) {
+  if (StoreDecide(filtered, model, extra_at_back, &canonical, &stored_sat)) {
     return stored_sat;
   }
 
@@ -377,8 +407,8 @@ bool Solver::IsSatisfiable(const std::vector<ExprRef>& constraints, ExprRef extr
   bool sat = SolveExprs(filtered, &local_model, &unknown);
   if (!unknown) {
     // Publish the fresh verdict for later paths (and, through a shared
-    // store, other passes/threads/runs).
-    Publish(canonical, sat ? &local_model : nullptr);
+    // store, other passes/threads/runs); a sat one as a solved entry.
+    Publish(canonical, sat ? &local_model : nullptr, /*solved=*/sat);
   }
   if (sat && !unknown) {
     last_model_ = local_model;

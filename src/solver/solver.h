@@ -9,9 +9,17 @@
 //   4. the query store (solver/shared_cache.h), keyed on the canonical form
 //      of the sliced constraint set, so a query that recurs over fresh
 //      variables is answered once per run: the campaign's shared store when
-//      one is configured, else the solver's own,
-//   5. bit-blasting + CDCL SAT, into one SAT instance per solver that each
-//      call resets to exactly a new one and refills.
+//      one is configured, else the solver's own. A model request is served
+//      only a "solved" entry's model, the one SAT produced for exactly that
+//      key,
+//   5. bit-blasting + CDCL SAT, into one SAT instance per solver. A call
+//      whose list starts with the previous call's prefix (all its
+//      expressions but the last) resumes from an exact snapshot of the
+//      instance after that prefix and asserts only the rest; any other call
+//      resets the instance to exactly a new one and refills it. Either way
+//      the instance, and so the model, is the one a new instance would give
+//      (total_sat_clauses still counts each solved instance's clauses,
+//      restored ones included).
 //
 // Every SAT model is re-verified with the concrete evaluator before being
 // trusted — an end-to-end check on the encoder.
@@ -56,9 +64,10 @@ struct SolverConfig {
   // ExprContext identity, so identical logical queries hit across paths
   // and — through a shared store — across passes, threads, and (via its
   // on-disk persistence) runs. Verdict-only queries can be answered from it
-  // (cached models are re-verified by the concrete evaluator first);
-  // model-requesting queries always fall through to a fresh SAT solve so the
-  // values the engine concretizes with are byte-identical store hit or miss.
+  // (cached models are re-verified by the concrete evaluator first). A
+  // model-requesting query is answered only from an entry whose model SAT
+  // produced for exactly its key, else it solves, so the values the engine
+  // concretizes with are the ones a fresh solve returns, store hit or miss.
   SharedQueryCache* shared_cache = nullptr;
 
   // Test hook: collapse every store fingerprint to one value, forcing hash
@@ -166,8 +175,8 @@ class Solver {
   const SolverStats& stats() const { return stats_; }
   ExprContext* context() { return ctx_; }
 
-  // Frees the SAT instance the solver reuses across calls; the next SAT call
-  // makes a new one. A campaign keeps every finished pass's engine alive
+  // Frees the SAT instance the solver reuses across calls, and its prefix
+  // snapshot; the next SAT call makes a new one. A campaign keeps every finished pass's engine alive
   // (its bugs point into the engine's expressions), so the engine calls this
   // when its run ends instead of holding each pass's instance to the end.
   void ReleaseSatInstance();
@@ -179,7 +188,8 @@ class Solver {
   void SetAbortFlag(const std::atomic<bool>* flag) { abort_flag_ = flag; }
 
  private:
-  // The SAT solver and bit-blaster pair every SAT call resets and refills.
+  // The SAT solver and bit-blaster pair every SAT call solves in, and the
+  // snapshot of its latest prefix.
   struct SatInstance;
 
   // Appends to `out` the constraints transitively sharing variables with
@@ -195,18 +205,20 @@ class Solver {
   SharedQueryCache* QueryStore();
 
   // Store consultation for the filtered query; returns true when the query
-  // was answered (verdict in *sat). `extra_at_back` marks that the last
-  // element of `filtered` is the branch condition appended to a sliced prefix
+  // was answered (verdict in *sat, and for a sat answer the model in *model
+  // when `model` is non-null). `extra_at_back` marks that the last element
+  // of `filtered` is the branch condition appended to a sliced prefix
   // (enables the counterexample fast path). `out_query` receives the
   // canonical form for a later Store on miss.
-  bool StoreDecide(const std::vector<ExprRef>& filtered, bool want_model, bool extra_at_back,
+  bool StoreDecide(const std::vector<ExprRef>& filtered, Assignment* model, bool extra_at_back,
                    CanonicalQuery* out_query, bool* sat);
   // Counts a store answer: cache_hits on the solver's own store, the
   // shared_cache_* rows on a configured shared one.
   void CountStoreHit(bool fastpath);
   // Stores a verdict for `query`: sat with `model` (over local variable
-  // ids), or unsat when `model` is null.
-  void Publish(const CanonicalQuery& query, const Assignment* model);
+  // ids), or unsat when `model` is null. `solved` marks a model SolveExprs
+  // returned for exactly this query.
+  void Publish(const CanonicalQuery& query, const Assignment* model, bool solved);
   // Remaps a canonical model into this context's variable ids and re-verifies
   // it against `exprs` with the concrete evaluator. False = do not trust.
   bool RemapAndVerify(const CanonicalModel& model, const CanonicalQuery& query,

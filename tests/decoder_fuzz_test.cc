@@ -1,10 +1,10 @@
 // One deterministic mutation harness over every decoder of untrusted bytes:
 // the record reader; the campaign journal (its header, resume and read-only
-// load) and its pass payload; the shared solver cache file; the fuzz corpus
-// file (its fuzz inputs and coverage words); the fleet frame decoder and its
-// six body decoders (fault plans via the lease, fuzz inputs and coverage
-// words via the two FuzzExec bodies); bug reports; fuzz inputs; coverage
-// words; driver images.
+// load) and its pass payload; the shared solver cache file (and each
+// entry's solved byte); the fuzz corpus file (its fuzz inputs and coverage
+// words); the fleet frame decoder and its six body decoders (fault plans via
+// the lease, fuzz inputs and coverage words via the two FuzzExec bodies);
+// bug reports; fuzz inputs; coverage words; driver images.
 //
 // Mutants are SplitMix64-seeded bit flips, truncations, splices of two valid
 // inputs, and length or count fields overwritten with huge or off-by-one
@@ -349,7 +349,8 @@ std::string CacheBytes(const std::string& name, uint64_t salt) {
   QueryCanonicalizer canon;
   SharedQueryCache cache;
   for (uint64_t i = 0; i < 4; ++i) {
-    cache.Store(canon.Canonicalize({ctx.Eq(x, ctx.Const(i + salt, 32))}), true, {{0, i + salt}});
+    cache.Store(canon.Canonicalize({ctx.Eq(x, ctx.Const(i + salt, 32))}), true, {{0, i + salt}},
+                /*solved=*/i % 2 == 0);
   }
   cache.Store(canon.Canonicalize({ctx.Ult(ctx.ZExt(y, 32), x), ctx.Eq(x, ctx.Const(0, 32))}),
               false, {});
@@ -364,13 +365,13 @@ std::string CacheBytes(const std::string& name, uint64_t salt) {
 TEST(DecoderFuzzTest, CacheFileLoadsAllOrNothing) {
   std::string a = CacheBytes("decoder_fuzz_a.cache", 0);
   std::string b = CacheBytes("decoder_fuzz_b.cache", 100);
-  // The mutants start from a v3 file (binary canonical keys).
+  // The mutants start from a v4 file (binary canonical keys, solved bits).
   size_t header_end = 0;
   std::string_view header;
   ASSERT_EQ(ReadRecord(a, &header_end, &header), RecordRead::kRecord);
   ByteReader header_reader(header);
   EXPECT_EQ(header_reader.Str(), "DDTSQC");
-  EXPECT_EQ(header_reader.U32(), 3u);
+  EXPECT_EQ(header_reader.U32(), 4u);
   std::string path = TempPath("decoder_fuzz_mutant.cache");
   LogLevel log_level = GetLogLevel();
   SetLogLevel(LogLevel::kError);  // every rejected file warns
@@ -385,6 +386,35 @@ TEST(DecoderFuzzTest, CacheFileLoadsAllOrNothing) {
       EXPECT_TRUE(loaded == 0 || loaded == 5) << loaded;
     }
   });
+  SetLogLevel(log_level);
+  std::remove(path.c_str());
+}
+
+// Each entry's solved byte takes values it may and may not hold; re-sealed,
+// the file loads whole only when the byte is 0, or 1 on a sat entry.
+TEST(DecoderFuzzTest, CacheFileSolvedByteIsChecked) {
+  std::string a = CacheBytes("decoder_fuzz_solved.cache", 0);
+  std::vector<size_t> records = RecordOffsets(a);
+  ASSERT_EQ(records.size(), 6u);  // the header and five entries
+  std::string path = TempPath("decoder_fuzz_solved_mutant.cache");
+  SplitMix64 rng(5);
+  LogLevel log_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);  // every rejected file warns
+  for (size_t r = 1; r < records.size(); ++r) {
+    size_t at = records[r] + kRecordHeaderBytes + 1;  // entry: [u8 sat][u8 solved]...
+    bool sat = a[at - 1] != 0;
+    for (uint8_t value : {uint8_t{0}, uint8_t{1}, uint8_t{2}, uint8_t{0xFF},
+                          static_cast<uint8_t>(2 + rng.NextBelow(254))}) {
+      SCOPED_TRACE(testing::Message() << "entry " << r << " solved byte " << int{value});
+      std::string mutant = a;
+      mutant[at] = static_cast<char>(value);
+      WriteFile(path, Reseal(std::move(mutant)));
+      SharedQueryCache cache;
+      bool valid = value == 0 || (value == 1 && sat);
+      EXPECT_EQ(cache.LoadFromFile(path), valid ? 5u : 0u);
+      EXPECT_EQ(cache.stats().load_errors, valid ? 0u : 1u);
+    }
+  }
   SetLogLevel(log_level);
   std::remove(path.c_str());
 }

@@ -215,30 +215,71 @@ TEST(SharedQueryCacheTest, SaveLoadRoundTrip) {
   CanonicalQuery unsat_query = canon.Canonicalize(
       {ctx.Eq(x, ctx.Const(3, 32)), ctx.Eq(x, ctx.Const(4, 32))});
 
+  CanonicalQuery promoted_query = canon.Canonicalize({ctx.Ult(x, ctx.Const(9, 32))});
+
   std::string path = TempPath("roundtrip.bin");
   {
     SharedQueryCache cache;
-    cache.Store(sat_query, true, {{0, 3}});
+    cache.Store(sat_query, true, {{0, 3}}, /*solved=*/true);
     cache.Store(unsat_query, false, {});
+    cache.Store(promoted_query, true, {{0, 5}});
     Status saved = cache.SaveToFile(path);
     ASSERT_TRUE(saved.ok()) << saved.message();
-    EXPECT_EQ(cache.stats().saved_entries, 2u);
+    EXPECT_EQ(cache.stats().saved_entries, 3u);
   }
   SharedQueryCache reloaded;
-  EXPECT_EQ(reloaded.LoadFromFile(path), 2u);
-  EXPECT_EQ(reloaded.stats().loaded_entries, 2u);
+  EXPECT_EQ(reloaded.LoadFromFile(path), 3u);
+  EXPECT_EQ(reloaded.stats().loaded_entries, 3u);
   EXPECT_EQ(reloaded.stats().load_errors, 0u);
 
   SharedQueryCache::LookupResult r1 = reloaded.Lookup(sat_query);
   ASSERT_TRUE(r1.hit);
   EXPECT_TRUE(r1.sat);
+  EXPECT_TRUE(r1.solved);
   ASSERT_EQ(r1.model.size(), 1u);
   EXPECT_EQ(r1.model[0].first, 0u);
   EXPECT_EQ(r1.model[0].second, 3u);
   SharedQueryCache::LookupResult r2 = reloaded.Lookup(unsat_query);
   ASSERT_TRUE(r2.hit);
   EXPECT_FALSE(r2.sat);
+  EXPECT_FALSE(r2.solved);
+  SharedQueryCache::LookupResult r3 = reloaded.Lookup(promoted_query);
+  ASSERT_TRUE(r3.hit);
+  EXPECT_TRUE(r3.sat);
+  EXPECT_FALSE(r3.solved);
   std::remove(path.c_str());
+}
+
+// A solved entry replaces an unsolved one and is never replaced by one; an
+// unsat entry is never solved.
+TEST(SharedQueryCacheTest, SolvedEntriesAreNeverReplacedByUnsolvedOnes) {
+  ExprContext ctx;
+  ExprRef x = ctx.Var(32, "x");
+  QueryCanonicalizer canon;
+  CanonicalQuery q = canon.Canonicalize({ctx.Ult(x, ctx.Const(10, 32))});
+  SharedQueryCache cache;
+
+  cache.Store(q, true, {{0, 7}});
+  SharedQueryCache::LookupResult r = cache.Lookup(q);
+  EXPECT_FALSE(r.solved);
+  EXPECT_EQ(r.model, (CanonicalModel{{0, 7}}));
+
+  cache.Store(q, true, {{0, 0}}, /*solved=*/true);
+  r = cache.Lookup(q);
+  EXPECT_TRUE(r.solved);
+  EXPECT_EQ(r.model, (CanonicalModel{{0, 0}}));
+
+  cache.Store(q, true, {{0, 4}});
+  r = cache.Lookup(q);
+  EXPECT_TRUE(r.solved);
+  EXPECT_EQ(r.model, (CanonicalModel{{0, 0}}));
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  CanonicalQuery unsat = canon.Canonicalize({ctx.Ult(x, ctx.Const(0, 32))});
+  cache.Store(unsat, false, {}, /*solved=*/true);
+  r = cache.Lookup(unsat);
+  EXPECT_FALSE(r.sat);
+  EXPECT_FALSE(r.solved);
 }
 
 TEST(SharedQueryCacheTest, ConcurrentForkedWritersElectOneAndNeverTearTheFile) {
@@ -393,6 +434,7 @@ TEST(SharedQueryCacheTest, LyingModelCountIsRejectedNotAllocated) {
   header.U64(1);
   ByteWriter entry;
   entry.U8(1);
+  entry.U8(1);
   entry.Str("x");
   entry.U32(0xFFFFFFFFu);
   std::string file;
@@ -431,6 +473,58 @@ TEST(SharedQueryCacheTest, RefusesAVersion2FileWithTextKeys) {
   EXPECT_EQ(cache.LoadFromFile(path), 0u);
   EXPECT_EQ(cache.stats().load_errors, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
+  std::remove(path.c_str());
+}
+
+// A file saved by the build before the solved bit (format v3, its bytes
+// verbatim — one sat entry for 8-bit x == 3) is ignored and counted, as any
+// version mismatch is.
+TEST(SharedQueryCacheTest, RefusesAVersion3FileWithoutSolvedBits) {
+  std::string path = TempPath("v3_no_solved_bit.bin");
+  WriteBytes(path, FromHex("16000000750148c706000000444454535143030000000100000000000000230000"
+                           "00ebbc75d6010e000000030008000301080000100102020101000000000000000300"
+                           "000000000000"));
+  SharedQueryCache cache;
+  EXPECT_EQ(cache.LoadFromFile(path), 0u);
+  EXPECT_EQ(cache.stats().load_errors, 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  std::remove(path.c_str());
+}
+
+// The solved byte is 0 or 1, and 0 on an unsat entry; anything else makes
+// the file malformed, so it loads nothing.
+TEST(SharedQueryCacheTest, RefusesABadSolvedByte) {
+  std::string path = TempPath("solved_byte.bin");
+  struct Case {
+    uint8_t sat;
+    uint8_t solved;
+    bool loads;
+  };
+  const Case cases[] = {{1, 0, true}, {1, 1, true}, {0, 0, true},
+                        {1, 2, false}, {1, 0xFF, false}, {0, 1, false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "sat " << int{c.sat} << " solved " << int{c.solved});
+    ByteWriter header;
+    header.Str("DDTSQC");
+    header.U32(SharedQueryCache::kFormatVersion);
+    header.U64(1);
+    ByteWriter entry;
+    entry.U8(c.sat);
+    entry.U8(c.solved);
+    entry.Str("k");
+    entry.U32(c.sat);
+    if (c.sat != 0) {
+      entry.U32(0);
+      entry.U64(3);
+    }
+    std::string file;
+    ASSERT_TRUE(AppendRecord(&file, header.bytes()).ok());
+    ASSERT_TRUE(AppendRecord(&file, entry.bytes()).ok());
+    WriteBytes(path, file);
+    SharedQueryCache cache;
+    EXPECT_EQ(cache.LoadFromFile(path), c.loads ? 1u : 0u);
+    EXPECT_EQ(cache.stats().load_errors, c.loads ? 0u : 1u);
+  }
   std::remove(path.c_str());
 }
 
@@ -485,7 +579,7 @@ TEST(SolverSharedCacheTest, UnsatPropagatesAcrossContexts) {
   EXPECT_EQ(s2.stats().shared_cache_hits, 1u);
 }
 
-TEST(SolverSharedCacheTest, ModelRequestsAlwaysSolveFreshAndMatchCacheOff) {
+TEST(SolverSharedCacheTest, ModelRequestsGetTheCacheOffModel) {
   // Warm the shared cache with a verdict + model from one context.
   SharedQueryCache cache;
   ExprContext ctx1;
@@ -495,9 +589,9 @@ TEST(SolverSharedCacheTest, ModelRequestsAlwaysSolveFreshAndMatchCacheOff) {
                                 ctx1.Ult(ctx1.Const(10, 32), x1)};
   EXPECT_TRUE(s1.IsSatisfiable(cons1, nullptr));
 
-  // A model-requesting query against the warm cache must not be served the
-  // cached model: it solves fresh, so its model is identical to what a
-  // cache-off solver produces for the same query.
+  // s1 solved exactly this key, so a model request against the warm cache
+  // is served that solved model, with no SAT call; it is identical to what
+  // a cache-off solver produces for the same query.
   ExprContext ctx2;
   Solver warm(&ctx2, SharedConfig(&cache));
   ExprRef x2 = ctx2.Var(32, "x");
@@ -505,7 +599,8 @@ TEST(SolverSharedCacheTest, ModelRequestsAlwaysSolveFreshAndMatchCacheOff) {
                                 ctx2.Ult(ctx2.Const(10, 32), x2)};
   Assignment warm_model;
   EXPECT_TRUE(warm.IsSatisfiable(cons2, nullptr, &warm_model));
-  EXPECT_EQ(warm.stats().sat_calls, 1u) << "cached model must not be served to model requests";
+  EXPECT_EQ(warm.stats().sat_calls, 0u) << "a solved model must be served to model requests";
+  EXPECT_EQ(warm.stats().shared_cache_hits, 1u);
 
   ExprContext ctx3;
   Solver off(&ctx3, SolverConfig());
@@ -516,6 +611,69 @@ TEST(SolverSharedCacheTest, ModelRequestsAlwaysSolveFreshAndMatchCacheOff) {
   EXPECT_TRUE(off.IsSatisfiable(cons3, nullptr, &off_model));
   EXPECT_EQ(warm_model.Get(x2->var_id()), off_model.Get(x3->var_id()))
       << "shared cache changed the concretization value";
+}
+
+// The counterexample fast path promotes a prefix's model to the superset's
+// entry, unsolved: that model satisfies the superset but need not be the one
+// solving it returns. A model request on the superset must solve; its solved
+// model then replaces the promoted one and is served from then on.
+TEST(SolverSharedCacheTest, PromotedModelsAreNeverServedToModelRequests) {
+  // The superset {x > 10, x < 250} solved with no cache.
+  ExprContext off_ctx;
+  Solver off(&off_ctx);
+  ExprRef off_x = off_ctx.Var(8, "x");
+  Assignment off_model;
+  ASSERT_TRUE(off.IsSatisfiable({off_ctx.Ult(off_ctx.Const(10, 8), off_x)},
+                                off_ctx.Ult(off_x, off_ctx.Const(250, 8)), &off_model));
+  uint64_t solved_x = off_model.Get(off_x->var_id());
+  // A prefix model that satisfies the superset but is not its solved model.
+  uint64_t promoted_x = solved_x == 11 ? 12 : 11;
+
+  SharedQueryCache cache;
+  // Each solver asks from its own context.
+  struct Asker {
+    ExprContext ctx;
+    ExprRef x = ctx.Var(8, "x");
+    std::vector<ExprRef> prefix = {ctx.Ult(ctx.Const(10, 8), x)};
+    ExprRef cond = ctx.Ult(x, ctx.Const(250, 8));
+  };
+  {
+    Asker a;
+    QueryCanonicalizer canon;
+    cache.Store(canon.Canonicalize(a.prefix), true, {{0, promoted_x}});
+  }
+  {
+    Asker a;
+    SolverConfig config = SharedConfig(&cache);
+    config.enable_model_reuse = false;  // isolate the fast path
+    Solver verdicts(&a.ctx, config);
+    EXPECT_TRUE(verdicts.MayBeTrue(a.prefix, a.cond));
+    EXPECT_EQ(verdicts.stats().shared_cache_fastpath_hits, 1u);
+    EXPECT_EQ(verdicts.stats().sat_calls, 0u);
+  }
+  Asker probe;
+  QueryCanonicalizer canon;
+  std::vector<ExprRef> superset = probe.prefix;
+  superset.push_back(probe.cond);
+  CanonicalQuery superset_query = canon.Canonicalize(superset);
+  SharedQueryCache::LookupResult promoted = cache.Lookup(superset_query);
+  ASSERT_TRUE(promoted.hit);
+  EXPECT_FALSE(promoted.solved);
+  ASSERT_EQ(promoted.model, (CanonicalModel{{0, promoted_x}}));
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    Asker a;
+    Solver models(&a.ctx, SharedConfig(&cache));
+    Assignment model;
+    EXPECT_TRUE(models.IsSatisfiable(a.prefix, a.cond, &model));
+    EXPECT_EQ(model.Get(a.x->var_id()), solved_x);
+    // The first request solves; the second is served the model it stored.
+    EXPECT_EQ(models.stats().sat_calls, round == 0 ? 1u : 0u);
+    SharedQueryCache::LookupResult r = cache.Lookup(superset_query);
+    EXPECT_TRUE(r.solved);
+    EXPECT_EQ(r.model, (CanonicalModel{{0, solved_x}}));
+  }
 }
 
 TEST(SolverSharedCacheTest, CounterexampleFastPathServesSupersets) {

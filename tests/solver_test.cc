@@ -176,16 +176,12 @@ struct SatOutcome {
   std::vector<bool> model;  // every variable's value after kSat
 };
 
-SatOutcome SolveProblem(SatSolver* sat, const SatProblem& problem) {
-  for (uint32_t i = 0; i < problem.num_vars; ++i) {
-    sat->NewVar();
-  }
-  for (const auto& clause : problem.clauses) {
-    sat->AddClause(clause.data(), clause.size());
-  }
-  std::atomic<bool> abort{problem.abort};
+// Solves what `sat` holds and records what the solve leaves observable.
+SatOutcome Observe(SatSolver* sat, const std::vector<SatLit>& assumptions = {},
+                   uint64_t conflict_budget = 0, bool abort_now = false) {
+  std::atomic<bool> abort{abort_now};
   SatOutcome out;
-  out.result = sat->Solve(problem.assumptions, problem.conflict_budget, nullptr, &abort);
+  out.result = sat->Solve(assumptions, conflict_budget, nullptr, &abort);
   out.num_vars = sat->num_vars();
   out.num_clauses = sat->num_clauses();
   out.conflicts = sat->conflicts();
@@ -198,6 +194,27 @@ SatOutcome SolveProblem(SatSolver* sat, const SatProblem& problem) {
     }
   }
   return out;
+}
+
+SatOutcome SolveProblem(SatSolver* sat, const SatProblem& problem) {
+  for (uint32_t i = 0; i < problem.num_vars; ++i) {
+    sat->NewVar();
+  }
+  for (const auto& clause : problem.clauses) {
+    sat->AddClause(clause.data(), clause.size());
+  }
+  return Observe(sat, problem.assumptions, problem.conflict_budget, problem.abort);
+}
+
+void ExpectSameOutcome(const SatOutcome& got, const SatOutcome& want) {
+  EXPECT_EQ(got.result, want.result);
+  EXPECT_EQ(got.num_vars, want.num_vars);
+  EXPECT_EQ(got.num_clauses, want.num_clauses);
+  EXPECT_EQ(got.conflicts, want.conflicts);
+  EXPECT_EQ(got.decisions, want.decisions);
+  EXPECT_EQ(got.propagations, want.propagations);
+  EXPECT_EQ(got.hit_abort, want.hit_abort);
+  EXPECT_EQ(got.model, want.model);
 }
 
 // `pigeons` pigeons into `holes` holes: unsat whenever pigeons > holes, and
@@ -265,18 +282,111 @@ TEST(SatSolverTest, ResetMatchesAFreshSolver) {
       SatSolver fresh;
       SatOutcome want = SolveProblem(&fresh, *problem);
       SatOutcome got = SolveProblem(&reused, *problem);
-      EXPECT_EQ(got.result, want.result);
-      EXPECT_EQ(got.num_vars, want.num_vars);
-      EXPECT_EQ(got.num_clauses, want.num_clauses);
-      EXPECT_EQ(got.conflicts, want.conflicts);
-      EXPECT_EQ(got.decisions, want.decisions);
-      EXPECT_EQ(got.propagations, want.propagations);
-      EXPECT_EQ(got.hit_abort, want.hit_abort);
-      EXPECT_EQ(got.model, want.model);
+      ExpectSameOutcome(got, want);
       ++checked;
     }
   }
   EXPECT_EQ(checked, 120);
+}
+
+// AddUnit, AddBinary and AddTernary sort on the stack instead of in
+// AddClause's scratch buffer; each must store exactly the clause, and reach
+// exactly the level-0 outcome, that AddClause does. Random 1- to 3-literal
+// clauses with repeated and complementary literals, whose units assign
+// literals at level 0 for later clauses to meet, go into one solver through
+// each entry point.
+TEST(SatSolverTest, SmallClausePathMatchesAddClause) {
+  Rng rng(2023);
+  int unsat_rounds = 0;
+  constexpr int kRounds = 300;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    uint32_t vars = 3 + static_cast<uint32_t>(rng.NextBelow(6));
+    SatSolver small;
+    SatSolver general;
+    for (uint32_t v = 0; v < vars; ++v) {
+      small.NewVar();
+      general.NewVar();
+    }
+    auto lit = [&rng, vars] {
+      return MakeLit(static_cast<uint32_t>(rng.NextBelow(vars)), rng.NextBelow(2) == 0);
+    };
+    int clauses = 2 + static_cast<int>(rng.NextBelow(3 * vars));
+    for (int i = 0; i < clauses; ++i) {
+      SatLit c[3] = {lit(), lit(), lit()};
+      if (rng.NextBelow(3) == 0) {  // a repeat or a complement of c[0]
+        c[1 + rng.NextBelow(2)] = rng.NextBelow(2) == 0 ? c[0] : NegateLit(c[0]);
+      }
+      switch (rng.NextBelow(5)) {
+        case 0:
+          small.AddUnit(c[0]);
+          general.AddClause(c, 1);
+          break;
+        case 1:
+        case 2:
+          small.AddBinary(c[0], c[1]);
+          general.AddClause(c, 2);
+          break;
+        default:
+          small.AddTernary(c[0], c[1], c[2]);
+          general.AddClause(c, 3);
+          break;
+      }
+      ASSERT_EQ(small.num_clauses(), general.num_clauses());
+    }
+    SatOutcome want = Observe(&general);
+    ExpectSameOutcome(Observe(&small), want);
+    unsat_rounds += want.result == SatResult::kUnsat;
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(unsat_rounds, 0);
+  EXPECT_LT(unsat_rounds, kRounds);
+}
+
+// A copy of a solver equals its source: copy-constructed, or assigned over a
+// solver that held a larger instance and ran a search. Copied before a
+// solve, all three take the same extra variable and clauses; copied after
+// one (learned clauses, saved phases, activities), they solve again. Either
+// way all three then solve the same way.
+TEST(SatSolverTest, CopyEqualsItsSource) {
+  Rng rng(99);
+  SatSolver assigned;
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    SatSolver source;
+    for (uint32_t v = 0; v < kThreeSatVars; ++v) {
+      source.NewVar();
+    }
+    for (const auto& clause : RandomThreeSat(&rng)) {
+      source.AddClause(clause.data(), clause.size());
+    }
+    source.AddUnit(MakeLit(static_cast<uint32_t>(rng.NextBelow(kThreeSatVars)), false));
+    bool solved_first = round % 3 == 0;
+    if (solved_first) {
+      Observe(&source);
+    }
+    assigned.Reset();
+    SatProblem larger = Pigeonhole(5, 4);
+    larger.conflict_budget = 1 + rng.NextBelow(8);
+    SolveProblem(&assigned, larger);
+
+    assigned = source;
+    SatSolver constructed(source);
+    std::vector<std::vector<SatLit>> extra = RandomThreeSat(&rng);
+    std::vector<SatOutcome> outcomes;
+    for (SatSolver* sat : {&source, &assigned, &constructed}) {
+      if (!solved_first) {
+        uint32_t v = sat->NewVar();
+        sat->AddBinary(MakeLit(v, true), MakeLit(0, false));
+        for (const auto& clause : extra) {
+          sat->AddClause(clause.data(), clause.size());
+        }
+      }
+      outcomes.push_back(Observe(sat));
+    }
+    ExpectSameOutcome(outcomes[1], outcomes[0]);
+    ExpectSameOutcome(outcomes[2], outcomes[0]);
+  }
 }
 
 // --- Bit-blaster -------------------------------------------------------------
@@ -751,8 +861,9 @@ bool BruteForceSat(const std::vector<ExprRef>& system, ExprRef x, ExprRef y) {
 // Every verdict on a deep system is checked against brute force, and each
 // system is asked three more ways: over fresh renamed variables (the solver's
 // own store must answer, with no SAT call), with its constraints reversed,
-// and through GetValue (whose value must satisfy the system, and which must
-// solve fresh rather than take the stored model).
+// and through GetValue, original and renamed. GetValue's value must satisfy
+// the system and equal a cold solver's; the verdict query solved this very
+// key, so the store serves it with no SAT call.
 TEST(SolverOracleTest, DeepDagsAgainstBruteForce) {
   constexpr uint64_t kSeeds[] = {0x5EED0001, 0x5EED0002, 0x5EED0003, 0x5EED0004};
   constexpr int kSystemsPerSeed = 8;
@@ -802,8 +913,11 @@ TEST(SolverOracleTest, DeepDagsAgainstBruteForce) {
       sat_calls = solver.stats().sat_calls;
       std::optional<uint64_t> xy = solver.GetValue(system, ctx.Concat(x, y));
       ASSERT_EQ(xy.has_value(), truth);
+      EXPECT_EQ(solver.GetValue(renamed, ctx.Concat(fresh_x, fresh_y)), xy);
+      EXPECT_EQ(solver.stats().sat_calls, sat_calls) << "GetValue re-solved a solved key";
+      Solver cold(&ctx, config);
+      EXPECT_EQ(cold.GetValue(system, ctx.Concat(x, y)), xy);
       if (truth) {
-        EXPECT_GT(solver.stats().sat_calls, sat_calls) << "GetValue took a stored model";
         Assignment a;
         a.Set(x->var_id(), *xy >> 8);
         a.Set(y->var_id(), *xy & 0xFF);
@@ -859,6 +973,62 @@ TEST_F(SolverTest, ReusedEncoderMatchesFreshSolves) {
   EXPECT_GT(sat_systems, 0);
   EXPECT_LT(sat_systems, systems);
   EXPECT_EQ(solver_.stats().sat_calls, fresh_totals.sat_calls);
+  EXPECT_EQ(solver_.stats().total_sat_vars, fresh_totals.total_sat_vars);
+  EXPECT_EQ(solver_.stats().total_sat_clauses, fresh_totals.total_sat_clauses);
+  EXPECT_EQ(solver_.stats().total_conflicts, fresh_totals.total_conflicts);
+}
+
+// One Solver resumes each SAT call from the snapshot of the previous call's
+// prefix when the list starts with it, and resets otherwise. Over lists that
+// share prefixes ([a,b,c], [a,b,d], [a,b]), leave them ([a,e], [f]), and
+// extend a prefix that is unsat at level 0, it answers exactly as a new
+// Solver per list: the same values from the same SAT instances.
+TEST_F(SolverTest, PrefixSnapshotMatchesFreshSolves) {
+  SolverStats fresh_totals;
+  int sat_lists = 0;
+  int lists = 0;
+  uint64_t pin = 0;
+  for (uint64_t seed : {0x5EED0001ull, 0x5EED0002ull, 0x5EED0003ull, 0x5EED0004ull}) {
+    ExprRef x = ctx_.Var(8, "x");
+    ExprRef y = ctx_.Var(8, "y");
+    SplitMix64 seeds(seed);
+    std::vector<ExprRef> abc = DeepSystem(&ctx_, seeds.Next(), x, y);
+    std::vector<ExprRef> def = DeepSystem(&ctx_, seeds.Next(), x, y);
+    ASSERT_EQ(abc.size(), 3u);
+    ASSERT_EQ(def.size(), 3u);
+    ExprRef a = abc[0];
+    ExprRef b = abc[1];
+    ExprRef c = abc[2];
+    ExprRef d = def[0];
+    ExprRef e = def[1];
+    ExprRef f = def[2];
+    // x == pin and x == pin + 1 clash under unit propagation alone; the pin
+    // moves per seed so no list repeats an earlier key.
+    ExprRef p = ctx_.Eq(x, ctx_.Const(pin, 8));
+    ExprRef q = ctx_.Eq(x, ctx_.Const(pin + 1, 8));
+    pin += 2;
+    const std::vector<std::vector<ExprRef>> asks = {
+        {a, b, c}, {a, b, d}, {a, b}, {a, e}, {f}, {p, q, a}, {p, q, b}, {p, q}};
+    ExprRef xy = ctx_.Concat(x, y);
+    for (const std::vector<ExprRef>& list : asks) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " list " << lists);
+      Solver fresh(&ctx_);
+      Assignment want_model;
+      bool want = fresh.IsSatisfiable(list, nullptr, &want_model);
+      Assignment got_model;
+      EXPECT_EQ(solver_.IsSatisfiable(list, nullptr, &got_model), want);
+      if (want) {
+        EXPECT_EQ(EvalExpr(xy, got_model), EvalExpr(xy, want_model));
+      }
+      fresh_totals.Accumulate(fresh.stats());
+      sat_lists += want;
+      ++lists;
+    }
+  }
+  EXPECT_GT(sat_lists, 0);
+  EXPECT_LT(sat_lists, lists);
+  EXPECT_EQ(solver_.stats().sat_calls, fresh_totals.sat_calls);
+  EXPECT_EQ(solver_.stats().unsat_results, fresh_totals.unsat_results);
   EXPECT_EQ(solver_.stats().total_sat_vars, fresh_totals.total_sat_vars);
   EXPECT_EQ(solver_.stats().total_sat_clauses, fresh_totals.total_sat_clauses);
   EXPECT_EQ(solver_.stats().total_conflicts, fresh_totals.total_conflicts);
